@@ -331,8 +331,8 @@ class SweepSpec:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         if self.store is not None:
             # `store` is the backend-URI spelling of `cache_dir`
-            # (file:DIR / sqlite:PATH / duckdb:PATH); fold it in so
-            # the rest of the engine sees one field.
+            # (file:DIR / sqlite:PATH); fold it in so the rest of the
+            # engine sees one field.
             if self.cache_dir is not None \
                     and self.cache_dir != self.store:
                 raise ValueError(
@@ -472,16 +472,15 @@ def report(cache_dir, where: Mapping | None = None) -> SweepReport:
     """Load a finished sweep cache as a :class:`SweepReport` — the
     cache is the query surface, nothing is re-executed.
 
-    ``cache_dir`` is a directory path or any store URI (``file:DIR``,
-    ``sqlite:PATH``, ``duckdb:PATH``) — see
-    :mod:`repro.engine.backend`.  Every cached cell's stored
-    ``params`` block is reconstructed into its job, so the returned
-    outcomes support the full aggregation toolkit
+    ``cache_dir`` is a directory path or a store URI (``file:DIR`` or
+    ``sqlite:PATH``) — see :mod:`repro.engine.backend`.  Every cached
+    cell's stored ``params`` block is reconstructed into its job, so
+    the returned outcomes support the full aggregation toolkit
     (``grid_table``/``pivot``/``overhead_series``/exports) exactly
     like a live sweep's, with the baseline ordered first per dataset.
     ``where`` filters by any job axis before returning, e.g.
-    ``{"dataset": "adult", "approach": "Celis-pp(tau=0.9)"}`` (pushed
-    down into the SQL row scan on SQL backends).
+    ``{"dataset": "adult", "approach": "Celis-pp(tau=0.9)"}`` (run in
+    the row scan on SQL backends).
 
     Raises
     ------

@@ -222,8 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "disables caching)")
     sweep_cmd.add_argument("--store", metavar="URI", default=None,
                            help="result-store backend URI: file:DIR "
-                                "(sharded JSON, the default layout), "
-                                "sqlite:PATH, or duckdb:PATH; "
+                                "(sharded JSON, the default layout) "
+                                "or sqlite:PATH (one database file); "
                                 "replaces --cache-dir")
     sweep_cmd.add_argument("--resume", default=None,
                            action=argparse.BooleanOptionalAction,
@@ -298,8 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 ".sweep-cache; verify/compact only)")
     cache_cmd.add_argument("--store", metavar="URI", default=None,
                            help="store URI to operate on (file:DIR / "
-                                "sqlite:PATH / duckdb:PATH; replaces "
-                                "--cache-dir for verify/compact)")
+                                "sqlite:PATH; replaces --cache-dir for "
+                                "verify/compact)")
     cache_cmd.add_argument("--repair", action="store_true",
                            help="delete defective entries so the next "
                                 "sweep recomputes exactly those cells")
@@ -335,10 +335,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                  ".sweep-cache)")
     report_cmd.add_argument("--store", metavar="URI", default=None,
                             help="store URI to load (file:DIR / "
-                                 "sqlite:PATH / duckdb:PATH; replaces "
-                                 "--cache-dir); on SQL stores filters, "
-                                 "pivots, and overhead series compile "
-                                 "to SQL")
+                                 "sqlite:PATH; replaces --cache-dir); "
+                                 "on sqlite stores --where filters run "
+                                 "in the row scan")
     report_cmd.add_argument("--where", nargs="*", default=[],
                             metavar="AXIS=VALUE",
                             help="filter cells by job axes, e.g. "
@@ -659,7 +658,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if caching:
         try:
             cache = ResultCache(spec.cache_dir)
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
@@ -737,7 +736,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     store = args.store if args.store is not None else args.cache_dir
     try:
         cache = ResultCache(store)
-    except (ValueError, RuntimeError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not cache.exists():
@@ -781,9 +780,6 @@ def cmd_report(args: argparse.Namespace) -> int:
                                        f"seed-averaged over "
                                        f"{len(seeds)} seeds)"))
 
-    # Pivots and overhead series go through the cache so SQL backends
-    # compile them (window functions + GROUP BY) instead of walking
-    # the preloaded outcomes; file backends reuse `outcomes` as-is.
     for index, columns, value in args.pivot:
         try:
             table = cache.pivot(index=index, columns=columns,
@@ -828,7 +824,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     store = args.store if args.store is not None else args.cache_dir
     try:
         cache = ResultCache(store)
-    except (ValueError, RuntimeError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not cache.exists():
@@ -873,7 +869,7 @@ def _cmd_cache_merge(args: argparse.Namespace) -> int:
     try:
         src = ResultCache(args.stores[0])
         dst = ResultCache(args.stores[1])
-    except (ValueError, RuntimeError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not src.exists():
@@ -897,7 +893,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
     store = args.store if args.store is not None else args.cache_dir
     try:
         cache = ResultCache(store)
-    except (ValueError, RuntimeError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not cache.exists():

@@ -9,12 +9,9 @@ seed) — and this subsystem is the one way to run them:
 * :mod:`~repro.engine.cache` — :class:`ResultCache` skips any cell
   whose fingerprint already has a stored result.
 * :mod:`~repro.engine.backend` — pluggable result-store backends
-  behind the cache (``file:DIR`` sharded JSON, ``sqlite:PATH`` /
-  ``duckdb:PATH`` one-row-per-cell databases) with compaction and
-  cross-host merge.
-* :mod:`~repro.engine.sqlreport` — report filters, pivots, and
-  overhead series compiled to SQL (window functions + ``GROUP BY``)
-  on the SQL backends, bit-identical to the in-memory path.
+  behind the cache (``file:DIR`` sharded JSON, ``sqlite:PATH`` one
+  row per cell in a single database) with compaction and cross-host
+  merge.
 * :mod:`~repro.engine.executor` — :func:`run_sweep` executes cells
   over a process pool with failure isolation and progress/ETA.
 * :mod:`~repro.engine.resilience` — :class:`RetryPolicy` adds retries

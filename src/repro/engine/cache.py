@@ -15,11 +15,13 @@ Two backends ship (see :mod:`repro.engine.backend`):
       <root>/<fp[:2]>/<fp>.json       # one run file per cell
       <root>/<fp[:2]>/<fp>.artifacts  # optional artifact bundle
 
-* ``sqlite:PATH`` (``duckdb:PATH`` when importable) — one database
-  row per cell; reports compile to SQL
-  (:mod:`repro.engine.sqlreport`), and whole caches merge across
-  hosts (:meth:`ResultCache.merge_from`) or fold stale spec-version
-  duplicates in place (:meth:`ResultCache.compact`).
+* ``sqlite:PATH`` — one database row per cell in a single file;
+  ``--where`` filters run in the row scan.
+
+Either kind merges across hosts (:meth:`ResultCache.merge_from`),
+folds stale spec-version duplicates in place
+(:meth:`ResultCache.compact`), and reports through the same in-memory
+path over :meth:`ResultCache.outcomes`.
 
 File entries remain ordinary one-result run files (the ``params``
 block holds the job's full parameterization), so cached cells stay
@@ -28,12 +30,14 @@ greppable and loadable with the plain ``ResultStore`` API.
 
 from __future__ import annotations
 
+import json
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
 from .. import obs
 from ..pipeline.experiment import EvaluationResult
+from ..pipeline.store import result_from_dict
 from .backend import SqlBackend, StoreBackend, parse_store
 from .spec import Job
 
@@ -125,9 +129,9 @@ class MergeStats:
 class ResultCache:
     """Fingerprint-addressed store of finished grid cells.
 
-    ``store`` is a backend URI (``file:DIR`` / ``sqlite:PATH`` /
-    ``duckdb:PATH``), a bare directory path (file layout — the
-    historical spelling), a ``Path``, or a constructed
+    ``store`` is a backend URI (``file:DIR`` / ``sqlite:PATH``), a
+    bare directory path (file layout — the historical spelling), a
+    ``Path``, or a constructed
     :class:`~repro.engine.backend.StoreBackend`.
     """
 
@@ -239,10 +243,8 @@ class ResultCache:
         from ..artifacts import pack_bundle  # local: avoids an
         # import cycle (artifacts.pack imports the engine for Job)
 
-        path = pack_bundle(job, self.artifact_path(job),
+        return pack_bundle(job, self.artifact_path(job),
                            components=components, overwrite=True)
-        self.backend.note_artifact(job.fingerprint)
-        return path
 
     def get_artifact(self, job: Job | str) -> Path | None:
         """The cell's artifact-bundle path, or ``None`` when the sweep
@@ -293,7 +295,8 @@ class ResultCache:
 
         ``where`` filters by job axes before returning (same axes and
         normalisation as :func:`~repro.engine.report.filter_outcomes`);
-        on SQL backends the filter is pushed down into the row scan.
+        on SQL backends the filter runs in the row scan, so only the
+        matching rows are decoded.
 
         A cache that survived a ``SPEC_VERSION`` bump can hold the
         same logical cell twice (the old entry plus its re-computed
@@ -303,21 +306,16 @@ class ResultCache:
         results are never silently averaged into the new ones.
         """
         from .executor import JobOutcome
-        from .report import filter_outcomes
+        from .report import _normalise_where, filter_outcomes
         from .spec import job_from_params
 
         entries = self.entries()
-        filtered_in_sql = False
         if where and isinstance(self.backend, SqlBackend) \
                 and self.backend.exists():
-            from .sqlreport import compile_where
-            where_sql, parameters = compile_where(where)
-            entries = self._sql_entries(where_sql, parameters)
-            filtered_in_sql = True
+            entries = self._sql_entries(where)
+            where = None
         elif where:
-            # Validate (and fail on) unknown axes before any I/O, like
-            # the SQL path does.
-            filter_outcomes([], where)
+            _normalise_where(where)  # unknown axes fail before any I/O
 
         best: dict[str, tuple[int, object]] = {}
         for _, result, params in entries:
@@ -333,77 +331,41 @@ class ResultCache:
                                              cached=True))
         outcomes = sorted((outcome for _, outcome in best.values()),
                           key=_grid_order)
-        if where and not filtered_in_sql:
+        if where:
             outcomes = filter_outcomes(outcomes, where)
         return outcomes
 
-    def _sql_entries(self, where_sql: str, parameters: list):
-        """``entries()`` with a compiled ``WHERE`` pushed into the row
-        scan (SQL backends only).  Rows whose axis columns never
-        parsed (``grid_order IS NULL``) may still match NULL-matching
-        constraints, but ``outcomes()`` drops them at job
-        reconstruction anyway, exactly like the in-memory path."""
-        import json
-
-        from ..pipeline.store import result_from_dict
-
-        rows = self.backend.connection().execute(
-            "SELECT fingerprint, result, params FROM cells WHERE 1=1"
-            + where_sql + " ORDER BY fingerprint", parameters)
-        for fingerprint, result, params in rows:
+    def _sql_entries(self, where):
+        """:meth:`entries` over the SQL backend's ``where`` row scan:
+        decodes each matching row, skipping malformed ones."""
+        for fingerprint, result, params in self.backend.select(where):
             try:
                 yield (fingerprint,
                        result_from_dict(json.loads(result)),
                        dict(json.loads(params)))
             except (ValueError, KeyError, TypeError) as exc:
                 self._corrupt(fingerprint, exc)
-                continue
-
-    # ------------------------------------------------------------------
-    # Report compilation (SQL pushdown with an in-memory fallback)
-    # ------------------------------------------------------------------
-    def _sql_ready(self) -> bool:
-        return (isinstance(self.backend, SqlBackend)
-                and self.backend.exists()
-                and self.backend.sql_ready())
 
     def pivot(self, index: str, columns: str, value: str, where=None,
               outcomes=None):
-        """A :func:`~repro.engine.report.pivot` over the cache.
+        """A :func:`~repro.engine.report.pivot` over ``outcomes``
+        (loaded via :meth:`outcomes` with ``where`` when not
+        supplied)."""
+        from .report import pivot
 
-        On SQL backends holding a single ``spec_version`` the pivot
-        compiles to SQL (``GROUP BY`` + a ``ROW_NUMBER()`` window
-        restoring grid order) and never materializes outcomes; other
-        stores — and mixed-version SQL stores, which need the stale
-        -duplicate collapse — fall back to the in-memory path over
-        ``outcomes`` (loaded via :meth:`outcomes` when not supplied).
-        Both paths return bit-identical tables.
-        """
-        from .report import pivot as memory_pivot
-
-        if self._sql_ready():
-            from .sqlreport import sql_pivot
-            return sql_pivot(self.backend, index, columns, value,
-                             where=where)
         if outcomes is None:
             outcomes = self.outcomes(where=where)
-        return memory_pivot(outcomes, index=index, columns=columns,
-                            value=value)
+        return pivot(outcomes, index=index, columns=columns, value=value)
 
     def overhead_series(self, sweep: str = "rows", where=None,
                         outcomes=None):
-        """A :func:`~repro.engine.report.overhead_series` over the
-        cache, SQL-compiled when the backend allows (same dispatch
-        rules as :meth:`pivot`)."""
-        from .report import overhead_series as memory_series
+        """A :func:`~repro.engine.report.overhead_series` over
+        ``outcomes`` (loaded as for :meth:`pivot`)."""
+        from .report import overhead_series
 
-        if self._sql_ready():
-            from .sqlreport import sql_overhead_series
-            return sql_overhead_series(self.backend, sweep=sweep,
-                                       where=where)
         if outcomes is None:
             outcomes = self.outcomes(where=where)
-        return memory_series(outcomes, sweep=sweep)
+        return overhead_series(outcomes, sweep=sweep)
 
     # ------------------------------------------------------------------
     def verify(self, repair: bool = False) -> list[CacheProblem]:
@@ -517,8 +479,7 @@ class ResultCache:
         rest along with their artifact bundles.  Finishes with the
         backend's vacuum (``VACUUM`` for SQL stores, empty-shard
         cleanup for file stores), and counts removals on the
-        ``store.compacted`` counter.  Also restores the pure-SQL
-        report fast path, which mixed-version stores disable.
+        ``store.compacted`` counter.
         """
         folded = 0
         for logical, entries in self._logical_groups().items():
@@ -588,7 +549,6 @@ class ResultCache:
                     shutil.rmtree(target, ignore_errors=True)
                 shutil.copytree(src.backend.artifact_dir(fingerprint),
                                 target)
-                self.backend.note_artifact(fingerprint)
                 artifacts += 1
         if merged or replaced:
             obs.add("store.merged", merged + replaced)

@@ -20,6 +20,7 @@ from statistics import fmean
 from ..pipeline.experiment import EvaluationResult
 from ..pipeline.report import format_results_table
 from .executor import JobOutcome
+from .spec import _COMPONENT_AXES, _JOB_AXES
 
 __all__ = ["cell_key", "group_outcomes", "mean_result",
            "aggregate_over_seeds", "pivot", "grid_table",
@@ -34,12 +35,6 @@ __all__ = ["cell_key", "group_outcomes", "mean_result",
 _METRIC_FIELDS = ("accuracy", "precision", "recall", "f1", "di_star",
                   "tprb", "tnrb", "id", "te", "nde", "nie",
                   "fit_seconds")
-
-#: Job axes a report can group, pivot, or filter on.
-_COMPONENT_AXES = ("dataset", "approach", "model", "error", "imputer",
-                   "metric")
-_JOB_AXES = (*_COMPONENT_AXES, "seed", "rows", "n_features", "audit",
-             "chunk_rows", "block_size")
 
 
 def _axis_value(job, attr: str):
@@ -242,6 +237,18 @@ def _normalise_axis_query(axis: str, value):
     return registry.canonical(value)
 
 
+def _normalise_where(where: Mapping[str, object]) -> dict[str, object]:
+    """Validate ``axis=value`` constraints and normalise each value
+    (:func:`_normalise_axis_query`); unknown axes raise ``KeyError``.
+    Shared by :func:`filter_outcomes` and the SQL store's row scan."""
+    unknown = sorted(set(where) - set(_JOB_AXES))
+    if unknown:
+        raise KeyError(f"unknown report axis(es) {unknown}; choose "
+                       f"from {sorted(_JOB_AXES)}")
+    return {axis: _normalise_axis_query(axis, value)
+            for axis, value in where.items()}
+
+
 def filter_outcomes(outcomes: Iterable[JobOutcome],
                     where: Mapping[str, object]) -> list[JobOutcome]:
     """Outcomes whose job matches every ``axis=value`` constraint.
@@ -252,12 +259,7 @@ def filter_outcomes(outcomes: Iterable[JobOutcome],
     accept strings, and ``none``/``null`` select cells where the axis
     is unset.  Unknown axes raise ``KeyError`` before any matching.
     """
-    unknown = sorted(set(where) - set(_JOB_AXES))
-    if unknown:
-        raise KeyError(f"unknown report axis(es) {unknown}; choose "
-                       f"from {sorted(_JOB_AXES)}")
-    constraints = {axis: _normalise_axis_query(axis, value)
-                   for axis, value in where.items()}
+    constraints = _normalise_where(where)
     return [outcome for outcome in outcomes
             if all(_axis_value(outcome.job, axis) == value
                    for axis, value in constraints.items())]

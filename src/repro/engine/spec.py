@@ -48,6 +48,13 @@ AUDITS = (None, "counterfactual")
 AUDIT_PARAM_NAMES = frozenset({"n_bins", "n_samples", "n_particles",
                                "max_rows"})
 
+#: Job axes a report can group, pivot, or filter on (and the SQL
+#: store's axis columns, in this order).
+_COMPONENT_AXES = ("dataset", "approach", "model", "error", "imputer",
+                   "metric")
+_JOB_AXES = (*_COMPONENT_AXES, "seed", "rows", "n_features", "audit",
+             "chunk_rows", "block_size")
+
 
 def check_audit_params(audit: str | None, params: dict) -> dict:
     """Validate an audit configuration at construction time.

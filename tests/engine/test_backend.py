@@ -1,15 +1,15 @@
-"""Pluggable store backends: URIs, SQL round-trips, order parity."""
+"""Pluggable store backends: URIs, SQL round-trips, older stores."""
 
-import importlib.util
+import json
+import sqlite3
 
 import pytest
 
-from repro.engine import (FileBackend, Job, ResultCache, SqlBackend,
-                          parse_store)
-from repro.engine.backend import grid_order_key
-from repro.engine.cache import _grid_order
-from repro.engine.executor import JobOutcome
+from repro.engine import (FileBackend, Job, ResultCache, ScenarioGrid,
+                          SqlBackend, parse_store)
+from repro.engine.report import _axis_value
 from repro.engine.resilience import Attempt
+from repro.engine.spec import _JOB_AXES
 from repro.pipeline import EvaluationResult, result_to_dict
 
 
@@ -63,11 +63,22 @@ class TestParseStore:
         with pytest.raises(TypeError):
             parse_store(42)
 
-    def test_duckdb_gated_on_missing_package(self, tmp_path):
-        if importlib.util.find_spec("duckdb") is not None:
-            pytest.skip("duckdb installed; the gate does not trip")
-        with pytest.raises(RuntimeError, match="duckdb"):
-            parse_store(f"duckdb:{tmp_path / 'cells.db'}")
+    def test_unknown_scheme_fails_by_name(self):
+        for store in ("duckdb:x.db", "postgres://host/db",
+                      "s3+zip:bucket/cache"):
+            with pytest.raises(ValueError) as exc:
+                parse_store(store)
+            message = str(exc.value)
+            assert "file:DIR" in message and "sqlite:PATH" in message
+            assert repr(store.partition(":")[0]) in message
+
+    def test_unknown_scheme_cli_exits_2(self, capsys):
+        from repro.cli import main
+
+        assert main(["report", "--store", "duckdb:x"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown store scheme 'duckdb'" in err
+        assert "file:DIR or sqlite:PATH" in err
 
     def test_windows_style_path_stays_file(self, tmp_path):
         # A single-letter scheme (drive letter) is not a known scheme.
@@ -158,36 +169,117 @@ class TestSqlRoundtrip:
         cache.backend.save(JOB.fingerprint, [make_result()], params)
         assert [p.kind for p in cache.verify()] == ["stale"]
 
-    def test_spec_versions_listing(self, tmp_path):
-        cache = self.cache(tmp_path)
-        assert cache.backend.spec_versions() == []
-        cache.put(JOB, make_result())
-        versions = cache.backend.spec_versions()
-        assert len(versions) == 1
-        assert versions[0] == JOB.params()["spec_version"]
+
+#: The schema SQL stores had under the same store_version while reports
+#: compiled to SQL: two more ``cells`` columns, a per-metric side
+#: table, and an index on each.
+OLDER_DDL = """
+PRAGMA journal_mode=WAL;
+CREATE TABLE cells (
+    fingerprint TEXT PRIMARY KEY,
+    spec_version INTEGER NOT NULL,
+    "dataset" TEXT, "approach" TEXT, "model" TEXT, "error" TEXT,
+    "imputer" TEXT, "metric" TEXT, "seed" INTEGER, "rows" INTEGER,
+    "n_features" INTEGER, "audit" TEXT, "chunk_rows" INTEGER,
+    "block_size" INTEGER,
+    grid_order TEXT,
+    params TEXT NOT NULL,
+    result TEXT NOT NULL,
+    raw TEXT NOT NULL,
+    attempts TEXT NOT NULL DEFAULT '[]',
+    artifact TEXT
+);
+CREATE TABLE cell_values (
+    fingerprint TEXT NOT NULL,
+    key TEXT NOT NULL,
+    value REAL,
+    repr TEXT NOT NULL,
+    PRIMARY KEY (fingerprint, key)
+);
+CREATE INDEX cell_values_key ON cell_values (key, fingerprint);
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT);
+INSERT INTO meta VALUES ('store_version', '1');
+CREATE INDEX cells_grid_order ON cells (grid_order, fingerprint);
+"""
 
 
-class TestGridOrderKey:
-    def test_matches_python_tuple_order(self):
-        # The SQL report path orders rows by the serialized key; it
-        # must reproduce the in-memory grid sort exactly, including
-        # multi-digit integers and none-first optional axes.
-        jobs = [Job(dataset=d, approach=a, rows=r, seed=s,
-                    error=e, imputer=i, causal_samples=100)
-                for d in ("german", "compas")
-                for a in (None, "Hardt-eo", "Feld-dp")
-                for r in (40, 400, 4000)
-                for s in (0, 1, 2, 10)
-                for e, i in ((None, None), ("missing", "mean"))]
-        by_tuple = sorted(jobs,
-                          key=lambda j: _grid_order(JobOutcome(job=j)))
-        by_key = sorted(jobs, key=grid_order_key)
-        assert by_key == by_tuple
+class TestOlderStore:
+    """A store written under :data:`OLDER_DDL` loads, takes puts,
+    filters, merges both ways, verifies clean, and sheds the old
+    report tables on compact."""
 
-    def test_integer_padding_beats_string_sort(self):
-        small = Job(dataset="german", rows=400, seed=2)
-        large = Job(dataset="german", rows=400, seed=10)
-        assert grid_order_key(small) < grid_order_key(large)
+    JOBS = ScenarioGrid(datasets=["german", "compas"],
+                        approaches=[None, "Hardt-eo", "Feld-dp"],
+                        seeds=[0, 1], rows=[300],
+                        causal_samples=200).expand()
+
+    @staticmethod
+    def result(job) -> EvaluationResult:
+        return make_result(job.approach_label,
+                           accuracy=0.5 + job.seed / 10 + job.rows / 1e4)
+
+    def write_older(self, path, jobs) -> None:
+        conn = sqlite3.connect(path)
+        conn.executescript(OLDER_DDL)
+        for order, job in enumerate(jobs):
+            params = {"fingerprint": job.fingerprint, **job.params()}
+            result = result_to_dict(self.result(job))
+            conn.execute(
+                "INSERT INTO cells VALUES (" + ", ".join(["?"] * 20) + ")",
+                (job.fingerprint, params["spec_version"],
+                 *(_axis_value(job, axis) for axis in _JOB_AXES),
+                 f"{order:04d}", json.dumps(params, sort_keys=True),
+                 json.dumps(result, sort_keys=True),
+                 json.dumps(result["raw"], sort_keys=True), "[]", None))
+            conn.executemany(
+                "INSERT INTO cell_values VALUES (?, ?, ?, ?)",
+                [(job.fingerprint, key, result[key], repr(result[key]))
+                 for key in ("accuracy", "f1")])
+        conn.commit()
+        conn.close()
+
+    @staticmethod
+    def cells(cache, where=None) -> list:
+        return [(o.job, o.result) for o in cache.outcomes(where=where)]
+
+    def test_older_store_keeps_working(self, tmp_path):
+        path = tmp_path / "older.db"
+        self.write_older(path, self.JOBS[::2])
+        older = ResultCache(f"sqlite:{path}")
+        reference = ResultCache(tmp_path / "reference")
+        for job in self.JOBS[::2]:
+            reference.put(job, self.result(job))
+        assert len(older) == 6
+        assert self.cells(older) == self.cells(reference)
+
+        for job in self.JOBS[1::2]:
+            older.put(job, self.result(job))
+            reference.put(job, self.result(job))
+        assert len(older) == 12
+        assert self.cells(older) == self.cells(reference)
+        for where in ({"dataset": "compas"}, {"approach": "none"},
+                      {"approach": "Hardt-eo", "seed": "1"}):
+            assert self.cells(older, where) == \
+                self.cells(reference, where), where
+
+        copy = ResultCache(tmp_path / "copy")
+        assert copy.merge_from(older).merged == 12
+        assert self.cells(copy) == self.cells(reference)
+        extra = ResultCache(tmp_path / "extra")
+        job = Job(dataset="german", approach="Feld-dp", rows=600,
+                  causal_samples=200)
+        extra.put(job, self.result(job))
+        assert older.merge_from(extra).merged == 1
+        assert older.get(job) == self.result(job)
+        assert older.verify() == [] and copy.verify() == []
+
+        assert older.compact().kept == 13
+        schema = {name for (name,) in sqlite3.connect(path).execute(
+            "SELECT name FROM sqlite_master")}
+        assert "cell_values" not in schema
+        assert "cells_grid_order" not in schema
+        older.evict(job)
+        assert self.cells(older) == self.cells(reference)
 
 
 class TestFileBackendVacuum:

@@ -144,7 +144,6 @@ class TestArtifactSlots:
         (slot / "payload.bin").write_bytes(b"weights")
         if not torn:
             (slot / "manifest.json").write_text("{}")
-            cache.backend.note_artifact(job.fingerprint)
 
     def test_intact_bundle_rides_along(self, dst, tmp_path):
         jobs = GRID.expand()[:2]

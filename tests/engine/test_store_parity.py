@@ -1,11 +1,10 @@
 """Golden parity: file and SQL backends render identical reports.
 
-The SQL backend compiles ``--where`` filters, pivots, and the
-overhead series to SQL (:mod:`repro.engine.sqlreport`); this suite
-fills a file cache and a SQLite cache with the *same* deterministic
-results and asserts every rendered table and export is byte-identical
-between the two — the contract `repro report --store sqlite:…`
-depends on.
+Both backends report through :meth:`ResultCache.outcomes` (the SQL
+backend runs ``--where`` filters in its row scan); this suite fills a
+file cache and a SQLite cache with the *same* deterministic results
+and asserts every rendered table and export is byte-identical between
+the two — the contract `repro report --store sqlite:…` depends on.
 """
 
 import json
@@ -84,19 +83,6 @@ class TestOutcomeParity:
 
 
 class TestReportParity:
-    def test_sql_path_is_active(self, sql_cache):
-        assert sql_cache._sql_ready()
-
-    def test_sql_pivot_never_materializes_outcomes(self, sql_cache,
-                                                   monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("SQL path must not load outcomes")
-
-        monkeypatch.setattr(ResultCache, "outcomes", boom)
-        table = sql_cache.pivot(index="approach", columns="rows",
-                                value="accuracy")
-        assert table  # computed entirely in SQL
-
     def test_pivot_tables_identical(self, file_cache, sql_cache):
         for index, columns, value in (
                 ("approach", "rows", "accuracy"),
@@ -197,7 +183,6 @@ class TestMixedVersionFallback:
         reference = cache.pivot(index="approach", columns="rows",
                                 value="accuracy")
         self.inject_stale(cache)
-        assert not cache._sql_ready()  # mixed versions disable SQL
         assert len(cache.outcomes()) == len(jobs)  # dup collapsed
         assert cache.pivot(index="approach", columns="rows",
                            value="accuracy") == reference
@@ -210,7 +195,6 @@ class TestMixedVersionFallback:
         stats = cache.compact()
         assert stats.folded == 1
         assert stats.kept == len(jobs)
-        assert cache._sql_ready()
 
 
 class TestCliParity:
