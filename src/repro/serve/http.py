@@ -14,10 +14,25 @@ Routes
 ``POST /audit-batch``
     Body ``{"rows": [{...}, ...]}`` → ``{"results": [...]}``.
 
-Malformed JSON, unknown routes, and :class:`AuditRequestError` map to
-400/404 with a JSON ``{"error": ...}`` body; unexpected failures map
-to 500.  All error paths count on the ``serve.errors`` counter,
-requests on ``serve.requests`` (via the service).
+Every error response has a JSON ``{"error": ...}`` body: 400 for
+malformed JSON and :class:`AuditRequestError`, 404 for unknown routes,
+500 for unexpected failures, and the stdlib's own errors (a malformed
+request line, 501 for an unsupported method, ...) alike.  Each error
+counts once on the ``serve.errors`` counter, requests on
+``serve.requests`` (via the service).
+
+Keep-alive framing
+------------------
+Connections are HTTP/1.1 keep-alive.  A response is buffered and
+flushed in one write (a body past the 8 KiB buffer follows its headers
+in a second) on a socket with ``TCP_NODELAY`` set, so no part of it
+waits for the client's delayed ACK.  A request's body is read in full,
+exactly ``Content-Length`` bytes (none without the header), before its
+route is chosen, so the next request on the connection starts where
+this one ended whatever this one's status.  A body the server cannot
+frame — sent with ``Transfer-Encoding`` (411), or with a
+``Content-Length`` that is not a non-negative integer (400) — is
+answered and its connection closed, as after every stdlib error.
 """
 
 from __future__ import annotations
@@ -64,40 +79,72 @@ class AuditHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Buffer each response and flush it once, with Nagle off: sent as
+    # two small writes, the body would wait behind the headers for a
+    # keep-alive client's ~40 ms delayed ACK.
+    wbufsize = -1
+    disable_nagle_algorithm = True
     server: AuditHTTPServer
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         log.debug("%s %s", self.address_string(), format % args)
 
-    def _send_json(self, status: int, payload: dict) -> None:
+    def _send_json(self, status: int, payload: dict,
+                   close: bool = False) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
+        # Flush before counting: the request that reaches max_requests
+        # shuts the server down, and the process may exit before the
+        # stdlib flushes after the handler returns.
+        self.wfile.flush()
         self.server.count_request()
 
-    def _fail(self, status: int, message: str) -> None:
+    def _fail(self, status: int, message: str, close: bool = False) -> None:
         obs.add("serve.errors")
-        self._send_json(status, {"error": message})
+        self._send_json(status, {"error": message}, close)
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        try:
-            payload = json.loads(raw or b"null")
-        except json.JSONDecodeError as exc:
-            raise AuditRequestError(f"request body is not JSON: {exc}") \
-                from None
-        if not isinstance(payload, dict):
-            raise AuditRequestError(
-                "request body must be a JSON object")
-        return payload
+    def send_error(self, code, message=None, explain=None):
+        """The stdlib's own errors (a malformed request line, an
+        unsupported method, oversized headers) with the JSON body every
+        other error has; the connection closes after them, as the
+        stdlib's own error page closes it."""
+        self._fail(code, message or self.responses[code][0], close=True)
+
+    def handle_expect_100(self):
+        """Send ``100 Continue`` now: the client holds the body back
+        until it arrives, so it must not wait in the write buffer for
+        the final response."""
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
+    def _read_body(self) -> bytes | None:
+        """The request body: exactly ``Content-Length`` bytes, none
+        without the header.  A body that cannot be framed is answered
+        here, with the connection closed, and gives ``None``."""
+        if "Transfer-Encoding" in self.headers:
+            self._fail(411, "Transfer-Encoding is not supported; send the "
+                            "body with a Content-Length header", close=True)
+            return None
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            self._fail(400, "Content-Length header must be a non-negative "
+                            f"integer, got {length!r}", close=True)
+            return None
+        return self.rfile.read(int(length))
 
     # -- routes --------------------------------------------------------
     def do_GET(self):  # noqa: N802 - stdlib dispatch name
+        if self._read_body() is None:
+            return
         if self.path == "/healthz":
             meta = self.server.service.components.meta
             self._send_json(200, {
@@ -113,10 +160,13 @@ class _Handler(BaseHTTPRequestHandler):
                             "/audit-batch")
 
     def do_POST(self):  # noqa: N802 - stdlib dispatch name
+        raw = self._read_body()
+        if raw is None:
+            return
         service = self.server.service
         try:
             if self.path == "/audit-one-row":
-                payload = self._read_body()
+                payload = _json_object(raw)
                 if "row" not in payload:
                     raise AuditRequestError(
                         'audit-one-row body must be {"row": {...}}')
@@ -124,7 +174,7 @@ class _Handler(BaseHTTPRequestHandler):
                     result = service.audit_row(payload["row"])
                 self._send_json(200, result)
             elif self.path == "/audit-batch":
-                payload = self._read_body()
+                payload = _json_object(raw)
                 if "rows" not in payload:
                     raise AuditRequestError(
                         'audit-batch body must be {"rows": [{...}, ...]}')
@@ -145,6 +195,17 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # pragma: no cover - defensive
             log.exception("unhandled error serving %s", self.path)
             self._fail(500, f"internal error: {type(exc).__name__}: {exc}")
+
+
+def _json_object(raw: bytes) -> dict:
+    try:
+        payload = json.loads(raw or b"null")
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise AuditRequestError(f"request body is not JSON: {exc}") \
+            from None
+    if not isinstance(payload, dict):
+        raise AuditRequestError("request body must be a JSON object")
+    return payload
 
 
 def _counted_by_service(exc: AuditRequestError) -> bool:
