@@ -56,12 +56,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
-import platform
 import time
 
 import numpy as np
+from common import machine_block
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_counterfactual.json"
@@ -390,12 +389,7 @@ def main(argv: list[str] | None = None) -> None:
         # Thread count the *headline* timings resolved to (REPRO_THREADS
         # applied); the scaling curve varies it explicitly.
         "threads": resolve_threads(None),
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-            "cpu_count": os.cpu_count(),
-        },
+        "machine": machine_block(),
         "results": results,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")

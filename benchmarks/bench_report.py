@@ -35,8 +35,9 @@ import argparse
 import json
 import os
 import pathlib
-import platform
 import time
+
+from common import machine_block
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_report.json"
@@ -190,10 +191,7 @@ def main(argv: list[str] | None = None) -> None:
         "schema": 1,
         "cells": len(jobs),
         "repeats": args.repeats,
-        "machine": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "machine": machine_block(),
         "results": results,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")

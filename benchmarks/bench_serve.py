@@ -46,10 +46,10 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import platform
 import time
 
 import numpy as np
+from common import machine_block
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_serve.json"
@@ -319,11 +319,7 @@ def main(argv: list[str] | None = None) -> None:
         "batch_size": args.batch_size,
         "pack_s": pack_s,
         "bundle_load_s": load_s,
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
+        "machine": machine_block(),
         "results": {"one_row": one_row, "batch": batch, "http": http},
         "traced_counters": counters,
     }

@@ -43,6 +43,22 @@ CV_SIZES = {
 }
 
 
+def machine_block() -> dict:
+    """The machine a ``BENCH_*.json`` record ran on: interpreter, numpy,
+    platform, CPU count and usable CPUs, and each loaded OpenBLAS with
+    its live thread count."""
+    import platform
+
+    import numpy as np
+
+    from repro import blas
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "platform": platform.platform(), "cpu_count": os.cpu_count(),
+            "usable_cpus": blas.usable_cpus(),
+            "blas_runtime": blas.runtime()}
+
+
 def emit(name: str, text: str) -> str:
     """Print a bench's table and persist it under benchmarks/out/."""
     OUT_DIR.mkdir(exist_ok=True)

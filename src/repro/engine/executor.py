@@ -8,7 +8,16 @@ then fresh cells through a ``ProcessPoolExecutor`` (or inline when
   the job's own seed, so a 2-worker sweep produces byte-identical
   results to a serial run of the same grid, a cache hit is
   indistinguishable from a recomputation, and a *retried* cell is
-  indistinguishable from one that succeeded first try.
+  indistinguishable from one that succeeded first try.  Nor does the
+  BLAS thread count move a result: every fit runs at one BLAS thread
+  (:meth:`~repro.pipeline.experiment.FairPipeline.fit`), whatever the
+  pool width, the host's core count or ``OPENBLAS_NUM_THREADS``.
+* **CPU budget** — workers × kernel tile threads × BLAS threads stay
+  within the usable CPUs: each pool worker (and the inline path, as
+  one worker) lowers its OpenBLAS pools to
+  ``usable CPUs // (workers × tile threads)`` threads, at least 1,
+  unless ``OPENBLAS_NUM_THREADS`` / ``GOTO_NUM_THREADS`` /
+  ``OMP_NUM_THREADS`` is set (see :mod:`repro.blas`).
 * **Failure isolation** — one diverging cell records a traceback in
   its :class:`JobOutcome`; the remaining cells still run.
 * **Resilience** — with a :class:`~repro.engine.resilience.RetryPolicy`,
@@ -48,6 +57,7 @@ see :mod:`repro.engine.chaos`.
 
 from __future__ import annotations
 
+import contextlib
 import time
 import traceback
 from collections.abc import Callable, Sequence
@@ -55,7 +65,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from .. import obs
+from .. import blas, obs
+from ..metrics.pairwise import resolve_threads
 from ..pipeline.experiment import EvaluationResult
 from . import chaos as chaos_module
 from .cache import ResultCache
@@ -477,14 +488,15 @@ def run_sweep(jobs: Sequence[Job], *, cache: ResultCache | None = None,
                               policy=policy, chaos_plan=chaos,
                               pack_dir=pack_dir)
         with obs.recording(trace_memory=trace.trace_memory) as rec:
-            with obs.span("sweep", cells=len(jobs), workers=max_workers):
+            with obs.span("sweep", cells=len(jobs),
+                          workers=max_workers) as sweep_span:
                 report = _run_sweep(jobs, cache=cache,
                                     max_workers=max_workers,
                                     resume=resume, progress=progress,
                                     collect=True,
                                     trace_memory=trace.trace_memory,
                                     policy=policy, chaos_plan=chaos,
-                                    pack_dir=pack_dir)
+                                    pack_dir=pack_dir, span=sweep_span)
     trace.add_scope("sweep", rec.snapshot())
     for outcome in report.outcomes:
         trace.add_cell(outcome.job.label(), fragment=outcome.trace,
@@ -666,8 +678,8 @@ def _run_sweep(jobs: Sequence[Job], *, cache: ResultCache | None,
                progress: ProgressCallback | None,
                collect: bool = False, trace_memory: bool = False,
                policy: RetryPolicy | None = None,
-               chaos_plan=None, pack_dir: str | None = None
-               ) -> SweepReport:
+               chaos_plan=None, pack_dir: str | None = None,
+               span=None) -> SweepReport:
     policy = RetryPolicy() if policy is None else policy
     state = _SweepState(jobs, cache, progress, policy, chaos_plan)
 
@@ -685,12 +697,36 @@ def _run_sweep(jobs: Sequence[Job], *, cache: ResultCache | None,
     needs_pool = (policy.timeout is not None
                   or (chaos_plan is not None and chaos_plan.needs_pool))
     if pending:
-        if (max_workers == 1 or len(pending) <= 1) and not needs_pool:
-            _run_inline(state, pending, collect, trace_memory, pack_dir)
+        inline = (max_workers == 1 or len(pending) <= 1) and not needs_pool
+        workers = 1 if inline else min(max_workers, len(pending))
+        tiles = _tile_threads(pending)
+        budget = (None if blas.explicit()
+                  else blas.budget(blas.usable_cpus(), workers, tiles))
+        if span is not None:
+            span.set(tile_threads=tiles,
+                     blas_threads="env" if budget is None else budget)
+        if inline:
+            with (contextlib.nullcontext() if budget is None
+                  else blas.limited(budget)):
+                _run_inline(state, pending, collect, trace_memory,
+                            pack_dir)
         else:
-            _run_pool(state, pending, max_workers, collect, trace_memory,
-                      pack_dir)
+            _run_pool(state, pending, workers, collect, trace_memory,
+                      pack_dir, budget)
     return state.report()
+
+
+def _tile_threads(pending: list[_Cell]) -> int:
+    """Widest kernel tile pool among the pending cells.  A malformed
+    ``REPRO_THREADS`` counts as 1 here: it fails inside each cell, by
+    name, instead of taking the whole sweep down."""
+    widest = 1
+    for cell in pending:
+        try:
+            widest = max(widest, resolve_threads(cell.job.threads))
+        except ValueError:
+            pass
+    return widest
 
 
 def _run_inline(state: _SweepState, pending: list[_Cell],
@@ -728,8 +764,9 @@ def _run_inline(state: _SweepState, pending: list[_Cell],
 
 
 def _run_pool(state: _SweepState, pending: list[_Cell],
-              max_workers: int, collect: bool,
-              trace_memory: bool, pack_dir: str | None = None) -> None:
+              workers: int, collect: bool,
+              trace_memory: bool, pack_dir: str | None = None,
+              budget: int | None = None) -> None:
     """Pool path: slot-limited scheduling with deadline enforcement,
     broken-pool recovery, and crash-suspect serialization.
 
@@ -738,13 +775,21 @@ def _run_pool(state: _SweepState, pending: list[_Cell],
     attribution stay accurate), and at most one previously-crashed
     cell runs at a time, so a repeat offender is identified and
     quarantined instead of repeatedly taking innocent neighbours
-    down with it.
+    down with it.  Every worker, including those of a rebuilt pool,
+    starts by capping its BLAS threads at ``budget`` (``None`` leaves
+    them as inherited).
     """
     policy = state.policy
-    workers = max(1, min(max_workers, len(pending)))
     queue: list[_Cell] = list(pending)
     running: dict[object, tuple[_Cell, float]] = {}
-    pool = ProcessPoolExecutor(max_workers=workers)
+
+    def new_pool() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=None if budget is None else blas.cap,
+            initargs=(budget,))
+
+    pool = new_pool()
 
     def restart_pool(reason: str, expired: set[int]) -> None:
         """Kill and rebuild the pool; triage every in-flight cell."""
@@ -770,7 +815,7 @@ def _run_pool(state: _SweepState, pending: list[_Cell],
             else:
                 if state.on_crash(cell, elapsed, reason):
                     queue.append(cell)
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = new_pool()
 
     def submit_eligible() -> bool:
         """Fill free slots; returns ``False`` when the pool broke."""

@@ -34,7 +34,10 @@ __all__ = ["AUDITS", "BASELINE_ALIASES", "Job", "ScenarioGrid",
 #: became sweep axes (``imputer``/``metric`` + ``*_params`` fields).
 #: Version 4: the pairwise-kernel ``block_size`` knob joined the
 #: parameterization (k-NN consumers' tie-breaking can depend on it).
-SPEC_VERSION = 4
+#: Version 5: fits run at one BLAS thread, no longer at the core count,
+#: so a cell cached on a multi-core host can differ from a fresh run
+#: (the adult Thomas-dp cell at 4,000 rows does).
+SPEC_VERSION = 5
 
 #: Spellings accepted for the fairness-unaware baseline pipeline.
 BASELINE_ALIASES = {None, "", "baseline", "none", "LR"}

@@ -1,11 +1,12 @@
 """Environment diagnostics: ``repro doctor`` and trace headers.
 
 Performance numbers are only interpretable together with the
-environment that produced them — BLAS backend, thread pinning, numpy
-version, default kernel block sizes.  :func:`environment_info`
-collects that block once; ``repro doctor`` prints it, and every trace
-written by :class:`repro.obs.trace.TraceCollector` embeds it in the
-header so a trace file is self-describing.
+environment that produced them — BLAS backend and its live thread
+counts, usable CPUs, numpy version, default kernel block sizes.
+:func:`environment_info` collects that block once; ``repro doctor``
+prints it, and every trace written by
+:class:`repro.obs.trace.TraceCollector` embeds it in the header so a
+trace file is self-describing.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = ["THREAD_ENV_VARS", "environment_info", "format_doctor"]
 THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
+    "GOTO_NUM_THREADS",
     "MKL_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
@@ -54,13 +56,15 @@ def environment_info() -> dict:
     """One JSON-safe block describing the numerical environment.
 
     Includes the package version, interpreter and platform, numpy and
-    its BLAS backend, the thread-count environment variables (value or
-    ``None`` when unset), CPU count, and the library's default
-    block/chunk sizes — the knobs every perf trace depends on.
+    its BLAS backend, each loaded OpenBLAS with its live thread count
+    (``blas_runtime``; empty when none is found), the thread-count
+    environment variables (value or ``None`` when unset), CPU count
+    and usable CPUs, and the library's default block/chunk sizes —
+    the knobs every perf trace depends on.
     """
     import numpy as np
 
-    from .. import __version__
+    from .. import __version__, blas
     from ..metrics.individual import _MAX_BATCH
     from ..metrics.pairwise import (DEFAULT_BLOCK_SIZE,
                                     resolve_memory_budget,
@@ -81,8 +85,10 @@ def environment_info() -> dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
+        "usable_cpus": blas.usable_cpus(),
         "numpy": np.__version__,
         "blas": _blas_info(),
+        "blas_runtime": blas.runtime(),
         "threads": {var: os.environ.get(var) for var in THREAD_ENV_VARS},
         "defaults": {
             "pairwise_block_size": DEFAULT_BLOCK_SIZE,
@@ -101,7 +107,7 @@ def format_doctor(info: dict | None = None) -> str:
     lines = [
         f"repro {info['repro']}",
         f"python {info['python']} on {info['platform']}",
-        f"cpus: {info['cpu_count']}",
+        f"cpus: {info['cpu_count']} ({info['usable_cpus']} usable)",
         f"numpy {info['numpy']}",
     ]
     blas = info.get("blas", {})
@@ -112,6 +118,11 @@ def format_doctor(info: dict | None = None) -> str:
             name = block.get("name", "?")
             version = block.get("version", "?")
             lines.append(f"{kind}: {name} {version}")
+    lines.append("blas runtime (live threads; fits run at 1):")
+    for lib in info["blas_runtime"]:
+        lines.append(f"  {lib['library']} = {lib['threads']}")
+    if not info["blas_runtime"]:
+        lines.append("  (no OpenBLAS found)")
     lines.append("thread environment:")
     for var, value in info["threads"].items():
         lines.append(f"  {var} = {value if value is not None else '(unset)'}")

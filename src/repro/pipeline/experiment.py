@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import blas
 from ..datasets.dataset import Dataset
 from ..datasets.encoding import FeatureEncoder
 from ..datasets.table import Table
@@ -120,6 +121,18 @@ class FairPipeline:
 
     # ------------------------------------------------------------------
     def fit(self, train: Dataset) -> "FairPipeline":
+        """Fit the approach and the downstream model on ``train``.
+
+        Fits run at one BLAS thread.  Threaded BLAS splits its sums by
+        thread count, so rounding, and with it the fitted model, can
+        follow the thread count (the adult Thomas-dp cell's DI* did);
+        one thread keeps every model the same whatever the host, the
+        pool width or ``OPENBLAS_NUM_THREADS``.
+        """
+        with blas.limited(1):
+            return self._fit(train)
+
+    def _fit(self, train: Dataset) -> "FairPipeline":
         start = time.perf_counter()
         self._schema = train
         approach = self.approach

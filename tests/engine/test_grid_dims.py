@@ -56,8 +56,8 @@ class TestFingerprints:
               causal_samples=200, error="missing", imputer="knn",
               imputer_params={"k": 3}, metric="accuracy")
 
-    def test_spec_version_4_in_params(self):
-        assert self.JOB.params()["spec_version"] == 4
+    def test_spec_version_5_in_params(self):
+        assert self.JOB.params()["spec_version"] == 5
 
     def test_new_axes_feed_the_hash(self):
         for change in ({"imputer": "mean", "imputer_params": {}},

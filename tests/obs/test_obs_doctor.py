@@ -45,6 +45,37 @@ class TestEnvironmentInfo:
         assert "invalid" in text
 
 
+class TestBlasRuntime:
+    def test_keys_present_and_json_safe(self):
+        import json
+        import os
+        info = obs.environment_info()
+        assert 1 <= info["usable_cpus"] <= os.cpu_count()
+        for lib in info["blas_runtime"]:
+            assert "openblas" in lib["library"] and lib["threads"] >= 1
+        assert json.loads(json.dumps(info))["blas_runtime"] \
+            == info["blas_runtime"]
+        text = obs.format_doctor(info)
+        assert "usable" in text and "blas runtime" in text
+
+    def test_no_openblas_found(self, monkeypatch):
+        from repro import blas
+        monkeypatch.setattr(blas, "_BUNDLES", (
+            ("numpy", "libno-such-openblas-*.so", "64_"),
+            ("no_such_package_here", "*.so", "")))
+        blas._libraries.cache_clear()
+        try:
+            info = obs.environment_info()
+            assert info["blas_runtime"] == []
+            assert blas.threads() is None
+            blas.set_threads(1)  # nothing to set: a no-op
+            with blas.limited(1):
+                pass
+            assert "no OpenBLAS found" in obs.format_doctor(info)
+        finally:
+            blas._libraries.cache_clear()
+
+
 class TestFormatDoctor:
     def test_renders_all_sections(self):
         text = obs.format_doctor(obs.environment_info())

@@ -1,11 +1,12 @@
 """Engine integration: traced sweeps, serial/parallel parity, cache
 corruption surfacing."""
 
+import dataclasses
 import logging
 
 import pytest
 
-from repro import obs
+from repro import blas, obs
 from repro.engine import Job, ResultCache, run_sweep
 from repro.engine.spec import ScenarioGrid
 
@@ -107,6 +108,37 @@ class TestSerialParallelParity:
         assert s_counters.pop("cache.bytes_written") > 0
         assert p_counters.pop("cache.bytes_written") > 0
         assert s_counters == p_counters
+
+
+class TestSweepSpanThreadMap:
+    """The ``sweep`` span records processes × tiles × BLAS threads."""
+
+    @staticmethod
+    def sweep_attrs(collector) -> dict:
+        (scope,) = collector.scopes
+        (span,) = [s for s in scope["fragment"]["spans"]
+                   if s["name"] == "sweep"]
+        return span["attrs"]
+
+    def test_pool_and_inline_budgets(self, tmp_path, monkeypatch):
+        for var in (*blas.ENV_VARS, "REPRO_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        cpus = blas.usable_cpus()
+        _, pooled = traced_run(small_jobs(), tmp_path, "p", max_workers=2)
+        attrs = self.sweep_attrs(pooled)
+        assert (attrs["workers"], attrs["tile_threads"]) == (2, 1)
+        assert attrs["blas_threads"] == blas.budget(cpus, 2, 1)
+        tiled = [dataclasses.replace(job, threads=2)
+                 for job in small_jobs()]
+        _, serial = traced_run(tiled, tmp_path, "s")
+        attrs = self.sweep_attrs(serial)
+        assert (attrs["workers"], attrs["tile_threads"]) == (1, 2)
+        assert attrs["blas_threads"] == blas.budget(cpus, 1, 2)
+
+    def test_explicit_env_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        _, collector = traced_run(small_jobs()[:1], tmp_path, "env")
+        assert self.sweep_attrs(collector)["blas_threads"] == "env"
 
 
 class TestCacheCorruption:
