@@ -11,6 +11,10 @@ Shape under test: logistic regression is already nearly calibrated on
 this data (Platt/isotonic change little), while a deliberately
 over-confident model (naive Bayes) shows a large ECE drop from
 calibration and a visible effect on Pleiss's achieved TPR balance.
+
+Stays on the pipeline API, off the sweep engine: the calibrated models
+are wrappers around another model, which no registry model spec
+expresses, and the ECE reads the fitted pipeline's scores.
 """
 
 from common import CAUSAL_SAMPLES, emit, load_sized, once

@@ -9,6 +9,9 @@ stages target, and fit time.
 
 Shape under test: composition pushes DI* at or above the best single
 stage, at a visible extra accuracy cost and the summed runtime.
+
+Stays on the pipeline API, off the sweep engine: a ``Job`` holds one
+approach, and a pre+post stack is a second pipeline shape.
 """
 
 from common import CAUSAL_SAMPLES, emit, load_sized, once

@@ -13,30 +13,34 @@ which conditions its adjustment on S — *retains* individual
 counterfactual discrimination even while satisfying its group notion,
 the rung-3 version of the paper's "post-processing violates ID"
 finding.
+
+Runs through the sweep engine: one grid with the counterfactual audit
+on every cell, read back from the ``cf_*``/``ctf_*`` values.
 """
 
-from common import emit, load_sized, once
-from repro.datasets import train_test_split
-from repro.pipeline import evaluate_counterfactual
+from common import CAUSAL_SAMPLES, SIZES, emit, once, run_grid
+from repro.engine import ScenarioGrid
 
 APPROACHES = (None, "Feld-dp", "KamCal-dp", "Zafar-dp-fair", "KamKar-dp")
 
 
 def run_audit() -> str:
-    dataset = load_sized("compas")
-    split = train_test_split(dataset, seed=0)
+    grid = ScenarioGrid(datasets=["compas"], approaches=APPROACHES,
+                        rows=[SIZES["compas"]],
+                        causal_samples=CAUSAL_SAMPLES,
+                        audit="counterfactual",
+                        audit_params={"n_samples": 8000, "n_particles": 80,
+                                      "max_rows": 40})
     lines = ["Counterfactual audit (COMPAS): rung-3 metrics per stage",
              f"{'approach':<14} {'mean gap':>9} {'flip %':>7} "
              f"{'Ctf-DE':>8} {'Ctf-IE':>8} {'cf-FPR gap':>11}"]
-    for name in APPROACHES:
-        audit = evaluate_counterfactual(
-            name, split.train, split.test,
-            n_samples=8000, n_particles=80, max_rows=40, seed=0)
+    for r in run_grid(grid).results:
+        raw = r.raw
         lines.append(
-            f"{audit.approach:<14} {audit.fairness.mean_gap:>9.3f} "
-            f"{audit.fairness.unfair_fraction:>7.1%} "
-            f"{audit.effects.de:>+8.3f} {audit.effects.ie:>+8.3f} "
-            f"{audit.error_rates.fpr_gap:>+11.3f}")
+            f"{r.approach:<14} {raw['cf_mean_gap']:>9.3f} "
+            f"{raw['cf_unfair_fraction']:>7.1%} "
+            f"{raw['ctf_de']:>+8.3f} {raw['ctf_ie']:>+8.3f} "
+            f"{raw['cf_fpr_gap']:>+11.3f}")
     return "\n".join(lines)
 
 

@@ -12,14 +12,16 @@ moves least; demography-aware approaches cope better than error-aware
 ones) should extend to label flips and duplication, while selection
 bias — which changes the group mix itself — hurts the demography-aware
 approaches most.
+
+Runs through the sweep engine: each recipe is one clean-and-corrupted
+grid, and the deltas are taken between its clean and corrupted cells.
 """
 
 import pytest
 
-from common import CAUSAL_SAMPLES, emit, load_sized, once
-from repro.datasets import train_test_split
-from repro.errors import corrupt_extended
-from repro.pipeline import format_delta_table, run_experiment
+from common import CAUSAL_SAMPLES, SIZES, emit, once, run_grid
+from repro.engine import ScenarioGrid
+from repro.pipeline import format_delta_table
 
 APPROACHES = (None, "KamCal-dp", "Feld-dp", "Zafar-dp-fair", "ZhaLe-eo",
               "KamKar-dp", "Hardt-eo")
@@ -27,18 +29,14 @@ COLUMNS = ["accuracy", "f1", "di_star", "tprb", "tnrb"]
 
 
 def run_recipe(recipe: str) -> str:
-    dataset = load_sized("compas")
-    split = train_test_split(dataset, seed=0)
-    corrupted_train = corrupt_extended(split.train, recipe, seed=0)
-    clean, corrupted = [], []
-    for name in APPROACHES:
-        clean.append(run_experiment(name, split.train, split.test,
-                                    causal_samples=CAUSAL_SAMPLES, seed=0))
-        corrupted.append(run_experiment(name, corrupted_train, split.test,
-                                        causal_samples=CAUSAL_SAMPLES,
-                                        seed=0))
+    grid = ScenarioGrid(datasets=["compas"], approaches=APPROACHES,
+                        errors=[None, recipe], rows=[SIZES["compas"]],
+                        causal_samples=CAUSAL_SAMPLES)
+    outcomes = run_grid(grid).outcomes
     return format_delta_table(
-        clean, corrupted, columns=COLUMNS,
+        [o.result for o in outcomes if o.job.error is None],
+        [o.result for o in outcomes if o.job.error is not None],
+        columns=COLUMNS,
         title=f"Extended robustness ({recipe.upper()}): corrupted-minus-"
               "clean deltas on COMPAS")
 

@@ -8,17 +8,16 @@ paper's evaluated set:
   constraint);
 * OmniFair (declarative thresholds)       ↔  KamKar (reject-option).
 
-This bench runs each pair on COMPAS so the paper's Figure-5 taxonomy
-can be extended with measured placements: the extension approaches
-should land in the same accuracy/fairness region as their family, with
-the mechanism differences visible in the secondary metrics (e.g.
-massaging keeps more recall than resampling; thresholding is
-deterministic where the reject-option is randomised).
+This bench runs each pair on COMPAS, as one engine grid, so the
+paper's Figure-5 taxonomy can be extended with measured placements:
+the extension approaches should land in the same accuracy/fairness
+region as their family, with the mechanism differences visible in the
+secondary metrics (e.g. massaging keeps more recall than resampling;
+thresholding is deterministic where the reject-option is randomised).
 """
 
-from common import CAUSAL_SAMPLES, emit, load_sized, once
-from repro.datasets import train_test_split
-from repro.pipeline import run_experiment
+from common import CAUSAL_SAMPLES, SIZES, emit, once, run_grid
+from repro.engine import ScenarioGrid
 
 PAIRS = (
     ("KamCal-dp", "CaldersVerwer-dp"),
@@ -27,23 +26,23 @@ PAIRS = (
 )
 
 
+def _row(label: str, r) -> str:
+    return (f"{label:<18} {r.accuracy:>6.3f} {r.recall:>7.3f} "
+            f"{r.di_star:>6.3f} {r.tprb:>9.3f} {r.id:>6.3f}")
+
+
 def run_pairs() -> str:
-    dataset = load_sized("compas")
-    split = train_test_split(dataset, seed=0)
+    grid = ScenarioGrid(datasets=["compas"],
+                        approaches=[None, *(n for p in PAIRS for n in p)],
+                        rows=[SIZES["compas"]],
+                        causal_samples=CAUSAL_SAMPLES)
+    results = {o.job.approach: o.result for o in run_grid(grid).outcomes}
     lines = ["Extension approaches vs evaluated counterparts (COMPAS)",
              f"{'approach':<18} {'acc':>6} {'recall':>7} {'DI*':>6} "
-             f"{'1-|TPRB|':>9} {'1-ID':>6}"]
-    baseline = run_experiment(None, split.train, split.test,
-                              causal_samples=CAUSAL_SAMPLES, seed=0)
-    lines.append(f"{'LR baseline':<18} {baseline.accuracy:>6.3f} "
-                 f"{baseline.recall:>7.3f} {baseline.di_star:>6.3f} "
-                 f"{baseline.tprb:>9.3f} {baseline.id:>6.3f}")
-    for main_name, extension_name in PAIRS:
-        for name in (main_name, extension_name):
-            r = run_experiment(name, split.train, split.test,
-                               causal_samples=CAUSAL_SAMPLES, seed=0)
-            lines.append(f"{name:<18} {r.accuracy:>6.3f} {r.recall:>7.3f} "
-                         f"{r.di_star:>6.3f} {r.tprb:>9.3f} {r.id:>6.3f}")
+             f"{'1-|TPRB|':>9} {'1-ID':>6}",
+             _row("LR baseline", results[None])]
+    for pair in PAIRS:
+        lines += [_row(name, results[name]) for name in pair]
         lines.append("")
     return "\n".join(lines).rstrip()
 

@@ -4,66 +4,37 @@ The paper's T3 recipe re-imputes missing values with "standard
 Scikit-learn imputers" (mean/mode) and finds post-processing most
 robust.  This ablation asks whether that conclusion is an artefact of
 the simple imputer: COMPAS features get disproportionate missingness
-and are re-imputed with four imputers of increasing sophistication
-(mean, median, k-NN, iterative regression), then the baseline and one
-approach per stage are retrained on each variant.
+(the ``missing`` error recipe) and are re-imputed with four imputers
+of increasing sophistication (mean, median, k-NN, iterative
+regression), then the baseline and one approach per stage are
+retrained on each variant — one engine grid over the imputer axis.
 
 Shape under test: better imputers recover more accuracy, but the
 *ordering* of stages by fairness robustness is stable across imputers.
 """
 
-import numpy as np
-
-from common import CAUSAL_SAMPLES, emit, load_sized, once
-from repro.datasets import train_test_split
-from repro.errors import (affected_rows, impute_iterative, impute_knn,
-                          impute_mean, impute_median)
-from repro.pipeline import run_experiment
+from common import CAUSAL_SAMPLES, SIZES, emit, once, run_grid
+from repro.engine import ScenarioGrid
 
 APPROACHES = (None, "KamCal-dp", "Zafar-dp-fair", "Hardt-eo")
 
-MATRIX_IMPUTERS = {
-    "mean": lambda X: np.column_stack(
-        [impute_mean(X[:, j]) for j in range(X.shape[1])]),
-    "median": lambda X: np.column_stack(
-        [impute_median(X[:, j]) for j in range(X.shape[1])]),
-    "knn": lambda X: impute_knn(X, k=5),
-    "iterative": lambda X: impute_iterative(X, n_iter=3),
-}
-
-
-def corrupt_features(train, seed: int):
-    """Disproportionate missingness (50%/10%) on all feature columns."""
-    rng = np.random.default_rng(seed)
-    mask = affected_rows(train, 0.5, 0.1, rng)
-    X = train.X.copy()
-    # Each affected row loses a random half of its features.
-    holes = mask[:, None] & (rng.random(X.shape) < 0.5)
-    X[holes] = np.nan
-    return X, holes
+IMPUTERS = ("mean", "median", "knn", "iterative(n_iter=3)")
 
 
 def run_ablation() -> str:
-    dataset = load_sized("compas")
-    split = train_test_split(dataset, seed=0)
-    X_missing, _ = corrupt_features(split.train, seed=0)
-
+    grid = ScenarioGrid(datasets=["compas"], approaches=APPROACHES,
+                        errors=["missing"], imputers=IMPUTERS,
+                        rows=[SIZES["compas"]],
+                        causal_samples=CAUSAL_SAMPLES)
     lines = ["Ablation: imputer choice under disproportionate feature "
              "missingness (COMPAS)",
              f"{'imputer':<10} {'approach':<14} {'acc':>6} {'DI*':>6} "
              f"{'1-|TPRB|':>9}"]
-    for imputer_name, imputer in MATRIX_IMPUTERS.items():
-        X_fixed = imputer(X_missing)
-        table = split.train.table
-        for j, feature in enumerate(split.train.feature_names):
-            table = table.assign(**{feature: X_fixed[:, j]})
-        repaired_train = split.train.with_table(table)
-        for name in APPROACHES:
-            r = run_experiment(name, repaired_train, split.test,
-                               causal_samples=CAUSAL_SAMPLES, seed=0)
-            lines.append(f"{imputer_name:<10} {r.approach:<14} "
-                         f"{r.accuracy:>6.3f} {r.di_star:>6.3f} "
-                         f"{r.tprb:>9.3f}")
+    for outcome in run_grid(grid).outcomes:
+        r = outcome.result
+        lines.append(f"{outcome.job.imputer:<10} {r.approach:<14} "
+                     f"{r.accuracy:>6.3f} {r.di_star:>6.3f} "
+                     f"{r.tprb:>9.3f}")
     return "\n".join(lines)
 
 

@@ -13,14 +13,16 @@ Shape under test: the two equalized-odds components (1-|TPRB| and
 1-|TNRB|) and the causal trio (1-|TE|/|NDE|/|NIE|) form correlated
 blocks, while DI* and 1-ID carry independent signal — exactly the
 redundancy structure the paper's metric selection assumes.
+
+The runs are one engine grid per dataset: the baseline and the 18 main
+variants, as in Figure 7.
 """
 
 import numpy as np
 
-from common import CAUSAL_SAMPLES, emit, load_sized, once
-from repro.datasets import train_test_split
-from repro.fairness import MAIN_APPROACHES
-from repro.pipeline import run_experiment
+from common import CAUSAL_SAMPLES, SIZES, emit, once, run_grid
+from repro.engine import ScenarioGrid
+from repro.registry import APPROACHES
 
 METRICS = ["di_star", "tprb", "tnrb", "id", "te", "nde", "nie"]
 
@@ -28,11 +30,12 @@ METRICS = ["di_star", "tprb", "tnrb", "id", "te", "nde", "nie"]
 def run_correlation() -> str:
     rows = []
     for dataset_name in ("compas", "german"):
-        split = train_test_split(load_sized(dataset_name), seed=0)
-        for name in (None, *MAIN_APPROACHES):
-            r = run_experiment(name, split.train, split.test,
-                               causal_samples=CAUSAL_SAMPLES, seed=0)
-            rows.append([r.fairness_scores()[m] for m in METRICS])
+        grid = ScenarioGrid(
+            datasets=[dataset_name],
+            approaches=[None, *APPROACHES.keys(group="main")],
+            rows=[SIZES[dataset_name]], causal_samples=CAUSAL_SAMPLES)
+        rows += [[r.fairness_scores()[m] for m in METRICS]
+                 for r in run_grid(grid).results]
     matrix = np.asarray(rows)
     corr = np.corrcoef(matrix, rowvar=False)
 

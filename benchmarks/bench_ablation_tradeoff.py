@@ -14,60 +14,62 @@ accuracy-vs-DI* frontier:
 
 A second ablation contrasts the two Salimi repair back-ends (MaxSAT vs
 MatFac rounding) head-to-head.
+
+Both run through the sweep engine: every knob setting is an approach
+parameter (``Feld-dp(lam=0.5)``), so each frontier point is one cell.
 """
 
-import numpy as np
+from common import CAUSAL_SAMPLES, SIZES, emit, once, run_grid
+from repro.engine import ScenarioGrid
+from repro.registry import format_spec
 
-from common import CAUSAL_SAMPLES, emit, load_sized, once
-from repro.datasets import train_test_split
-from repro.fairness.inprocessing import ZafarDPFair
-from repro.fairness.postprocessing import KamKar
-from repro.fairness.preprocessing import (Calmon, Feld, SalimiMatFac,
-                                          SalimiMaxSAT)
-from repro.pipeline import FairPipeline, evaluate_pipeline
+#: (heading, approach, parameter, printed knob name, settings).
+FRONTIERS = (
+    ("Zafar-dp-fair (in): covariance bound c", "Zafar-dp-fair",
+     "covariance_bound", "c", [1e-4, 1e-3, 1e-2, 1e-1]),
+    ("Feld (pre): repair level λ", "Feld-dp", "lam", "λ",
+     [0.0, 0.5, 0.8, 1.0]),
+    ("Calmon (pre): distortion cap (max flip fraction)", "Calmon-dp",
+     "max_flip", "cap", [0.05, 0.2, 0.6, 1.0]),
+    ("KamKar (post): parity target", "KamKar-dp", "parity_target",
+     "target", [0.2, 0.1, 0.05, 0.01]),
+)
 
-
-def frontier(split, factory, knob_name, knob_values):
-    rows = []
-    for value in knob_values:
-        pipe = FairPipeline(factory(value), seed=0).fit(split.train)
-        r = evaluate_pipeline(pipe, split.test,
-                              causal_samples=CAUSAL_SAMPLES)
-        rows.append(f"  {knob_name}={value:<8g} acc={r.accuracy:.3f} "
-                    f"DI*={r.di_star:.3f}")
-    return rows
+#: The Salimi back-ends, by registry key and repair class.
+SALIMI = (("Salimi-jf-maxsat", "SalimiMaxSAT"),
+          ("Salimi-jf-matfac", "SalimiMatFac"))
 
 
 def run_tradeoff() -> str:
-    split = train_test_split(load_sized("adult"), seed=0)
+    grid = ScenarioGrid(datasets=["adult"],
+                        approaches=[format_spec(approach, {param: value})
+                                    for _, approach, param, _, values
+                                    in FRONTIERS for value in values],
+                        rows=[SIZES["adult"]],
+                        causal_samples=CAUSAL_SAMPLES)
+    results = iter(run_grid(grid).results)  # grid order: FRONTIERS order
     lines = ["Ablation: accuracy-vs-DI* frontiers per control knob "
              "(Adult)"]
-    lines.append("Zafar-dp-fair (in): covariance bound c")
-    lines += frontier(split, lambda c: ZafarDPFair(covariance_bound=c),
-                      "c", [1e-4, 1e-3, 1e-2, 1e-1])
-    lines.append("Feld (pre): repair level λ")
-    lines += frontier(split, lambda lam: Feld(lam=lam),
-                      "λ", [0.0, 0.5, 0.8, 1.0])
-    lines.append("Calmon (pre): distortion cap (max flip fraction)")
-    lines += frontier(split, lambda cap: Calmon(max_flip=cap, seed=0),
-                      "cap", [0.05, 0.2, 0.6, 1.0])
-    lines.append("KamKar (post): parity target")
-    lines += frontier(split, lambda t: KamKar(parity_target=t),
-                      "target", [0.2, 0.1, 0.05, 0.01])
+    for heading, _, _, knob, values in FRONTIERS:
+        lines.append(heading)
+        for value in values:
+            r = next(results)
+            lines.append(f"  {knob}={value:<8g} acc={r.accuracy:.3f} "
+                         f"DI*={r.di_star:.3f}")
     return "\n".join(lines)
 
 
 def run_salimi_backends() -> str:
+    grid = ScenarioGrid(datasets=["compas"],
+                        approaches=[key for key, _ in SALIMI],
+                        rows=[SIZES["compas"]],
+                        causal_samples=CAUSAL_SAMPLES)
     lines = ["Ablation: Salimi repair back-end (MaxSAT vs MatFac "
              "rounding), COMPAS"]
-    split = train_test_split(load_sized("compas"), seed=0)
-    for cls in (SalimiMaxSAT, SalimiMatFac):
-        pipe = FairPipeline(cls(seed=0), seed=0).fit(split.train)
-        r = evaluate_pipeline(pipe, split.test,
-                              causal_samples=CAUSAL_SAMPLES)
-        lines.append(f"  {cls.__name__:13s} acc={r.accuracy:.3f} "
+    for (_, name), r in zip(SALIMI, run_grid(grid).results):
+        lines.append(f"  {name:13s} acc={r.accuracy:.3f} "
                      f"DI*={r.di_star:.3f} 1-|TE|={r.te:.3f} "
-                     f"fit={pipe.fit_seconds_:.2f}s")
+                     f"fit={r.fit_seconds:.2f}s")
     return "\n".join(lines)
 
 

@@ -7,32 +7,33 @@ For every variant the bench prints the corrupted-vs-clean deltas of
 accuracy/F1 and the fairness metrics — the shape under test is that
 post-processing moves least under T1/T2 and that error-aware notions
 degrade more than demography-aware ones.
+
+Runs through the sweep engine: each recipe is one grid (clean and
+corrupted × the baseline and the 18 main variants), and the deltas are
+taken between its clean and corrupted cells.  The clean cells are
+shared by all three recipes' grids, so the bench cache fits them once.
 """
 
 import pytest
 
-from common import CAUSAL_SAMPLES, emit, load_sized, once
-from repro.datasets import train_test_split
-from repro.errors import corrupt
-from repro.fairness import MAIN_APPROACHES
-from repro.pipeline import format_delta_table, run_experiment
+from common import CAUSAL_SAMPLES, SIZES, emit, once, run_grid
+from repro.engine import ScenarioGrid
+from repro.pipeline import format_delta_table
+from repro.registry import APPROACHES
 
 COLUMNS = ["accuracy", "f1", "di_star", "tprb", "tnrb", "te"]
 
 
 def run_recipe(recipe: str) -> str:
-    dataset = load_sized("compas")
-    split = train_test_split(dataset, seed=0)
-    corrupted_train = corrupt(split.train, recipe, seed=0)
-    clean, corrupted = [], []
-    for name in (None, *MAIN_APPROACHES):
-        clean.append(run_experiment(name, split.train, split.test,
-                                    causal_samples=CAUSAL_SAMPLES, seed=0))
-        corrupted.append(run_experiment(name, corrupted_train, split.test,
-                                        causal_samples=CAUSAL_SAMPLES,
-                                        seed=0))
+    grid = ScenarioGrid(datasets=["compas"],
+                        approaches=[None, *APPROACHES.keys(group="main")],
+                        errors=[None, recipe], rows=[SIZES["compas"]],
+                        causal_samples=CAUSAL_SAMPLES)
+    outcomes = run_grid(grid).outcomes
     return format_delta_table(
-        clean, corrupted, columns=COLUMNS,
+        [o.result for o in outcomes if o.job.error is None],
+        [o.result for o in outcomes if o.job.error is not None],
+        columns=COLUMNS,
         title=f"Figure 9 ({recipe.upper()}): corrupted-minus-clean deltas "
               "on COMPAS")
 

@@ -5,33 +5,35 @@ downstream models (LR, SVM, kNN, RF, MLP) on Adult.  The bench prints
 accuracy, DI*, and 1-|TE| per (approach, model) pair plus the
 across-model spread; the shape under test is that pre-processing
 repairs vary with the model while post-processing accuracy does not.
+
+Runs through the sweep engine as one (model × approach) grid; the
+spreads are taken over each approach's cells.
 """
 
 import numpy as np
-import pytest
 
-from common import CAUSAL_SAMPLES, FULL, emit, load_sized, once
-from repro.datasets import train_test_split
-from repro.fairness import Stage, make_approach
-from repro.fairness.registry import ALL_APPROACHES
-from repro.models import make_model
-from repro.pipeline import FairPipeline, evaluate_pipeline
+from common import CAUSAL_SAMPLES, FULL, SIZES, emit, once, run_grid
+from repro.engine import ScenarioGrid
+from repro.fairness import Stage
+from repro.registry import APPROACHES
 
 MODELS = ("lr", "svm", "knn", "rf", "mlp")
 
-PRE_POST = [name for name in ALL_APPROACHES
-            if make_approach(name).stage in (Stage.PRE, Stage.POST)]
+#: The random forest is trimmed at reduced scale.
+MODEL_SPECS = {"rf": "rf" if FULL else "rf(n_trees=15,max_depth=12)"}
 
-
-def _model(name: str):
-    if name == "rf" and not FULL:
-        return make_model("rf", n_trees=15, max_depth=12)
-    return make_model(name)
+PRE_POST = [name for name in APPROACHES.keys()
+            if APPROACHES.get(name).metadata["stage"]
+            in (Stage.PRE, Stage.POST)]
 
 
 def run_sensitivity() -> str:
-    dataset = load_sized("adult")
-    split = train_test_split(dataset, seed=0)
+    grid = ScenarioGrid(datasets=["adult"], approaches=PRE_POST,
+                        models=[MODEL_SPECS.get(m, m) for m in MODELS],
+                        rows=[SIZES["adult"]],
+                        causal_samples=CAUSAL_SAMPLES)
+    results = {(o.job.approach, o.job.model): o.result
+               for o in run_grid(grid).outcomes}
     lines = [
         "Figure 10/21: pre- & post-processing × downstream model (Adult)",
         f"{'approach':18s} {'model':5s} {'acc':>6s} {'DI*':>6s} "
@@ -41,11 +43,7 @@ def run_sensitivity() -> str:
     for approach_name in PRE_POST:
         accs, dis = [], []
         for model_name in MODELS:
-            pipe = FairPipeline(make_approach(approach_name, seed=0),
-                                model=_model(model_name), seed=0)
-            pipe.fit(split.train)
-            r = evaluate_pipeline(pipe, split.test,
-                                  causal_samples=CAUSAL_SAMPLES)
+            r = results[approach_name, model_name]
             accs.append(r.accuracy)
             dis.append(r.di_star)
             lines.append(f"{approach_name:18s} {model_name:5s} "

@@ -1,27 +1,25 @@
 """Appendix Figure 15: the three additional approaches (Madras-dp,
 Agarwal-dp, Agarwal-eo) on Adult, COMPAS, and German, alongside the LR
-baseline — same protocol as Figure 7."""
+baseline — same protocol as Figure 7, and like it one engine grid per
+dataset."""
 
 import pytest
 
-from common import CAUSAL_SAMPLES, emit, load_sized, once
-from repro.datasets import train_test_split
-from repro.fairness.registry import ADDITIONAL_APPROACHES
-from repro.pipeline import format_results_table, run_experiment
+from common import CAUSAL_SAMPLES, SIZES, emit, once, run_grid
+from repro.engine import ScenarioGrid
+from repro.pipeline import format_results_table
+from repro.registry import APPROACHES
 
 
 def run_dataset(dataset_name: str) -> str:
-    dataset = load_sized(dataset_name)
-    split = train_test_split(dataset, test_fraction=0.3, seed=0)
-    results = [run_experiment(None, split.train, split.test,
-                              causal_samples=CAUSAL_SAMPLES, seed=0)]
-    for name in ADDITIONAL_APPROACHES:
-        results.append(run_experiment(name, split.train, split.test,
-                                      causal_samples=CAUSAL_SAMPLES,
-                                      seed=0))
+    grid = ScenarioGrid(
+        datasets=[dataset_name],
+        approaches=[None, *APPROACHES.keys(group="additional")],
+        rows=[SIZES[dataset_name]], causal_samples=CAUSAL_SAMPLES)
     return format_results_table(
-        results, title=f"Figure 15 ({dataset_name}): additional "
-                       "approaches + LR baseline")
+        run_grid(grid).results,
+        title=f"Figure 15 ({dataset_name}): additional "
+              "approaches + LR baseline")
 
 
 @pytest.mark.parametrize("dataset_name", ["adult", "compas", "german"])

@@ -3,18 +3,22 @@
 Each variant is retrained on growing prefixes of Adult (0.1K up to the
 full sample) and evaluated on a fixed held-out set; the bench prints
 accuracy and DI* series per approach.  Shape under test: most curves
-flatten by ~1K rows (the paper's data-efficiency finding)."""
+flatten by ~1K rows (the paper's data-efficiency finding).
+
+Stays on the pipeline API, off the sweep engine: every point trains on
+a prefix of one fixed training split and tests on one fixed test set,
+and no ``Job`` field expresses a training prefix."""
 
 import numpy as np
 
 from common import CAUSAL_SAMPLES, FULL, emit, load_sized, once
 from repro.datasets import train_test_split
-from repro.fairness.registry import ALL_APPROACHES
 from repro.pipeline import run_experiment
+from repro.registry import APPROACHES
 
 SIZES_SWEEP = ([100, 1000, 5000, 10000, 20000, 36000] if FULL
                else [100, 500, 1000, 2000])
-APPROACHES = list(ALL_APPROACHES) if FULL else [
+VARIANTS = APPROACHES.keys() if FULL else [
     "KamCal-dp", "Feld-dp", "ZhaWu-psf", "Salimi-jf-maxsat",
     "Zafar-dp-fair", "ZhaLe-eo", "Kearns-pe", "Thomas-dp",
     "KamKar-dp", "Hardt-eo", "Pleiss-eop",
@@ -29,7 +33,7 @@ def run_data_efficiency() -> str:
                       if n <= split.train.n_rows)
     lines.append(f"{'approach':18s} {'metric':6s} {header}")
     lines.append("-" * (26 + 12 * len(SIZES_SWEEP)))
-    for name in (None, *APPROACHES):
+    for name in (None, *VARIANTS):
         accs, dis = [], []
         for n_train in SIZES_SWEEP:
             if n_train > split.train.n_rows:

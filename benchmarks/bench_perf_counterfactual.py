@@ -60,7 +60,7 @@ import pathlib
 import time
 
 import numpy as np
-from common import machine_block
+from common import comparable, floors, machine_block, timed
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_counterfactual.json"
@@ -90,12 +90,6 @@ def build_audit(size: int, seed: int = 0):
         return (score > 0).astype(float)
 
     return ds, scm, cols, predict, fit_s
-
-
-def timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - start, out
 
 
 def traced_phases(ds, scm, cols, predict, n_particles: int, k: int,
@@ -215,55 +209,48 @@ def check_regression(payload: dict, baseline_path: pathlib.Path,
     """
     baseline_payload = json.loads(baseline_path.read_text())
     baseline = baseline_payload["results"]
-    # Absent in pre-schema-4 baselines, where headlines were always
-    # single-threaded.
-    same_threads = (baseline_payload.get("threads", 1)
-                    == payload.get("threads", 1))
-    comparable = {
-        "cf": (baseline_payload.get("n_particles") == payload.get(
-            "n_particles") and same_threads),
-        "st": (baseline_payload.get("k") == payload.get("k")
-               and baseline_payload.get("block_size")
-               == payload.get("block_size")
-               and same_threads),
-    }
-    for prefix, ok in comparable.items():
-        if not ok:
-            print(f"note: {prefix}_* checks skipped — run/baseline "
-                  "configs differ "
-                  f"(run {payload.get('n_particles')} particles / "
-                  f"k={payload.get('k')} / "
-                  f"block_size={payload.get('block_size')}, baseline "
-                  f"{baseline_payload.get('n_particles')} / "
-                  f"k={baseline_payload.get('k')} / "
-                  f"block_size={baseline_payload.get('block_size')})")
-    problems = []
-    for size, entry in payload["results"].items():
-        reference = baseline.get(size)
-        if reference is None:
+    # `threads` is absent in pre-schema-4 baselines, where headlines
+    # were always single-threaded.
+    run_knobs = {**payload, "threads": payload.get("threads", 1)}
+    base_knobs = {**baseline_payload,
+                  "threads": baseline_payload.get("threads", 1)}
+    note = ("configs differ "
+            f"(run {payload.get('n_particles')} particles / "
+            f"k={payload.get('k')} / "
+            f"block_size={payload.get('block_size')}, baseline "
+            f"{baseline_payload.get('n_particles')} / "
+            f"k={baseline_payload.get('k')} / "
+            f"block_size={baseline_payload.get('block_size')})")
+    groups = [prefix for prefix, knobs in
+              (("cf", ("n_particles", "threads")),
+               ("st", ("k", "block_size", "threads")))
+              if comparable(run_knobs, base_knobs, knobs,
+                            f"note: {prefix}_* checks skipped — "
+                            f"run/baseline {note}")]
+    ratios = [(size, f"{prefix}_speedup")
+              for size in payload["results"] if size in baseline
+              for prefix in groups]
+    # Speedup ratios where both runs timed the loop reference ...
+    problems = floors(payload, baseline_payload,
+                      [(size, ratio) for size, ratio in ratios
+                       if ratio in payload["results"][size]
+                       and ratio in baseline[size]],
+                      slack, label="n={0}: {1}", digits=2, unit="x")
+    # ... and the vectorized wall time itself where neither did.
+    for size, ratio in ratios:
+        entry, reference = payload["results"][size], baseline[size]
+        if ratio in entry or ratio in reference:
             continue
-        for prefix in ("cf", "st"):
-            if not comparable[prefix]:
-                continue
-            ratio = f"{prefix}_speedup"
-            if ratio in entry and ratio in reference:
-                floor = reference[ratio] * slack
-                if entry[ratio] < floor:
-                    problems.append(
-                        f"n={size}: {ratio} {entry[ratio]:.2f}x is "
-                        f"below {slack:.0%} of the baseline's "
-                        f"{reference[ratio]:.2f}x")
-            elif ratio not in entry and ratio not in reference:
-                seconds = f"{prefix}_vectorized_s"
-                if seconds not in entry or seconds not in reference:
-                    continue
-                ceiling = reference[seconds] / slack
-                if entry[seconds] > ceiling:
-                    problems.append(
-                        f"n={size}: {seconds} {entry[seconds]:.2f}s "
-                        f"exceeds {ceiling:.2f}s (baseline "
-                        f"{reference[seconds]:.2f}s / {slack:.0%} "
-                        "slack)")
+        seconds = ratio.replace("_speedup", "_vectorized_s")
+        if seconds not in entry or seconds not in reference:
+            continue
+        ceiling = reference[seconds] / slack
+        if entry[seconds] > ceiling:
+            problems.append(
+                f"n={size}: {seconds} {entry[seconds]:.2f}s "
+                f"exceeds {ceiling:.2f}s (baseline "
+                f"{reference[seconds]:.2f}s / {slack:.0%} "
+                "slack)")
     return problems
 
 

@@ -35,18 +35,11 @@ import argparse
 import json
 import os
 import pathlib
-import time
 
-from common import machine_block
+from common import comparable, floors, machine_block, timed
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_report.json"
-
-
-def timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - start, out
 
 
 def synth_result(job):
@@ -117,25 +110,16 @@ def bench_cache(cache, jobs, repeats: int) -> dict:
 def check_regression(payload: dict, baseline_path: pathlib.Path,
                      slack: float) -> list[str]:
     """Rate floors vs a baseline record, gated on the cell count."""
-    baseline_payload = json.loads(baseline_path.read_text())
-    if baseline_payload.get("cells") != payload.get("cells"):
-        print("note: report rate checks skipped — run/baseline cell "
-              f"counts differ (run {payload.get('cells')} vs baseline "
-              f"{baseline_payload.get('cells')})")
+    baseline = json.loads(baseline_path.read_text())
+    if not comparable(payload, baseline, ("cells",),
+                      "note: report rate checks skipped — run/baseline "
+                      f"cell counts differ (run {payload.get('cells')} "
+                      f"vs baseline {baseline.get('cells')})"):
         return []
-    problems = []
-    pairs = (("sqlite", "fill_cells_per_s"),
-             ("sqlite", "load_cells_per_s"),
-             ("file", "load_cells_per_s"))
-    for backend, rate in pairs:
-        current = payload["results"][backend][rate]
-        reference = baseline_payload["results"][backend][rate]
-        floor = reference * slack
-        if current < floor:
-            problems.append(
-                f"{backend}: {rate} {current:.0f} is below "
-                f"{slack:.0%} of the baseline's {reference:.0f}")
-    return problems
+    return floors(payload, baseline, (("sqlite", "fill_cells_per_s"),
+                                      ("sqlite", "load_cells_per_s"),
+                                      ("file", "load_cells_per_s")),
+                  slack)
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -49,7 +49,7 @@ import pathlib
 import time
 
 import numpy as np
-from common import machine_block
+from common import comparable, floors, machine_block, timed
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_serve.json"
@@ -57,12 +57,6 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_serve.json"
 #: HTTP adds well under a millisecond to a ~1.5 ms audit; a response
 #: held back by the client's ~40 ms delayed ACK reads as about 30×.
 MAX_HTTP_RATIO = 3.0
-
-
-def timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - start, out
 
 
 def build_service(rows: int, n_particles: int, seed: int = 0):
@@ -239,26 +233,17 @@ def check_regression(payload: dict, baseline_path: pathlib.Path,
     gated — they follow 1/throughput and double-gating them only adds
     noise sensitivity.
     """
-    baseline_payload = json.loads(baseline_path.read_text())
+    baseline = json.loads(baseline_path.read_text())
     knobs = ("rows", "n_particles", "batch_size")
-    if any(baseline_payload.get(k) != payload.get(k) for k in knobs):
-        print("note: serve throughput checks skipped — run/baseline "
-              "configs differ ("
-              + ", ".join(f"{k}: run {payload.get(k)} vs baseline "
-                          f"{baseline_payload.get(k)}" for k in knobs)
-              + ")")
+    if not comparable(payload, baseline, knobs,
+                      "note: serve throughput checks skipped — "
+                      "run/baseline configs differ ("
+                      + ", ".join(f"{k}: run {payload.get(k)} vs "
+                                  f"baseline {baseline.get(k)}"
+                                  for k in knobs) + ")"):
         return []
-    problems = []
-    pairs = (("one_row", "req_per_s"), ("batch", "rows_per_s"))
-    for section, rate in pairs:
-        current = payload["results"][section][rate]
-        reference = baseline_payload["results"][section][rate]
-        floor = reference * slack
-        if current < floor:
-            problems.append(
-                f"{section}: {rate} {current:.0f} is below "
-                f"{slack:.0%} of the baseline's {reference:.0f}")
-    return problems
+    return floors(payload, baseline, (("one_row", "req_per_s"),
+                                      ("batch", "rows_per_s")), slack)
 
 
 def main(argv: list[str] | None = None) -> None:

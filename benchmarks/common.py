@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import time
 
 FULL = os.environ.get("REPRO_FULL", "") == "1"
 
@@ -82,14 +83,56 @@ def run_grid(grid):
     """Sweep a scenario grid through the engine with the shared bench
     cache; raises if any cell failed so benches can't silently report
     partial figures."""
+    return run_jobs(grid.expand())
+
+
+def run_jobs(jobs):
+    """:func:`run_grid` for a hand-built job list."""
     from repro.engine import ResultCache, run_sweep
 
     cache = (None if os.environ.get("REPRO_NO_CACHE", "") == "1"
              else ResultCache(CACHE_DIR))
-    report = run_sweep(grid.expand(), cache=cache, max_workers=JOBS)
+    report = run_sweep(jobs, cache=cache, max_workers=JOBS)
     if report.failures:
         details = "\n".join(f"{o.job.label()}:\n{o.error}"
                             for o in report.failures)
         raise RuntimeError(f"{len(report.failures)} grid cells failed:\n"
                            f"{details}")
     return report
+
+
+# ----------------------------------------------------------------------
+# BENCH_* records: timing and the baseline gate
+# ----------------------------------------------------------------------
+def timed(fn):
+    """``(seconds, result)`` of one ``fn()`` call."""
+    start = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - start, out
+
+
+def comparable(run: dict, baseline: dict, keys, note: str) -> bool:
+    """Whether a run and its baseline record agree on every setting in
+    ``keys``.  When they differ, ``note`` is printed: the gate skips
+    loudly instead of passing vacuously."""
+    if all(baseline.get(key) == run.get(key) for key in keys):
+        return True
+    print(note)
+    return False
+
+
+def floors(run: dict, baseline: dict, pairs, slack: float,
+           label: str = "{0}: {1}", digits: int = 0,
+           unit: str = "") -> list[str]:
+    """One problem line for every ``results[section][name]`` pair that
+    fell below the baseline's value × ``slack``."""
+    problems = []
+    for section, name in pairs:
+        current = run["results"][section][name]
+        reference = baseline["results"][section][name]
+        if current < reference * slack:
+            problems.append(
+                f"{label.format(section, name)} {current:.{digits}f}"
+                f"{unit} is below {slack:.0%} of the baseline's "
+                f"{reference:.{digits}f}{unit}")
+    return problems

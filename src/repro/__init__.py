@@ -41,26 +41,14 @@ from .pipeline import (EvaluationResult, FairPipeline, evaluate_pipeline,
 
 __version__ = "1.1.0"
 
-#: Names served lazily so the deprecation warning fires on use, not on
-#: ``import repro``.
-_DEPRECATED_FAIRNESS = ("MAIN_APPROACHES", "ALL_APPROACHES",
-                        "ADDITIONAL_APPROACHES", "EXTENSION_APPROACHES")
-
 __all__ = [
     "obs", "registry",
     "ExperimentSpec", "SweepSpec", "load_config", "run_spec", "sweep",
     "load", "load_adult", "load_compas", "load_german",
-    "MAIN_APPROACHES", "ALL_APPROACHES", "make_approach",
+    "make_approach",
     "FairPipeline", "EvaluationResult", "evaluate_pipeline",
     "run_experiment", "format_results_table",
     "Job", "ScenarioGrid", "ResultCache", "run_sweep",
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_FAIRNESS:
-        from . import fairness
-        return getattr(fairness, name)  # warns in the fairness shim
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -206,10 +206,8 @@ class ExperimentSpec:
         self.seed = int(self.seed)
         self.rows = int(self.rows)
         self.audit_params = check_audit_params(self.audit,
-                                               self.audit_params)
-        if self.chunk_rows is not None and self.chunk_rows < 1:
-            raise ValueError(
-                f"chunk_rows must be positive, got {self.chunk_rows}")
+                                               self.audit_params,
+                                               self.chunk_rows)
         if self.block_size is not None and self.block_size < 1:
             raise ValueError(
                 f"block_size must be positive, got {self.block_size}")

@@ -2,7 +2,8 @@
 
 :func:`build_serving_components` refits everything the online audit
 path needs from a :class:`~repro.engine.spec.Job` — deterministically,
-mirroring :func:`~repro.engine.executor.execute_job`'s data path and
+on :func:`~repro.engine.executor.prepare_cell`'s data path (the one
+``execute_job`` runs) and mirroring
 :func:`~repro.pipeline.counterfactual_eval.evaluate_counterfactual`'s
 fit path — and :func:`pack_bundle` serializes the result as an
 artifact bundle.  :func:`components_from_bundle` is the inverse, and
@@ -86,32 +87,14 @@ def build_serving_components(job: Job) -> ServingComponents:
     the dataset build, split, error injection, imputation, pipeline fit
     and SCM fit all derive their randomness from the job's seed.
     """
-    from ..datasets import train_test_split
-    from ..engine.executor import _impute_train
-    from ..metrics import pairwise
-    from ..registry import APPROACHES, DATASETS, ERRORS, MODELS
+    from ..engine.executor import prepare_cell
+    from ..registry import APPROACHES, MODELS
 
-    with pairwise.default_block_size(job.block_size), \
-            pairwise.default_threads(job.threads):
-        with obs.span("pack.dataset", dataset=job.dataset, rows=job.rows):
-            dataset = DATASETS.build(job.dataset, **{
-                "n": job.rows, "seed": job.seed, **job.dataset_params})
-            if job.n_features is not None:
-                dataset = dataset.select_features(
-                    dataset.feature_names[:job.n_features])
-            split = train_test_split(dataset,
-                                     test_fraction=job.test_fraction,
-                                     seed=job.seed)
-        train = split.train
+    with prepare_cell(job, span_prefix="pack.") as (train, test):
         if train.causal_graph is None:
             raise ValueError(
                 f"dataset {train.name!r} has no causal graph; the "
                 "serving audit path needs one")
-        if job.error is not None:
-            injector = ERRORS.build(job.error, **job.error_params)
-            train = injector(train, seed=job.seed)
-        if job.imputer is not None:
-            train = _impute_train(train, job.imputer, job.imputer_params)
 
         n_bins = int(job.audit_params.get("n_bins", 4))
         n_particles = int(job.audit_params.get("n_particles", 150))
@@ -144,7 +127,7 @@ def build_serving_components(job: Job) -> ServingComponents:
         # The reference population: the held-out split in the frozen
         # (train-fitted) coordinates, labelled with the deployed
         # pipeline's own decisions.
-        test_ref = split.test
+        test_ref = test
         if discretizer is not None:
             test_ref = _apply_discretizer(test_ref, discretizer, numeric)
         with obs.span("pack.reference", rows=test_ref.n_rows):

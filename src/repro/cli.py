@@ -17,6 +17,12 @@ Audit the fairness-unaware baseline only::
 
     python -m repro audit --dataset adult --rows 4000
 
+Both run their cells through the sweep engine; keep them in a result
+store and report on them later::
+
+    python -m repro run --dataset german --store sqlite:runs.db
+    python -m repro report --store sqlite:runs.db
+
 Sweep a full scenario grid in parallel with result caching::
 
     python -m repro sweep --dataset compas --approach KamCal-dp \
@@ -82,13 +88,11 @@ import logging
 import sys
 from collections.abc import Sequence
 
-from .datasets import train_test_split
-from .engine import ResultCache, grid_table, run_sweep
+from .engine import ResultCache, ScenarioGrid, grid_table, run_sweep
 from .fairness import Stage
 from .metrics.notions import (Association, CausalHierarchy, Granularity,
                               catalog)
-from .pipeline import (ApplicationProfile, ResultStore,
-                       format_results_table, recommend, run_experiment)
+from .pipeline import ApplicationProfile, format_results_table, recommend
 from .registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS, METRICS,
                        MODELS, format_spec, parse_spec)
 
@@ -135,10 +139,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="downstream model family, with optional "
                               "parameters, e.g. lr or 'knn(k=7)' "
                               "(ignored by in-processing approaches)")
-        cmd.add_argument("--store", metavar="DIR", default=None,
-                         help="persist results as JSON under this directory")
-        cmd.add_argument("--run-name", default=None,
-                         help="name for the stored run (default: derived)")
+        cmd.add_argument("--store", metavar="URI", default=None,
+                         help="keep the cells in a result store: "
+                              "file:DIR or sqlite:PATH (read them back "
+                              "with `repro report --store`)")
         if name == "run":
             cmd.add_argument("--approach", action="append", default=[],
                              metavar="SPEC",
@@ -492,35 +496,35 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def _evaluate(args: argparse.Namespace,
-              approach_names: Sequence[str | None]) -> int:
-    dataset = DATASETS.build(args.dataset, n=args.rows, seed=args.seed)
-    split = train_test_split(dataset, seed=args.seed)
-    results = []
-    for name in approach_names:
-        if name is not None:
-            try:
-                name = APPROACHES.canonical(name)
-            except KeyError:
-                print(f"error: unknown approach {name!r} "
-                      f"(see `repro list`)", file=sys.stderr)
-                return 2
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        results.append(run_experiment(
-            name, split.train, split.test,
-            model=MODELS.build(args.model), seed=args.seed,
-            causal_samples=args.causal_samples))
+              approaches: Sequence[str | None]) -> int:
+    """``repro run``/``repro audit``: one sweep cell per approach,
+    through the engine (``--store`` keeps the cells for ``repro
+    report``)."""
+    try:
+        jobs = ScenarioGrid(datasets=[args.dataset], approaches=approaches,
+                            models=[args.model], seeds=[args.seed],
+                            rows=[args.rows],
+                            causal_samples=args.causal_samples).expand()
+    except (KeyError, ValueError) as exc:
+        message = exc.args[0] if exc.args else exc
+        print(f"error: {message} (see `repro list`)", file=sys.stderr)
+        return 2
+    try:
+        cache = None if args.store is None else ResultCache(args.store)
+    except (ValueError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    report = run_sweep(jobs, cache=cache)
+    for failure in report.failures:
+        print(f"\nFAILED {failure.job.label()}:\n{failure.error}",
+              file=sys.stderr)
+    if report.failures:
+        return 1
     print(format_results_table(
-        results, title=f"{args.dataset} (n={args.rows}, seed={args.seed})"))
-    if args.store is not None:
-        run_name = args.run_name or f"{args.command}-{args.dataset}"
-        path = ResultStore(args.store).save(
-            run_name, results,
-            params={"dataset": args.dataset, "rows": args.rows,
-                    "seed": args.seed, "model": args.model,
-                    "causal_samples": args.causal_samples})
-        print(f"saved: {path}")
+        report.results,
+        title=f"{args.dataset} (n={args.rows}, seed={args.seed})"))
+    if cache is not None:
+        print(f"cells stored in {cache.location}")
     return 0
 
 
@@ -648,7 +652,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.pack_artifacts:
         spec.pack_artifacts = True
 
-    grid = spec.to_grid()
+    try:
+        # The flags above were set after the spec validated itself
+        # (e.g. --chunk-rows without an audit).
+        grid = spec.to_grid()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     caching = spec.cache_dir not in (None, "none")
     if spec.pack_artifacts and not caching:
         print("error: --pack-artifacts stores bundles in the result "

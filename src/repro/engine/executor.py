@@ -74,7 +74,7 @@ from .resilience import Attempt, RetryPolicy, classify_exception
 from .spec import Job
 
 __all__ = ["JobOutcome", "SweepProgress", "SweepReport", "cell_attrs",
-           "execute_job", "run_sweep"]
+           "execute_job", "prepare_cell", "run_sweep"]
 
 
 # ----------------------------------------------------------------------
@@ -109,36 +109,31 @@ def _impute_train(train, imputer_key: str, imputer_params: dict):
     return train.with_table(table)
 
 
-def execute_job(job: Job) -> EvaluationResult:
-    """Run one grid cell: load → (truncate) → split → (corrupt) →
-    (impute) → fit → evaluate → (audit).  Deterministic in ``job``
-    alone.
+@contextlib.contextmanager
+def prepare_cell(job: Job, span_prefix: str = ""):
+    """A cell's data path: load → (truncate) → split → (corrupt) →
+    (impute), inside the cell's kernel context.  Yields ``(train,
+    test)``; deterministic in ``job`` alone.
 
-    Every component is built through :mod:`repro.registry` from the
-    job's key + parameter overrides.  ``job.imputer`` repairs NaNs the
-    error recipe left in the training features; ``job.metric`` reads
-    the selected report metric off the finished result into
-    ``raw["metric_value"]``.  When ``job.audit`` is
-    ``"counterfactual"``, the cell additionally runs the batched
-    rung-3 audit (abduction in ``chunk_rows``-bounded batches) and
-    merges its summary values into the result's ``raw`` mapping under
-    ``cf_*`` / ``ctf_*`` keys.  ``job.block_size`` overrides the
-    pairwise kernel's block size for the whole cell, reaching every
-    k-NN-shaped component (knn model, knn imputer) it builds.
+    The kernel context stays active for the caller's body:
+    ``job.block_size`` and ``job.threads`` reach every k-NN-shaped
+    component (knn model, knn imputer, metric audits) built inside it.
+    ``job.imputer`` repairs NaNs the error recipe left in the training
+    features.  Each step records an ``<span_prefix>dataset`` /
+    ``error`` / ``impute`` span, so the packer's refit
+    (``span_prefix="pack."``) stays apart from the cell's phases.
     """
-    import dataclasses
-
     from ..datasets import train_test_split
     from ..metrics import pairwise
-    from ..pipeline.experiment import run_experiment
-    from ..registry import DATASETS, ERRORS, METRICS, MODELS
+    from ..registry import DATASETS, ERRORS
 
     with pairwise.default_block_size(job.block_size), \
             pairwise.default_threads(job.threads):
         # dataset_params may override the protocol's n/seed only on a
         # hand-built Job; grid- and spec-built jobs reject that
         # upstream.
-        with obs.span("dataset", dataset=job.dataset, rows=job.rows):
+        with obs.span(f"{span_prefix}dataset", dataset=job.dataset,
+                      rows=job.rows):
             dataset = DATASETS.build(job.dataset, **{
                 "n": job.rows, "seed": job.seed, **job.dataset_params})
             if job.n_features is not None:
@@ -149,14 +144,36 @@ def execute_job(job: Job) -> EvaluationResult:
                                      seed=job.seed)
         train = split.train
         if job.error is not None:
-            with obs.span("error", error=job.error):
+            with obs.span(f"{span_prefix}error", error=job.error):
                 injector = ERRORS.build(job.error, **job.error_params)
                 train = injector(train, seed=job.seed)
         if job.imputer is not None:
-            with obs.span("impute", imputer=job.imputer):
+            with obs.span(f"{span_prefix}impute", imputer=job.imputer):
                 train = _impute_train(train, job.imputer,
                                       job.imputer_params)
-        result = run_experiment(job.approach, train, split.test,
+        yield train, split.test
+
+
+def execute_job(job: Job) -> EvaluationResult:
+    """Run one grid cell: :func:`prepare_cell` → fit → evaluate →
+    (audit).  Deterministic in ``job`` alone.
+
+    Every component is built through :mod:`repro.registry` from the
+    job's key + parameter overrides.  ``job.metric`` reads the
+    selected report metric off the finished result into
+    ``raw["metric_value"]``.  When ``job.audit`` is
+    ``"counterfactual"``, the cell additionally runs the batched
+    rung-3 audit (abduction in ``chunk_rows``-bounded batches) and
+    merges its summary values into the result's ``raw`` mapping under
+    ``cf_*`` / ``ctf_*`` keys.
+    """
+    import dataclasses
+
+    from ..pipeline.experiment import run_experiment
+    from ..registry import METRICS, MODELS
+
+    with prepare_cell(job) as (train, test):
+        result = run_experiment(job.approach, train, test,
                                 model=MODELS.build(job.model,
                                                    **job.model_params),
                                 seed=job.seed,
@@ -168,7 +185,7 @@ def execute_job(job: Job) -> EvaluationResult:
 
             with obs.span("audit", audit=job.audit):
                 audit = evaluate_counterfactual(
-                    job.approach, train, split.test,
+                    job.approach, train, test,
                     model=MODELS.build(job.model, **job.model_params),
                     seed=job.seed, chunk_rows=job.chunk_rows,
                     approach_params=job.approach_params,

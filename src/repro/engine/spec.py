@@ -59,21 +59,27 @@ _JOB_AXES = (*_COMPONENT_AXES, "seed", "rows", "n_features", "audit",
              "chunk_rows", "block_size")
 
 
-def check_audit_params(audit: str | None, params: dict) -> dict:
+def check_audit_params(audit: str | None, params: dict,
+                       chunk_rows: int | None = None) -> dict:
     """Validate an audit configuration at construction time.
 
-    Unknown parameter names (or audit parameters without an audit to
-    consume them) must fail before any cell is scheduled, not
-    per-cell inside a worker.
+    Unknown parameter names, or audit parameters or ``chunk_rows``
+    without an audit to consume them, must fail before any cell is
+    scheduled, not per-cell inside a worker.  (A stray ``chunk_rows``
+    would also split the cache: it is hashed into the fingerprint.)
     """
     params = _check_json_params(dict(params), "audit")
     if audit not in AUDITS:
         raise ValueError(f"unknown audit {audit!r}; choose "
                          f"from {[a for a in AUDITS if a]}")
-    if params and audit is None:
-        raise ValueError(
-            f"audit_params {sorted(params)} given without an audit; "
-            f"set audit to one of {[a for a in AUDITS if a]}")
+    if chunk_rows is not None and chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
+    for name, given in (("audit_params", sorted(params)),
+                        ("chunk_rows", chunk_rows)):
+        if given and audit is None:
+            raise ValueError(
+                f"{name} {given} given without an audit; set audit to "
+                f"one of {[a for a in AUDITS if a]}")
     unknown = sorted(set(params) - AUDIT_PARAM_NAMES)
     if unknown:
         raise ValueError(
@@ -415,7 +421,8 @@ class ScenarioGrid:
         self.rows = tuple(int(r) for r in _as_tuple(self.rows, (4000,)))
         self.feature_counts = _as_tuple(self.feature_counts, (None,))
         self.audit_params = check_audit_params(self.audit,
-                                               self.audit_params)
+                                               self.audit_params,
+                                               self.chunk_rows)
 
         if not self.datasets:
             raise ValueError("a ScenarioGrid needs at least one dataset")
@@ -440,9 +447,6 @@ class ScenarioGrid:
         for n in self.rows:
             if n <= 0:
                 raise ValueError(f"rows must be positive, got {n}")
-        if self.chunk_rows is not None and self.chunk_rows < 1:
-            raise ValueError(
-                f"chunk_rows must be positive, got {self.chunk_rows}")
         if self.block_size is not None and self.block_size < 1:
             raise ValueError(
                 f"block_size must be positive, got {self.block_size}")

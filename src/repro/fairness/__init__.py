@@ -1,29 +1,14 @@
 """Fair classification approaches: the paper's 13 approaches and 21
 evaluated variants, grouped by fairness-enforcing stage.
 
-Variants are registered in :data:`repro.registry.APPROACHES`; the
-legacy dicts (``MAIN_APPROACHES`` …) remain importable here with a
-deprecation warning."""
+Variants are registered in :data:`repro.registry.APPROACHES`."""
 
 from .base import (FairApproach, InProcessor, Notion, PostProcessor,
                    Preprocessor, Stage, group_masks)
 from .registry import approaches_by_stage, make_approach
 
-_DEPRECATED_DICTS = ("MAIN_APPROACHES", "ADDITIONAL_APPROACHES",
-                     "EXTENSION_APPROACHES", "ALL_APPROACHES")
-
 __all__ = [
     "Stage", "Notion", "FairApproach", "Preprocessor", "InProcessor",
     "PostProcessor", "group_masks",
-    "MAIN_APPROACHES", "ADDITIONAL_APPROACHES", "EXTENSION_APPROACHES",
-    "ALL_APPROACHES",
     "make_approach", "approaches_by_stage",
 ]
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_DICTS:
-        from . import registry
-        return getattr(registry, name)  # warns in registry.__getattr__
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

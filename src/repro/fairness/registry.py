@@ -1,76 +1,17 @@
-"""Deprecated approach-dict shim over :mod:`repro.registry`.
+"""Approach lookup helpers over :mod:`repro.registry`.
 
-The dictionaries ``MAIN_APPROACHES`` / ``ADDITIONAL_APPROACHES`` /
-``EXTENSION_APPROACHES`` / ``ALL_APPROACHES`` were the original
-registry of fair-classification variants (dicts of ``lambda seed=0:``
-factories).  The unified component registry replaced them — every
-variant now lives in :data:`repro.registry.APPROACHES` with declared
-defaults and an explicit stochastic flag — but the dicts remain
-importable here, with a :class:`DeprecationWarning`, so existing code
-keeps working.  :func:`make_approach` and :func:`approaches_by_stage`
-are stable API and delegate to the registry without a warning.
+Every variant lives in :data:`repro.registry.APPROACHES` with declared
+defaults and an explicit stochastic flag; select a group's keys with
+``APPROACHES.keys(group="main")`` (``"additional"``, ``"extension"``).
+:func:`make_approach` and :func:`approaches_by_stage` delegate to the
+registry.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from .base import FairApproach, Stage
 
-__all__ = ["ADDITIONAL_APPROACHES", "ALL_APPROACHES",
-           "EXTENSION_APPROACHES", "MAIN_APPROACHES",
-           "approaches_by_stage", "make_approach"]
-
-#: Deprecated dict name -> registry ``group`` filter (None = all).
-_DEPRECATED_DICTS = {
-    "MAIN_APPROACHES": "main",
-    "ADDITIONAL_APPROACHES": "additional",
-    "EXTENSION_APPROACHES": "extension",
-    "ALL_APPROACHES": None,
-}
-
-
-class _RegistryFactory:
-    """Seed-accepting factory mimicking the old ``lambda seed=0:``
-    entries (the registry decides whether the seed is actually used)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: str):
-        self.key = key
-
-    def __call__(self, seed: int = 0) -> FairApproach:
-        from ..registry import APPROACHES
-        return APPROACHES.build(self.key, seed=seed)
-
-    def __repr__(self) -> str:
-        return f"_RegistryFactory({self.key!r})"
-
-
-def _approach_dict(group: str | None) -> dict[str, _RegistryFactory]:
-    from ..registry import APPROACHES
-    keys = (APPROACHES.keys() if group is None
-            else APPROACHES.keys(group=group))
-    return {key: _RegistryFactory(key) for key in keys}
-
-
-#: Built once per dict on first access, so repeated accesses return
-#: the *same* object — legacy code that mutated MAIN_APPROACHES keeps
-#: seeing its additions.
-_DICT_CACHE: dict[str, dict] = {}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_DICTS:
-        warnings.warn(
-            f"repro.fairness.registry.{name} is deprecated; use "
-            "repro.registry.APPROACHES (string keys + parameters) "
-            "instead", DeprecationWarning, stacklevel=2)
-        if name not in _DICT_CACHE:
-            _DICT_CACHE[name] = _approach_dict(_DEPRECATED_DICTS[name])
-        return _DICT_CACHE[name]
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["approaches_by_stage", "make_approach"]
 
 
 def make_approach(name: str, seed: int = 0, **params) -> FairApproach:

@@ -320,10 +320,7 @@ class SituationTestingResult:
 
 def normalized_euclidean(X: np.ndarray,
                          block_size: int | None = None, *,
-                         threads: int | None = None,
-                         dtype=None,
-                         memory_budget_mb: float | None = None
-                         ) -> np.ndarray:
+                         threads: int | None = None) -> np.ndarray:
     """Pairwise distances after per-feature min-max scaling.
 
     The standard distance for situation testing: features are rescaled
@@ -336,13 +333,7 @@ def normalized_euclidean(X: np.ndarray,
     all unless one is passed in.
 
     ``threads`` parallelises the row tiles (identical float64 blocks,
-    only the schedule changes); ``dtype=np.float32`` halves the stored
-    footprint — blocks are still *computed* in exact float64 and
-    narrowed on assignment, so pass float32 only where downstream
-    selection tolerates storage rounding (exact float64 stays the
-    default, and is what the parity suites compare against);
-    ``memory_budget_mb`` spills the output to a disk-backed memmap
-    past the budget (``REPRO_DENSE_BUDGET_MB`` sets the default).
+    only the schedule changes).
     """
     X = np.asarray(X, dtype=float)
     if X.shape[0] == 0:
@@ -350,8 +341,7 @@ def normalized_euclidean(X: np.ndarray,
             "normalized_euclidean: empty input (0 rows, shape "
             f"{X.shape}); there are no individuals to compare")
     return pairwise.distances(_minmax_scale(X), block_size=block_size,
-                              threads=threads, dtype=dtype,
-                              memory_budget_mb=memory_budget_mb)
+                              threads=threads)
 
 
 def situation_testing(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,

@@ -54,14 +54,7 @@ order: explicit argument > :func:`default_threads` context (the
 engine sets it per job) > the ``REPRO_THREADS`` environment variable
 > 1.
 
-Dense outputs additionally take ``dtype`` (float32 halves the
-resident footprint; the blocks themselves are always computed in
-exact float64 and only *stored* narrower) and ``memory_budget_mb``
-(outputs whose resident size would exceed the budget are spilled to
-an anonymous disk-backed ``np.memmap`` so ``n`` in the hundreds of
-thousands stays feasible; default via ``REPRO_DENSE_BUDGET_MB``,
-unset = never spill).  Both kernel defaults live in
-:class:`contextvars.ContextVar`\\ s, so concurrent in-process callers
+Both kernel defaults live in :class:`contextvars.ContextVar`\\ s, so concurrent in-process callers
 (worker threads, two ``AuditService`` requests with different cells)
 see their own overrides instead of racing on a module global.
 """
@@ -70,7 +63,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-import tempfile
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -87,7 +79,6 @@ __all__ = [
     "resolve_block_size",
     "default_threads",
     "resolve_threads",
-    "resolve_memory_budget",
     "minmax_scale",
     "sq_norms",
     "iter_sq_blocks",
@@ -122,10 +113,6 @@ _default_block_var: contextvars.ContextVar[int] = contextvars.ContextVar(
     "repro_pairwise_block", default=DEFAULT_BLOCK_SIZE)
 _default_threads_var: contextvars.ContextVar[int | None] = \
     contextvars.ContextVar("repro_pairwise_threads", default=None)
-
-#: Dense outputs are float64 (exact) or float32 (half the footprint;
-#: storage-only narrowing of exactly-computed blocks).
-_DENSE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 
 def resolve_block_size(block_size: int | None) -> int:
@@ -199,59 +186,6 @@ def default_threads(threads: int | None):
         yield
     finally:
         _default_threads_var.reset(token)
-
-
-def resolve_memory_budget(memory_budget_mb: float | None = None
-                          ) -> float | None:
-    """Validate an optional dense-output memory budget (MB), falling
-    back to ``REPRO_DENSE_BUDGET_MB`` (unset/empty = no budget: dense
-    outputs are never spilled to disk)."""
-    if memory_budget_mb is None:
-        env = os.environ.get("REPRO_DENSE_BUDGET_MB")
-        if not env:
-            return None
-        try:
-            memory_budget_mb = float(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_DENSE_BUDGET_MB must be a number, got {env!r}"
-            ) from None
-    budget = float(memory_budget_mb)
-    if budget <= 0:
-        raise ValueError(
-            f"memory budget must be positive, got {budget}")
-    return budget
-
-
-def _alloc_dense(shape: tuple[int, int], dtype,
-                 memory_budget_mb: float | None) -> tuple[np.ndarray, bool]:
-    """Allocate a dense output, spilling to a disk-backed memmap when
-    its resident size would exceed the memory budget.
-
-    The backing file is created under ``REPRO_SPILL_DIR`` (default:
-    the system temp dir) and unlinked immediately, so the mapping is
-    anonymous-by-name: the space is reclaimed as soon as the array is
-    garbage-collected, even on hard process death.  Returns
-    ``(array, spilled)``.
-    """
-    dtype = np.dtype(np.float64 if dtype is None else dtype)
-    if dtype not in _DENSE_DTYPES:
-        raise ValueError(
-            f"dense outputs support float64 or float32, got {dtype}")
-    budget = resolve_memory_budget(memory_budget_mb)
-    nbytes = int(shape[0]) * int(shape[1]) * dtype.itemsize
-    if budget is None or nbytes <= budget * (1 << 20) or nbytes == 0:
-        return np.empty(shape, dtype=dtype), False
-    fd, path = tempfile.mkstemp(
-        prefix="repro-dense-", suffix=".spill",
-        dir=os.environ.get("REPRO_SPILL_DIR") or None)
-    os.close(fd)
-    out = np.memmap(path, dtype=dtype, mode="w+", shape=shape)
-    try:
-        os.unlink(path)
-    except OSError:  # pragma: no cover - non-POSIX semantics
-        pass  # reclaimed when the last handle closes instead
-    return out, True
 
 
 # ----------------------------------------------------------------------
@@ -382,29 +316,21 @@ def iter_sq_blocks(A: np.ndarray, B: np.ndarray | None = None, *,
 
 def sq_distances(A: np.ndarray, B: np.ndarray | None = None, *,
                  block_size: int | None = None,
-                 threads: int | None = None,
-                 dtype=None,
-                 memory_budget_mb: float | None = None) -> np.ndarray:
+                 threads: int | None = None) -> np.ndarray:
     """Dense squared-distance matrix, filled in row blocks.
 
     Peak *temporary* memory is one ``block_size × n`` block on top of
-    the returned matrix.  In self mode (``B=None``) the diagonal is
-    forced to exactly zero.  ``dtype=np.float32`` stores the output at
-    half the footprint (blocks are still computed in exact float64 and
-    narrowed on assignment); past ``memory_budget_mb`` the output
-    spills to a disk-backed memmap (see :func:`resolve_memory_budget`).
+    the returned float64 matrix.  In self mode (``B=None``) the
+    diagonal is forced to exactly zero.
     """
     A = np.asarray(A, dtype=float)
     self_mode = B is None
     B = A if self_mode else np.asarray(B, dtype=float)
-    out, spilled = _alloc_dense((A.shape[0], B.shape[0]), dtype,
-                                memory_budget_mb)
+    out = np.empty((A.shape[0], B.shape[0]))
     for start, stop, d2 in iter_sq_blocks(A, None if self_mode else B,
                                           block_size=block_size,
                                           threads=threads):
         out[start:stop] = d2
-        if spilled:
-            obs.add("pairwise.tiles_spilled")
     if self_mode:
         np.fill_diagonal(out, 0.0)
     return out
@@ -412,12 +338,9 @@ def sq_distances(A: np.ndarray, B: np.ndarray | None = None, *,
 
 def distances(A: np.ndarray, B: np.ndarray | None = None, *,
               block_size: int | None = None,
-              threads: int | None = None,
-              dtype=None,
-              memory_budget_mb: float | None = None) -> np.ndarray:
+              threads: int | None = None) -> np.ndarray:
     """Dense Euclidean-distance matrix, filled in row blocks."""
-    out = sq_distances(A, B, block_size=block_size, threads=threads,
-                       dtype=dtype, memory_budget_mb=memory_budget_mb)
+    out = sq_distances(A, B, block_size=block_size, threads=threads)
     return np.sqrt(out, out=out)
 
 

@@ -66,18 +66,14 @@ def environment_info() -> dict:
 
     from .. import __version__, blas
     from ..metrics.individual import _MAX_BATCH
-    from ..metrics.pairwise import (DEFAULT_BLOCK_SIZE,
-                                    resolve_memory_budget,
-                                    resolve_threads)
+    from ..metrics.pairwise import DEFAULT_BLOCK_SIZE, resolve_threads
 
-    def _resolved(resolve):
-        # The doctor exists to surface misconfiguration: a malformed
-        # REPRO_THREADS / REPRO_DENSE_BUDGET_MB must show up in the
-        # report, not crash it.
-        try:
-            return resolve(None)
-        except ValueError as exc:
-            return f"(invalid: {exc})"
+    # The doctor exists to surface misconfiguration: a malformed
+    # REPRO_THREADS must show up in the report, not crash it.
+    try:
+        pairwise_threads = resolve_threads(None)
+    except ValueError as exc:
+        pairwise_threads = f"(invalid: {exc})"
 
     return {
         "repro": __version__,
@@ -93,10 +89,8 @@ def environment_info() -> dict:
         "defaults": {
             "pairwise_block_size": DEFAULT_BLOCK_SIZE,
             "abduction_max_batch": _MAX_BATCH,
-            # Resolved defaults (REPRO_THREADS / REPRO_DENSE_BUDGET_MB
-            # applied); None budget = dense outputs never spill.
-            "pairwise_threads": _resolved(resolve_threads),
-            "dense_spill_budget_mb": _resolved(resolve_memory_budget),
+            # Resolved default (REPRO_THREADS applied).
+            "pairwise_threads": pairwise_threads,
         },
     }
 

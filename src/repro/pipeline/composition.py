@@ -19,6 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .. import blas
 from ..datasets.dataset import Dataset
 from ..datasets.encoding import FeatureEncoder
 from ..datasets.table import Table
@@ -144,6 +145,14 @@ class ComposedPipeline:
 
     # ------------------------------------------------------------------
     def fit(self, train: Dataset) -> "ComposedPipeline":
+        """Fit the stack on ``train`` at one BLAS thread, as
+        :meth:`FairPipeline.fit <repro.pipeline.experiment.FairPipeline.fit>`
+        does, so the fitted stack does not follow the host's BLAS
+        thread count."""
+        with blas.limited(1):
+            return self._fit(train)
+
+    def _fit(self, train: Dataset) -> "ComposedPipeline":
         start = time.perf_counter()
         self._schema = train
         repaired = self.pre.repair(train) if self.pre is not None else train

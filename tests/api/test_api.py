@@ -265,6 +265,22 @@ class TestAuditThreading:
             SweepSpec.from_config({"datasets": ["german"],
                                    "audit": "quantum"})
 
+    def test_chunk_rows_without_audit_rejected(self, capsys):
+        # chunk_rows is hashed into the fingerprint but read only by the
+        # audit; unaudited it would split one cell into two cache rows.
+        with pytest.raises(ValueError, match="chunk_rows 256 given "
+                                             "without an audit"):
+            ScenarioGrid(datasets=["german"], chunk_rows=256)
+        with pytest.raises(ValueError, match="chunk_rows"):
+            ExperimentSpec(dataset="german", chunk_rows=256)
+        with pytest.raises(ValueError, match="chunk_rows"):
+            SweepSpec(datasets=["german"], chunk_rows=256)
+        assert main(["sweep", "--dataset", "german",
+                     "--chunk-rows", "256", "--cache-dir", "none"]) == 2
+        err = capsys.readouterr().err
+        assert "chunk_rows 256 given without an audit" in err
+        assert "Traceback" not in err
+
     def test_bad_chunk_rows_rejected(self, capsys):
         with pytest.raises(ValueError, match="chunk_rows"):
             ExperimentSpec(dataset="german", audit="counterfactual",

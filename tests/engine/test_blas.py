@@ -11,8 +11,10 @@ import repro.engine.executor as executor_module
 from repro import blas, obs
 from repro.datasets import load, train_test_split
 from repro.engine import Job, ScenarioGrid, run_sweep
+from repro.fairness.postprocessing import Hardt
+from repro.fairness.preprocessing import KamCal
 from repro.models.logistic import LogisticRegression
-from repro.pipeline import FairPipeline, result_to_dict
+from repro.pipeline import ComposedPipeline, FairPipeline, result_to_dict
 
 GRID = ScenarioGrid(datasets=["german"], approaches=[None, "Hardt-eo"],
                     seeds=[0], rows=[300], causal_samples=200)
@@ -92,6 +94,21 @@ class TestRuntimeControl:
         split = train_test_split(load("german", n=300, seed=0), seed=0)
         FairPipeline(None, model=Recording()).fit(split.train)
         assert seen == [1]
+        assert blas.threads() == 2
+
+    def test_composed_fit_runs_at_one_thread_and_restores(self,
+                                                          two_threads):
+        seen = []
+
+        class Recording(LogisticRegression):
+            def fit(self, X, y, *args, **kwargs):
+                seen.append(blas.threads())
+                return super().fit(X, y, *args, **kwargs)
+
+        split = train_test_split(load("german", n=300, seed=0), seed=0)
+        ComposedPipeline(pre=KamCal(seed=0), post=Hardt(),
+                         model=Recording(), seed=0).fit(split.train)
+        assert seen == [1, 1]  # the held-out fit, then the refit
         assert blas.threads() == 2
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import train_test_split
-from repro.fairness import EXTENSION_APPROACHES, Stage, make_approach
+from repro.fairness import Stage, make_approach
 from repro.fairness.inprocessing.kamishima import Kamishima
 from repro.fairness.postprocessing import Hardt, KamKar
 from repro.fairness.preprocessing import KamCal
@@ -14,6 +14,7 @@ from repro.metrics import disparate_impact
 from repro.pipeline import (ChainedPreprocessor, ComposedPipeline,
                             FairPipeline, evaluate_pipeline,
                             run_experiment)
+from repro.registry import APPROACHES
 
 
 class TestCaldersVerwer:
@@ -99,7 +100,7 @@ class TestKamishima:
 
 class TestRegistryExtensions:
     def test_extension_names_resolvable(self):
-        for name in EXTENSION_APPROACHES:
+        for name in APPROACHES.keys(group="extension"):
             approach = make_approach(name)
             assert approach.name == name
 

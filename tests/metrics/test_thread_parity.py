@@ -218,56 +218,6 @@ class TestAbductionThreadParity:
         assert {nested for _, nested in seen} == {1}
 
 
-class TestDenseStorageAndSpill:
-    def test_float32_storage_close_to_exact(self, points):
-        A, _ = points
-        exact = pairwise.distances(A, block_size=9)
-        narrow = pairwise.distances(A, block_size=9, dtype=np.float32)
-        assert narrow.dtype == np.float32
-        np.testing.assert_allclose(narrow, exact, rtol=1e-6, atol=1e-6)
-
-    def test_bad_dtype_rejected(self, points):
-        A, _ = points
-        with pytest.raises(ValueError, match="float64 or float32"):
-            pairwise.sq_distances(A, dtype=np.int32)
-
-    @pytest.mark.parametrize("threads", (1, 3))
-    def test_spilled_equals_in_memory(self, points, threads):
-        A, _ = points
-        base = pairwise.sq_distances(A, block_size=9, threads=1)
-        with obs.recording() as rec:
-            spilled = pairwise.sq_distances(A, block_size=9,
-                                            threads=threads,
-                                            memory_budget_mb=0.001)
-        assert isinstance(spilled, np.memmap)
-        assert np.array_equal(np.asarray(spilled), base)
-        counters = rec.snapshot()["counters"]
-        assert counters.get("pairwise.tiles_spilled", 0) == -(-67 // 9)
-
-    def test_normalized_euclidean_spill_parity(self, points):
-        A, _ = points
-        base = normalized_euclidean(A, block_size=8)
-        spilled = normalized_euclidean(A, block_size=8,
-                                       memory_budget_mb=0.001)
-        assert isinstance(spilled, np.memmap)
-        assert np.array_equal(np.asarray(spilled), base)
-
-    def test_budget_env_var(self, points, monkeypatch):
-        A, _ = points
-        monkeypatch.setenv("REPRO_DENSE_BUDGET_MB", "0.001")
-        assert isinstance(pairwise.sq_distances(A), np.memmap)
-        monkeypatch.setenv("REPRO_DENSE_BUDGET_MB", "")
-        assert not isinstance(pairwise.sq_distances(A), np.memmap)
-        monkeypatch.setenv("REPRO_DENSE_BUDGET_MB", "not-a-number")
-        with pytest.raises(ValueError, match="REPRO_DENSE_BUDGET_MB"):
-            pairwise.sq_distances(A)
-
-    def test_under_budget_stays_in_memory(self, points):
-        A, _ = points
-        out = pairwise.sq_distances(A, memory_budget_mb=1000)
-        assert not isinstance(out, np.memmap)
-
-
 class TestThreadDefaults:
     def test_resolve_validation(self):
         assert pairwise.resolve_threads(None) == 1

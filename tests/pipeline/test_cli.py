@@ -123,3 +123,29 @@ class TestAudit:
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])
+
+
+class TestRunThroughEngine:
+    def test_store_cells_read_back_by_report(self, tmp_path, capsys):
+        store = f"sqlite:{tmp_path / 'run.db'}"
+        assert main(["run", "--dataset", "german", "--rows", "400",
+                     "--causal-samples", "300", "--store", store]) == 0
+        assert main(["report", "--store", store, "--no-tables"]) == 0
+        assert "4 cached cells" in capsys.readouterr().out
+
+    def test_failed_cell_exits_1_with_traceback(self, monkeypatch,
+                                                capsys):
+        from repro.engine import executor
+
+        def boom(job):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(executor, "execute_job", boom)
+        assert main(["audit", "--dataset", "german", "--rows", "300"]) == 1
+        err = capsys.readouterr().err
+        assert "FAILED german LR" in err
+        assert "RuntimeError: boom" in err
+
+    def test_run_name_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["audit", "--run-name", "smoke"])

@@ -75,12 +75,12 @@ class TestPaperFindings:
 
 class TestRecommendationOutput:
     def test_candidates_match_stage_and_notion(self):
-        from repro.fairness import ALL_APPROACHES
+        from repro.fairness import make_approach
 
         rec = recommend(ApplicationProfile(target_notion="error-rate",
                                            dirty_data=True))
         for name in rec.approaches:
-            approach = ALL_APPROACHES[name]()
+            approach = make_approach(name)
             assert approach.stage is rec.best_stage
 
     def test_every_adjustment_has_a_reason(self):

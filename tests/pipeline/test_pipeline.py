@@ -5,24 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from repro.fairness import Stage, make_approach
-from repro.fairness.registry import (ALL_APPROACHES, MAIN_APPROACHES,
-                                     approaches_by_stage)
+from repro.fairness import Stage, approaches_by_stage, make_approach
 from repro.models import KNearestNeighbors
 from repro.pipeline import (FairPipeline, evaluate_pipeline,
                             format_delta_table, format_results_table,
                             format_runtime_table, run_experiment)
+from repro.registry import APPROACHES
 
 
 class TestRegistry:
     def test_counts_match_paper(self):
-        from repro.fairness.registry import (ADDITIONAL_APPROACHES,
-                                             EXTENSION_APPROACHES)
-
-        assert len(MAIN_APPROACHES) == 18          # Figure 5
-        assert len(ADDITIONAL_APPROACHES) == 3     # Appendix B.4
-        assert len(EXTENSION_APPROACHES) == 3      # our extensions
-        assert len(ALL_APPROACHES) == 24
+        assert len(APPROACHES.keys(group="main")) == 18        # Figure 5
+        assert len(APPROACHES.keys(group="additional")) == 3   # App. B.4
+        assert len(APPROACHES.keys(group="extension")) == 3    # ours
+        assert len(APPROACHES.keys()) == 24
 
     def test_stage_partition(self):
         pre = approaches_by_stage(Stage.PRE, include_additional=True)
@@ -31,14 +27,14 @@ class TestRegistry:
         assert len(pre) == 9    # 7 main + Madras + CaldersVerwer
         assert len(in_) == 11   # 8 main + Agarwal×2 + Kamishima
         assert len(post) == 4   # 3 main + OmniFair
-        assert len(pre) + len(in_) + len(post) == len(ALL_APPROACHES)
+        assert len(pre) + len(in_) + len(post) == len(APPROACHES.keys())
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             make_approach("FairGAN")
 
     def test_every_factory_builds(self):
-        for name in ALL_APPROACHES:
+        for name in APPROACHES.keys():
             approach = make_approach(name, seed=1)
             assert approach.stage in Stage
             assert approach.notion is not None

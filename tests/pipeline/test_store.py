@@ -141,15 +141,16 @@ class TestCli:
 
     def test_audit_with_store(self, tmp_path, capsys):
         from repro.cli import main
+        from repro.engine import ResultCache
 
+        store = f"file:{tmp_path / 'store'}"
         code = main(["audit", "--dataset", "german", "--rows", "400",
-                     "--causal-samples", "500", "--store", str(tmp_path),
-                     "--run-name", "smoke"])
+                     "--causal-samples", "500", "--store", store])
         assert code == 0
-        store = ResultStore(tmp_path)
-        loaded, params = store.load("smoke")
-        assert loaded[0].approach == "LR"
-        assert params["dataset"] == "german"
+        outcomes = ResultCache(store).outcomes()
+        assert [o.result.approach for o in outcomes] == ["LR"]
+        assert outcomes[0].job.dataset == "german"
+        assert outcomes[0].job.rows == 400
 
     def test_describe_subcommand(self, capsys):
         from repro.cli import main

@@ -265,37 +265,7 @@ class TestMetrics:
 
 
 class TestLegacyShim:
-    def test_main_approaches_importable_with_warning(self):
-        import importlib
-
-        module = importlib.import_module("repro.fairness.registry")
-        with pytest.warns(DeprecationWarning, match="MAIN_APPROACHES"):
-            main = module.MAIN_APPROACHES
-        assert len(main) == 18
-        # Old factory semantics: callable with an optional seed.
-        approach = main["KamCal-dp"](seed=2)
-        assert approach.seed == 2
-        assert main["Celis-pp"]().tau == 0.8
-
-    def test_package_level_import_warns(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.fairness import ALL_APPROACHES
-        assert len(ALL_APPROACHES) == 24
-
-    def test_shim_dicts_keep_identity_and_mutations(self):
-        import importlib
-
-        module = importlib.import_module("repro.fairness.registry")
-        with pytest.warns(DeprecationWarning):
-            first = module.MAIN_APPROACHES
-            first["__probe__"] = lambda seed=0: None
-            second = module.MAIN_APPROACHES
-        assert second is first and "__probe__" in second
-        del first["__probe__"]
-
-    def test_top_level_import_warns(self):
-        with pytest.warns(DeprecationWarning):
-            from repro import MAIN_APPROACHES  # noqa: F401
+    """``make_approach`` outlived the deprecated approach dicts."""
 
     def test_make_approach_does_not_warn(self, recwarn):
         from repro.fairness import make_approach
