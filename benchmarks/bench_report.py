@@ -36,7 +36,8 @@ import json
 import os
 import pathlib
 
-from common import comparable, floors, machine_block, timed
+from common import (comparable, exit_on_regression, floors, machine_block,
+                    timed)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_report.json"
@@ -184,12 +185,8 @@ def main(argv: list[str] | None = None) -> None:
     if args.assert_no_regression is not None:
         problems = check_regression(payload, args.assert_no_regression,
                                     args.regression_slack)
-        if problems:
-            raise SystemExit("PERF REGRESSION vs "
-                             f"{args.assert_no_regression}:\n  "
-                             + "\n  ".join(problems))
-        print(f"no regression vs {args.assert_no_regression} "
-              f"(slack {args.regression_slack:.0%})")
+        exit_on_regression(problems, args.assert_no_regression,
+                           args.regression_slack)
 
 
 if __name__ == "__main__":

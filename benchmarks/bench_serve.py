@@ -49,7 +49,8 @@ import pathlib
 import time
 
 import numpy as np
-from common import comparable, floors, machine_block, timed
+from common import (comparable, exit_on_regression, floors, machine_block,
+                    timed)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_serve.json"
@@ -314,12 +315,8 @@ def main(argv: list[str] | None = None) -> None:
     if args.assert_no_regression is not None:
         problems = check_http_ratio(payload) + check_regression(
             payload, args.assert_no_regression, args.regression_slack)
-        if problems:
-            raise SystemExit("PERF REGRESSION vs "
-                             f"{args.assert_no_regression}:\n  "
-                             + "\n  ".join(problems))
-        print(f"no regression vs {args.assert_no_regression} "
-              f"(slack {args.regression_slack:.0%})")
+        exit_on_regression(problems, args.assert_no_regression,
+                           args.regression_slack)
 
 
 if __name__ == "__main__":

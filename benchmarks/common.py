@@ -136,3 +136,12 @@ def floors(run: dict, baseline: dict, pairs, slack: float,
                 f"{unit} is below {slack:.0%} of the baseline's "
                 f"{reference:.{digits}f}{unit}")
     return problems
+
+
+def exit_on_regression(problems: list[str], baseline, slack: float) -> None:
+    """End an ``--assert-no-regression`` run: exit non-zero with every
+    problem line, or print that the run held against ``baseline``."""
+    if problems:
+        raise SystemExit(f"PERF REGRESSION vs {baseline}:\n  "
+                         + "\n  ".join(problems))
+    print(f"no regression vs {baseline} (slack {slack:.0%})")

@@ -3,22 +3,15 @@
 :func:`build_serving_components` refits everything the online audit
 path needs from a :class:`~repro.engine.spec.Job` — deterministically,
 on :func:`~repro.engine.executor.prepare_cell`'s data path (the one
-``execute_job`` runs) and mirroring
-:func:`~repro.pipeline.counterfactual_eval.evaluate_counterfactual`'s
-fit path — and :func:`pack_bundle` serializes the result as an
-artifact bundle.  :func:`components_from_bundle` is the inverse, and
-:func:`pack_from_cache` builds a bundle for a finished sweep cell
+``execute_job`` runs) — and :func:`pack_bundle` serializes the result
+as an artifact bundle.  :func:`components_from_bundle` is the inverse,
+and :func:`pack_from_cache` builds a bundle for a finished sweep cell
 (using the cell's stored artifact payload when the sweep ran with
 ``--pack-artifacts``, refitting from the stored params otherwise).
 
-One deliberate divergence from the offline audit: the offline
-counterfactual evaluation discretises train and test *independently*
-(each split fits its own quantile edges).  A serving system has no
-"test split" — requests arrive one at a time — so the bundle freezes
-the *train*-fitted edges as the single coordinate system and applies
-them to the reference population and to every request.  Served audits
-are byte-identical to the in-process :class:`~repro.serve.AuditService`
-on the same components, which is the parity the bundle guarantees.
+The rung-3 audit runs on components from the same fit, so a cell's
+``cf_*``/``ctf_*`` values describe the bundle it packs, in its
+train-fitted bins.
 """
 
 from __future__ import annotations
@@ -28,7 +21,7 @@ from pathlib import Path
 
 from .. import obs
 from ..causal.counterfactual import CounterfactualSCM
-from ..datasets.encoding import EqualFrequencyDiscretizer
+from ..datasets.encoding import EqualFrequencyDiscretizer, _bin_dataset
 from ..engine.spec import Job
 from ..metrics.individual import (SituationReference,
                                   prepare_situation_reference)
@@ -55,7 +48,7 @@ class ServingComponents:
     ----------
     pipeline:
         The fitted :class:`FairPipeline` (fit on the discretised train
-        split, exactly as in the offline counterfactual audit).
+        split; the rung-3 audit runs on it).
     scm:
         Explicit-noise SCM fitted on the same discretised train split.
     discretizer:
@@ -65,8 +58,9 @@ class ServingComponents:
         Names of the feature columns the discretizer applies to, in
         edge order.
     reference:
-        Frozen situation-testing reference population (the discretised
-        test split, labelled with the pipeline's own predictions).
+        Frozen situation-testing reference population (the test split
+        binned with the train edges, labelled with the pipeline's own
+        predictions).
     meta:
         Plain-JSON serving metadata (column roles, node order, audit
         knobs, source-job fingerprint); stored in the bundle manifest.
@@ -83,58 +77,68 @@ class ServingComponents:
 def build_serving_components(job: Job) -> ServingComponents:
     """Refit the serving components for one grid cell, from its job.
 
-    Deterministic in ``job`` alone (same contract as ``execute_job``):
-    the dataset build, split, error injection, imputation, pipeline fit
-    and SCM fit all derive their randomness from the job's seed.
+    Deterministic in ``job`` alone (same contract as ``execute_job``,
+    whose rung-3 audit runs on the same fit): the dataset build, split,
+    error injection, imputation, pipeline fit and SCM fit all derive
+    their randomness from the job's seed.
     """
     from ..engine.executor import prepare_cell
-    from ..registry import APPROACHES, MODELS
 
     with prepare_cell(job, span_prefix="pack.") as (train, test):
-        if train.causal_graph is None:
-            raise ValueError(
-                f"dataset {train.name!r} has no causal graph; the "
-                "serving audit path needs one")
+        return _cell_components(job, train, test, "pack.")[0]
 
-        n_bins = int(job.audit_params.get("n_bins", 4))
-        n_particles = int(job.audit_params.get("n_particles", 150))
-        numeric = tuple(f for f in train.feature_names
-                        if f not in train.categorical)
-        discretizer = None
-        train_disc = train
+
+def _cell_components(job: Job, train, test, span_prefix: str):
+    """:func:`_fit_components` on ``job``'s split, named for the job."""
+    from ..registry import MODELS
+
+    return _fit_components(
+        train, test, job.approach, job.approach_params,
+        MODELS.build(job.model, **job.model_params), job.seed,
+        int(job.audit_params.get("n_bins", 4)),
+        int(job.audit_params.get("n_particles", 150)), span_prefix,
+        fingerprint=job.fingerprint, job_label=job.label())
+
+
+def _fit_components(train, test, approach_name, approach_params, model,
+                    seed, n_bins, n_particles, span_prefix, **meta):
+    """The one discretise-and-fit path of a cell's rung-3 components:
+    bins, pipeline and SCM fit on the train split; the reference is the
+    test split binned with the train edges, labelled by the pipeline.
+    Returns ``(components, binned test split)``; ``meta`` extends the
+    serving metadata."""
+    from ..registry import APPROACHES
+
+    if train.causal_graph is None:
+        raise ValueError(
+            f"dataset {train.name!r} has no causal graph; the rung-3 "
+            "audit and the serving path need one (learn it with "
+            "repro.causal.pc)")
+    numeric = tuple(f for f in train.feature_names
+                    if f not in train.categorical)
+    discretizer = None
+    with obs.span(f"{span_prefix}fit", n_bins=n_bins):
         if numeric:
-            # Same fit as discretize_dataset(train, n_bins), with the
-            # fitted edges kept for request-time use.
             discretizer = EqualFrequencyDiscretizer(n_bins).fit(
                 train.table.to_matrix(list(numeric)))
-            train_disc = _apply_discretizer(train, discretizer, numeric)
+        train = _bin_dataset(train, discretizer, numeric)
+        approach = (APPROACHES.build(approach_name, seed=seed,
+                                     **(approach_params or {}))
+                    if approach_name is not None else None)
+        pipeline = FairPipeline(approach, model=model, seed=seed)
+        pipeline.fit(train)
 
-        with obs.span("pack.fit", approach=job.approach_label):
-            approach = (APPROACHES.build(job.approach, seed=job.seed,
-                                         **job.approach_params)
-                        if job.approach is not None else None)
-            pipeline = FairPipeline(
-                approach, model=MODELS.build(job.model, **job.model_params),
-                seed=job.seed)
-            pipeline.fit(train_disc)
+    nodes = train.causal_graph.nodes
+    with obs.span(f"{span_prefix}scm", nodes=len(nodes)):
+        scm = CounterfactualSCM.fit(
+            {n: train.table[n].astype(float) for n in nodes},
+            train.causal_graph)
 
-        nodes = train.causal_graph.nodes
-        with obs.span("pack.scm", nodes=len(nodes)):
-            scm = CounterfactualSCM.fit(
-                {n: train_disc.table[n].astype(float) for n in nodes},
-                train.causal_graph)
-
-        # The reference population: the held-out split in the frozen
-        # (train-fitted) coordinates, labelled with the deployed
-        # pipeline's own decisions.
-        test_ref = test
-        if discretizer is not None:
-            test_ref = _apply_discretizer(test_ref, discretizer, numeric)
-        with obs.span("pack.reference", rows=test_ref.n_rows):
-            y_hat = pipeline.predict(test_ref)
-            reference = prepare_situation_reference(
-                test_ref.X, test_ref.s, y_hat,
-                k=ST_K, threshold=ST_THRESHOLD)
+    test = _bin_dataset(test, discretizer, numeric)
+    with obs.span(f"{span_prefix}reference", rows=test.n_rows):
+        reference = prepare_situation_reference(
+            test.X, test.s, pipeline.predict(test),
+            k=ST_K, threshold=ST_THRESHOLD)
 
     meta = {
         "dataset": train.name,
@@ -144,25 +148,17 @@ def build_serving_components(job: Job) -> ServingComponents:
         "categorical": list(train.categorical),
         "nodes": list(nodes),
         "numeric": list(numeric),
-        "seed": job.seed,
+        "seed": seed,
         "n_bins": n_bins,
         "n_particles": n_particles,
         "cf_threshold": CF_THRESHOLD,
         "st_k": ST_K,
         "st_threshold": ST_THRESHOLD,
-        "fingerprint": job.fingerprint,
-        "job_label": job.label(),
+        **meta,
     }
     return ServingComponents(pipeline=pipeline, scm=scm,
                              discretizer=discretizer, numeric=numeric,
-                             reference=reference, meta=meta)
-
-
-def _apply_discretizer(dataset, discretizer, numeric):
-    binned = discretizer.transform(dataset.table.to_matrix(list(numeric)))
-    table = dataset.table.assign(
-        **{name: binned[:, j] for j, name in enumerate(numeric)})
-    return dataset.with_table(table)
+                             reference=reference, meta=meta), test
 
 
 def pack_bundle(job: Job, out, components: ServingComponents | None = None,
@@ -219,39 +215,38 @@ def pack_from_cache(cache, out, *, where: dict | None = None,
     ``cache`` is a :class:`~repro.engine.cache.ResultCache` or any
     store URI :func:`~repro.engine.backend.parse_store` accepts
     (``file:DIR``, ``sqlite:PATH``, or a bare directory).  The cell is
-    selected by ``fingerprint`` or by a
+    selected by a prefix of its stored ``fingerprint`` or by a
     ``--where``-style axis filter; exactly one cell must match.  When
     the sweep stored an artifact payload for the cell (``repro sweep
     --pack-artifacts``), it is reused verbatim — no refitting;
     otherwise the components are refit deterministically from the
-    cell's stored params.
+    cell's stored params, unless it was stored under another
+    ``SPEC_VERSION`` (``ValueError``: re-run the cell).
     """
     import shutil
 
     from ..engine.cache import ResultCache
-    from ..engine.report import filter_outcomes
+    from ..engine.spec import SPEC_VERSION
 
     if not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
     if not cache.exists():
         raise FileNotFoundError(f"no sweep cache at {cache.location}")
-    outcomes = cache.outcomes()
+    cells = cache._latest(where)
     if fingerprint is not None:
-        outcomes = [o for o in outcomes
-                    if o.job.fingerprint.startswith(fingerprint)]
-    if where:
-        outcomes = filter_outcomes(outcomes, where)
-    if not outcomes:
+        cells = [cell for cell in cells if cell[0].startswith(fingerprint)]
+    if not cells:
         raise ValueError("no cached cell matches the selection; run the "
                          "sweep first or relax --where")
-    if len(outcomes) > 1:
-        labels = ", ".join(o.job.label() for o in outcomes[:5])
+    if len(cells) > 1:
+        labels = ", ".join(cell[2].job.label() for cell in cells[:5])
         raise ValueError(
-            f"selection matches {len(outcomes)} cells ({labels}"
-            f"{', …' if len(outcomes) > 5 else ''}); narrow --where "
+            f"selection matches {len(cells)} cells ({labels}"
+            f"{', …' if len(cells) > 5 else ''}); narrow --where "
             "down to exactly one")
-    job = outcomes[0].job
-    stored = cache.get_artifact(job)
+    stored_fingerprint, version, outcome = cells[0]
+    job = outcome.job
+    stored = cache.get_artifact(stored_fingerprint)
     if stored is not None:
         load_bundle(stored)  # validate before copying
         out = Path(out)
@@ -264,5 +259,11 @@ def pack_from_cache(cache, out, *, where: dict | None = None,
         shutil.copytree(stored, out)
         obs.add("pack.reused")
         return out
+    if version != SPEC_VERSION:
+        raise ValueError(
+            f"cell {job.label()} was stored under spec_version {version} "
+            f"(current {SPEC_VERSION}) with no artifact bundle, and a "
+            "refit would not be the model its metrics came from; re-run "
+            "the cell with --pack-artifacts, then pack it")
     obs.add("pack.refit")
     return pack_bundle(job, out, overwrite=overwrite)

@@ -906,17 +906,13 @@ def cmd_pack(args: argparse.Namespace) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not cache.exists():
-        print(f"error: no sweep cache at {cache.location}",
-              file=sys.stderr)
-        return 2
     try:
         where = _parse_where(args.where)
         path = pack_from_cache(cache, args.out,
                                where=where or None,
                                fingerprint=args.fingerprint,
                                overwrite=args.force)
-    except (KeyError, ValueError, BundleError) as exc:
+    except (FileNotFoundError, KeyError, ValueError, BundleError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -102,8 +102,15 @@ def discretize_dataset(dataset: Dataset, n_bins: int = 4) -> Dataset:
     numeric = [f for f in dataset.feature_names if f not in dataset.categorical]
     if not numeric:
         return dataset
-    binned = EqualFrequencyDiscretizer(n_bins).fit_transform(
-        dataset.table.to_matrix(numeric))
+    return _bin_dataset(dataset, EqualFrequencyDiscretizer(n_bins).fit(
+        dataset.table.to_matrix(numeric)), numeric)
+
+
+def _bin_dataset(dataset: Dataset, discretizer, numeric) -> Dataset:
+    """``dataset`` with ``numeric`` binned by a fitted discretiser."""
+    if discretizer is None:
+        return dataset
+    binned = discretizer.transform(dataset.table.to_matrix(list(numeric)))
     table = dataset.table.assign(
         **{name: binned[:, j] for j, name in enumerate(numeric)})
     return dataset.with_table(table)

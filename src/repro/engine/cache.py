@@ -305,6 +305,11 @@ class ResultCache:
         written under the newest spec version, so the old protocol's
         results are never silently averaged into the new ones.
         """
+        return [outcome for _, _, outcome in self._latest(where)]
+
+    def _latest(self, where=None) -> list[tuple[str, int, object]]:
+        """:meth:`outcomes` as ``(stored fingerprint, spec_version,
+        outcome)`` triples: which entry each outcome was read from."""
         from .executor import JobOutcome
         from .report import _normalise_where, filter_outcomes
         from .spec import job_from_params
@@ -317,23 +322,24 @@ class ResultCache:
         elif where:
             _normalise_where(where)  # unknown axes fail before any I/O
 
-        best: dict[str, tuple[int, object]] = {}
-        for _, result, params in entries:
+        best: dict[str, tuple[str, int, object]] = {}
+        for fingerprint, result, params in entries:
             try:
                 job = job_from_params(params)
             except (KeyError, TypeError, ValueError):
                 continue
             version = int(params.get("spec_version", 0))
             key = job.fingerprint
-            if key in best and best[key][0] >= version:
+            if key in best and best[key][1] >= version:
                 continue
-            best[key] = (version, JobOutcome(job=job, result=result,
-                                             cached=True))
-        outcomes = sorted((outcome for _, outcome in best.values()),
-                          key=_grid_order)
+            best[key] = (fingerprint, version,
+                         JobOutcome(job=job, result=result, cached=True))
+        cells = sorted(best.values(), key=lambda cell: _grid_order(cell[2]))
         if where:
-            outcomes = filter_outcomes(outcomes, where)
-        return outcomes
+            kept = {id(outcome) for outcome in filter_outcomes(
+                (cell[2] for cell in cells), where)}
+            cells = [cell for cell in cells if id(cell[2]) in kept]
+        return cells
 
     def _sql_entries(self, where):
         """:meth:`entries` over the SQL backend's ``where`` row scan:

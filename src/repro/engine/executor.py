@@ -58,6 +58,7 @@ see :mod:`repro.engine.chaos`.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import time
 import traceback
 from collections.abc import Callable, Sequence
@@ -163,9 +164,9 @@ def execute_job(job: Job) -> EvaluationResult:
     selected report metric off the finished result into
     ``raw["metric_value"]``.  When ``job.audit`` is
     ``"counterfactual"``, the cell additionally runs the batched
-    rung-3 audit (abduction in ``chunk_rows``-bounded batches) and
-    merges its summary values into the result's ``raw`` mapping under
-    ``cf_*`` / ``ctf_*`` keys.
+    rung-3 audit on its serving components (the ones ``repro pack``
+    ships) and merges its summary values into the result's ``raw``
+    mapping under ``cf_*`` / ``ctf_*`` keys.
     """
     import dataclasses
 
@@ -180,16 +181,19 @@ def execute_job(job: Job) -> EvaluationResult:
                                 causal_samples=job.causal_samples,
                                 approach_params=job.approach_params)
         if job.audit == "counterfactual":
-            from ..pipeline.counterfactual_eval import \
-                evaluate_counterfactual
+            from ..artifacts.pack import _cell_components
+            from ..pipeline.counterfactual_eval import _audit
 
             with obs.span("audit", audit=job.audit):
-                audit = evaluate_counterfactual(
-                    job.approach, train, test,
-                    model=MODELS.build(job.model, **job.model_params),
-                    seed=job.seed, chunk_rows=job.chunk_rows,
-                    approach_params=job.approach_params,
-                    **job.audit_params)
+                components, binned = _cell_components(job, train, test,
+                                                      "audit.")
+                audit = _audit(components, binned,
+                               job.audit_params.get("n_samples", 20000),
+                               job.audit_params.get("max_rows", 60),
+                               job.chunk_rows)
+            kept = _kept_components.get()
+            if kept is not None:
+                kept[job.fingerprint] = components
             result = dataclasses.replace(result, raw={
                 **result.raw,
                 "cf_mean_gap": audit.fairness.mean_gap,
@@ -223,15 +227,21 @@ def cell_attrs(job: Job) -> dict:
     return attrs
 
 
-def _pack_artifact(job: Job, pack_dir: str) -> None:
-    """Worker-side artifact packing for a just-computed cell.
+#: A packing worker's slot for the serving components an audited cell
+#: fitted (``execute_job`` fills it), so they are packed, not refit.
+_kept_components = contextvars.ContextVar("kept_components", default=None)
+
+
+def _pack_artifact(job: Job, pack_dir: str, components) -> None:
+    """Worker-side artifact packing for a just-computed cell
+    (``components=None``: refit them).
 
     Packing is best-effort: a failure (disk full, an unserializable
     component) degrades to a structured warning — the cell's metrics
     result is unaffected and the sweep goes on.
     """
     try:
-        ResultCache(pack_dir).put_artifact(job)
+        ResultCache(pack_dir).put_artifact(job, components)
     except Exception as exc:
         obs.add("artifact.pack_failed")
         obs.warning("artifact.pack_failed", cell=job.label(),
@@ -258,42 +268,36 @@ def _guarded_execute(indexed_job: tuple[int, Job], collect: bool = False,
     rides back as the last tuple element; a failing cell still ships
     the spans it closed before dying.
 
-    With ``pack_dir`` set, a successful cell also refits and packs its
-    serving-artifact bundle into the cache's artifact slot, here in
-    the worker so packing parallelizes with the sweep.  Pack time is
-    excluded from the cell's reported seconds, and pack spans stay out
-    of the cell's trace fragment (the trace checker budgets the cell
-    phase set).
+    With ``pack_dir`` set, a successful cell also packs its
+    serving-artifact bundle (an audited cell's own components) into
+    the cache's artifact slot, here in the worker so packing
+    parallelizes with the sweep.  Pack time is excluded from the
+    cell's reported seconds, and pack spans stay out of the cell's
+    trace fragment (the trace checker budgets the cell phase set).
     """
     index, job = indexed_job
     start = time.perf_counter()
-    if not collect:
+    error, transient, result = None, None, None
+    kept = {} if pack_dir is not None else None
+    token = _kept_components.set(kept)
+    with (obs.recording(trace_memory=trace_memory) if collect
+          else contextlib.nullcontext()) as rec:
         try:
-            chaos_module.maybe_fault(job.label(), job.fingerprint,
-                                     attempt)
-            result = execute_job(job)
-            seconds = time.perf_counter() - start
-            if pack_dir is not None:
-                _pack_artifact(job, pack_dir)
-            return index, result, None, None, seconds, None
-        except Exception as exc:
-            return index, None, traceback.format_exc(), \
-                classify_exception(exc) == "transient", \
-                time.perf_counter() - start, None
-    with obs.recording(trace_memory=trace_memory) as rec:
-        error, transient, result = None, None, None
-        try:
-            with obs.span("cell", **cell_attrs(job)):
+            with (obs.span("cell", **cell_attrs(job)) if collect
+                  else contextlib.nullcontext()):
                 chaos_module.maybe_fault(job.label(), job.fingerprint,
                                          attempt)
                 result = execute_job(job)
         except Exception as exc:
-            result, error = None, traceback.format_exc()
+            error = traceback.format_exc()
             transient = classify_exception(exc) == "transient"
+        finally:
+            _kept_components.reset(token)
     seconds = time.perf_counter() - start
     if result is not None and pack_dir is not None:
-        _pack_artifact(job, pack_dir)
-    return index, result, error, transient, seconds, rec.snapshot()
+        _pack_artifact(job, pack_dir, kept.get(job.fingerprint))
+    return (index, result, error, transient, seconds,
+            rec.snapshot() if collect else None)
 
 
 def _error_summary(error: str | None) -> str | None:

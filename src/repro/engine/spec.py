@@ -36,8 +36,11 @@ __all__ = ["AUDITS", "BASELINE_ALIASES", "Job", "ScenarioGrid",
 #: parameterization (k-NN consumers' tie-breaking can depend on it).
 #: Version 5: fits run at one BLAS thread, no longer at the core count,
 #: so a cell cached on a multi-core host can differ from a fresh run
-#: (the adult Thomas-dp cell at 4,000 rows does).
-SPEC_VERSION = 5
+#: (the adult Thomas-dp cell at 4,000 rows does).  Version 6: the
+#: rung-3 audit bins its test rows with train-fitted edges, on the
+#: components ``repro pack`` ships, and its error rates share the Ctf
+#: effects' noise draw, so the ``cf_*`` values move.
+SPEC_VERSION = 6
 
 #: Spellings accepted for the fairness-unaware baseline pipeline.
 BASELINE_ALIASES = {None, "", "baseline", "none", "LR"}
@@ -47,9 +50,10 @@ AUDITS = (None, "counterfactual")
 
 #: Parameters ``audit_params`` may tune (the keyword surface of
 #: ``evaluate_counterfactual`` minus what the job protocol owns:
-#: approach/model/seed and the explicit ``chunk_rows`` field).
-AUDIT_PARAM_NAMES = frozenset({"n_bins", "n_samples", "n_particles",
-                               "max_rows"})
+#: approach/model/seed and the explicit ``chunk_rows`` field), each an
+#: integer with its least value; ``max_rows`` may also be null.
+AUDIT_PARAM_MINIMA = {"n_bins": 2, "n_samples": 1, "n_particles": 1,
+                      "max_rows": 1}
 
 #: Job axes a report can group, pivot, or filter on (and the SQL
 #: store's axis columns, in this order).
@@ -63,10 +67,11 @@ def check_audit_params(audit: str | None, params: dict,
                        chunk_rows: int | None = None) -> dict:
     """Validate an audit configuration at construction time.
 
-    Unknown parameter names, or audit parameters or ``chunk_rows``
-    without an audit to consume them, must fail before any cell is
-    scheduled, not per-cell inside a worker.  (A stray ``chunk_rows``
-    would also split the cache: it is hashed into the fingerprint.)
+    Unknown parameter names, values that are not integers in range,
+    or audit parameters or ``chunk_rows`` without an audit to consume
+    them, must fail before any cell is scheduled, not per-cell inside
+    a worker.  (A stray ``chunk_rows`` would also split the cache: it
+    is hashed into the fingerprint.)
     """
     params = _check_json_params(dict(params), "audit")
     if audit not in AUDITS:
@@ -80,12 +85,20 @@ def check_audit_params(audit: str | None, params: dict,
             raise ValueError(
                 f"{name} {given} given without an audit; set audit to "
                 f"one of {[a for a in AUDITS if a]}")
-    unknown = sorted(set(params) - AUDIT_PARAM_NAMES)
+    unknown = sorted(set(params) - AUDIT_PARAM_MINIMA.keys())
     if unknown:
         raise ValueError(
             f"unknown audit parameter(s) {unknown}; accepted: "
-            f"{sorted(AUDIT_PARAM_NAMES)} (seed/chunk_rows/approach/"
+            f"{sorted(AUDIT_PARAM_MINIMA)} (seed/chunk_rows/approach/"
             "model are controlled by their own job fields)")
+    for name, value in params.items():
+        nullable = name == "max_rows"  # null audits every test row
+        if not (value is None and nullable) and (
+                type(value) is not int or value < AUDIT_PARAM_MINIMA[name]):
+            raise ValueError(
+                f"audit parameter {name} must be an integer >= "
+                f"{AUDIT_PARAM_MINIMA[name]}{' or null' * nullable}, "
+                f"got {value!r}")
     return params
 
 

@@ -122,31 +122,8 @@ def ctf_effects(scm: CounterfactualSCM, source: str, outcome: str,
     predict:
         Optional classifier replacing the outcome node.
     """
-    mediators = sorted(scm.graph.mediators(source, outcome))
-    noise = scm.sample_noise(n, rng)
-    factual = scm.evaluate(noise)
-    # All worlds share the factual noise, so passing the factual world
-    # as ``base`` recomputes only the source's descendants per world.
-    world0 = scm.evaluate(noise, {source: s0}, base=factual)
-    world1 = scm.evaluate(noise, {source: s1}, base=factual)
-
-    y_fact = _outcome(factual, outcome, predict)
-    y0 = _outcome(world0, outcome, predict)
-    y1 = _outcome(world1, outcome, predict)
-
-    in_s0 = factual[source] == s0
-    in_s1 = factual[source] == s1
-
-    z0 = {m: world0[m] for m in mediators}
-    y_s1_z0 = _outcome(
-        scm.evaluate(noise, {source: s1}, overrides=z0, base=factual),
-        outcome, predict)
-
-    de = _masked_mean(y_s1_z0 - y0, in_s0)
-    ie = _masked_mean(y_s1_z0 - y1, in_s0)
-    se = _masked_mean(y1, in_s1) - _masked_mean(y1, in_s0)
-    tv = _masked_mean(y_fact, in_s1) - _masked_mean(y_fact, in_s0)
-    return CtfEffects(de=de, ie=ie, se=se, tv=tv)
+    return _ctf_draw(scm, source, outcome, n, rng, s1, s0, predict,
+                     error_rates=False)[0]
 
 
 # ----------------------------------------------------------------------
@@ -177,20 +154,50 @@ def counterfactual_error_rates(scm: CounterfactualSCM, source: str,
     classifier is evaluated on factual and counterfactual (``do(source
     = s1)``) feature values generated from shared noise.
     """
+    return _ctf_draw(scm, source, outcome, n, rng, s1, s0, predict,
+                     effects=False)[1]
+
+
+def _ctf_draw(scm, source, outcome, n, rng, s1=1.0, s0=0.0, predict=None,
+              effects=True, error_rates=True):
+    """:func:`ctf_effects` and :func:`counterfactual_error_rates` on one
+    noise draw: the error rates reuse the factual and ``do(source=s1)``
+    worlds and their predictions, so the pair costs one ``sample_noise``
+    and four ``predict`` calls.  Returns ``(effects, error_rates)``,
+    ``None`` for one not asked for."""
     noise = scm.sample_noise(n, rng)
     factual = scm.evaluate(noise)
-    counter = scm.evaluate(noise, {source: s1}, base=factual)
-    y = _positive(factual[outcome])
-    yhat_fact = _positive(predict(factual))
-    yhat_cf = _positive(predict(counter))
-    group = factual[source] == s0
-
-    neg = group & (y == 0)
-    pos = group & (y == 1)
-    fpr_gap = _masked_mean(yhat_cf, neg) - _masked_mean(yhat_fact, neg)
-    fnr_gap = ((1 - _masked_mean(yhat_cf, pos))
-               - (1 - _masked_mean(yhat_fact, pos)))
-    return CounterfactualErrorRates(fpr_gap=fpr_gap, fnr_gap=fnr_gap)
+    # All worlds share the factual noise, so passing the factual world
+    # as ``base`` recomputes only the source's descendants per world.
+    world1 = scm.evaluate(noise, {source: s1}, base=factual)
+    y_fact = _outcome(factual, outcome, predict)
+    y1 = _outcome(world1, outcome, predict)
+    in_s0 = factual[source] == s0
+    rates = None
+    if error_rates:
+        y = _positive(factual[outcome])
+        neg = in_s0 & (y == 0)
+        pos = in_s0 & (y == 1)
+        rates = CounterfactualErrorRates(
+            fpr_gap=_masked_mean(y1, neg) - _masked_mean(y_fact, neg),
+            fnr_gap=((1 - _masked_mean(y1, pos))
+                     - (1 - _masked_mean(y_fact, pos))))
+    if not effects:
+        return None, rates
+    mediators = sorted(scm.graph.mediators(source, outcome))
+    world0 = scm.evaluate(noise, {source: s0}, base=factual)
+    y0 = _outcome(world0, outcome, predict)
+    z0 = {m: world0[m] for m in mediators}
+    y_s1_z0 = _outcome(
+        scm.evaluate(noise, {source: s1}, overrides=z0, base=factual),
+        outcome, predict)
+    in_s1 = factual[source] == s1
+    ctf = CtfEffects(
+        de=_masked_mean(y_s1_z0 - y0, in_s0),
+        ie=_masked_mean(y_s1_z0 - y1, in_s0),
+        se=_masked_mean(y1, in_s1) - _masked_mean(y1, in_s0),
+        tv=_masked_mean(y_fact, in_s1) - _masked_mean(y_fact, in_s0))
+    return ctf, rates
 
 
 # ----------------------------------------------------------------------

@@ -5,13 +5,14 @@ nine metrics.  This module adds the counterfactual extension in one
 call, mirroring :func:`~repro.pipeline.experiment.run_experiment`'s
 interface: given an approach name and a train/test split, it
 
-1. discretises the data (CPT estimation needs small discrete domains)
-   and fits the approach's pipeline on the discretised training data,
-2. fits a discrete explicit-noise SCM to the same data using the
-   dataset's causal graph,
-3. audits the pipeline for counterfactual fairness (per-individual
-   flips under abduction), the Ctf-DE/IE/SE decomposition, and
-   counterfactual error rates.
+1. fits the serving components ``repro pack`` ships: train-fitted
+   bins (CPT estimation needs small discrete domains), the approach's
+   pipeline and a discrete explicit-noise SCM on the binned training
+   data, using the dataset's causal graph,
+2. audits that pipeline for counterfactual fairness (per-individual
+   flips under abduction of the test rows, in the train bins), the
+   Ctf-DE/IE/SE decomposition and counterfactual error rates (one
+   shared noise draw).
 
 Fitting on the discretised data keeps the classifier's input
 distribution identical to the SCM's output distribution, so the audit
@@ -24,15 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..causal.counterfactual import CounterfactualSCM
+from .. import obs
 from ..datasets.dataset import Dataset
-from ..datasets.encoding import discretize_dataset
 from ..metrics.causal_notions import (CounterfactualErrorRates, CtfEffects,
-                                      counterfactual_error_rates,
-                                      ctf_effects)
+                                      _ctf_draw)
 from ..metrics.individual import (CounterfactualFairnessResult,
                                   counterfactual_fairness)
-from .experiment import FairPipeline
 
 __all__ = ["CounterfactualAudit", "evaluate_counterfactual"]
 
@@ -79,8 +77,9 @@ def evaluate_counterfactual(approach_name: str | None, train: Dataset,
     approach_name:
         Registry name of the variant (``None`` = the LR baseline).
     train, test:
-        The split; the SCM's CPTs come from ``train``, the individual
-        audit rows from ``test``.
+        The split; the bin edges, the pipeline and the SCM's CPTs come
+        from ``train``, the individual audit rows from ``test`` (binned
+        with the train edges).
     model:
         Optional downstream classifier (pre/post approaches only).
     n_bins:
@@ -106,50 +105,36 @@ def evaluate_counterfactual(approach_name: str | None, train: Dataset,
     ValueError
         If the dataset carries no causal graph.
     """
-    if train.causal_graph is None:
-        raise ValueError(
-            f"dataset {train.name!r} has no causal graph; counterfactual "
-            "evaluation needs one (learn it with repro.causal.pc)"
-        )
-    from .. import obs
-    from ..registry import APPROACHES
+    from ..artifacts.pack import _fit_components
 
-    with obs.span("audit.pipeline", n_bins=n_bins):
-        train_disc = discretize_dataset(train, n_bins=n_bins)
-        test_disc = discretize_dataset(test, n_bins=n_bins)
+    components, binned = _fit_components(
+        train, test, approach_name, approach_params, model, seed, n_bins,
+        n_particles, "audit.")
+    return _audit(components, binned, n_samples, max_rows, chunk_rows)
 
-        approach = (APPROACHES.build(approach_name, seed=seed,
-                                     **(approach_params or {}))
-                    if approach_name is not None else None)
-        pipeline = FairPipeline(approach, model=model, seed=seed)
-        pipeline.fit(train_disc)
 
-    nodes = train.causal_graph.nodes
-    with obs.span("audit.scm", nodes=len(nodes)):
-        scm = CounterfactualSCM.fit(
-            {n: train_disc.table[n].astype(float) for n in nodes},
-            train.causal_graph)
-
-    def predict(columns: dict) -> np.ndarray:
-        return pipeline.predict_columns(columns)
-
-    rng = np.random.default_rng(seed)
-    with obs.span("audit.fairness", n_particles=n_particles):
+def _audit(components, test: Dataset, n_samples: int,
+           max_rows: int | None, chunk_rows: int | None
+           ) -> CounterfactualAudit:
+    """Audit fitted serving components on their binned test split; one
+    RNG from the components' seed feeds abduction, then the one noise
+    draw the Ctf effects and error rates share."""
+    meta, scm = components.meta, components.scm
+    predict = components.pipeline.predict_columns
+    rng = np.random.default_rng(meta["seed"])
+    with obs.span("audit.fairness", n_particles=meta["n_particles"]):
         fairness = counterfactual_fairness(
-            scm, {n: test_disc.table[n].astype(float) for n in nodes},
-            train.sensitive, train.label, predict, rng,
-            n_particles=n_particles, max_rows=max_rows,
+            scm, {n: test.table[n].astype(float) for n in meta["nodes"]},
+            meta["sensitive"], meta["label"], predict, rng,
+            n_particles=meta["n_particles"], max_rows=max_rows,
             chunk_rows=chunk_rows)
     with obs.span("audit.effects", n_samples=n_samples):
-        effects = ctf_effects(scm, train.sensitive, train.label,
-                              n=n_samples, rng=rng, predict=predict)
-    with obs.span("audit.error_rates", n_samples=n_samples):
-        error_rates = counterfactual_error_rates(
-            scm, train.sensitive, train.label, predict,
-            n=n_samples, rng=rng)
+        effects, error_rates = _ctf_draw(scm, meta["sensitive"],
+                                         meta["label"], n_samples, rng,
+                                         predict=predict)
     return CounterfactualAudit(
-        approach=pipeline.name,
-        dataset=train.name,
+        approach=components.pipeline.name,
+        dataset=meta["dataset"],
         fairness=fairness,
         effects=effects,
         error_rates=error_rates,

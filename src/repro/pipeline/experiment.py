@@ -224,6 +224,8 @@ class FairPipeline:
     # ------------------------------------------------------------------
     def get_state(self) -> dict:
         state = dict(self.__dict__)
+        # Wall clock, not fitted state: equal fits pack equal bytes.
+        state.pop("fit_seconds_", None)
         schema = state.get("_schema")
         if schema is not None:
             # Prediction needs only the schema's column roles and causal
@@ -234,7 +236,7 @@ class FairPipeline:
         return state
 
     def set_state(self, state: dict) -> None:
-        self.__dict__.update(state)
+        self.__dict__.update({"fit_seconds_": 0.0, **state})
 
     # ------------------------------------------------------------------
     def predict_columns(self, columns: dict[str, np.ndarray]) -> np.ndarray:

@@ -281,6 +281,33 @@ class TestAuditThreading:
         assert "chunk_rows 256 given without an audit" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("params", [
+        {"n_bins": 1}, {"n_particles": 0}, {"max_rows": 0},
+        {"n_samples": -5}, {"n_bins": "four"}, {"n_particles": 2.5}])
+    def test_bad_audit_param_values_rejected(self, params, tmp_path,
+                                             capsys):
+        # Each used to build its grid and then fail every cell inside
+        # the worker.
+        name = next(iter(params))
+        match = f"audit parameter {name} must be an integer"
+        with pytest.raises(ValueError, match=match):
+            ScenarioGrid(datasets=["german"], audit="counterfactual",
+                         audit_params=params)
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec(dataset="german", audit="counterfactual",
+                           audit_params=params)
+        with pytest.raises(ValueError, match=match):
+            SweepSpec(datasets=["german"], audit="counterfactual",
+                      audit_params=params)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(
+            {"datasets": ["german"], "audit": "counterfactual",
+             "audit_params": params}))
+        assert main(["sweep", "--config", str(config),
+                     "--cache-dir", "none"]) == 2
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
+
     def test_bad_chunk_rows_rejected(self, capsys):
         with pytest.raises(ValueError, match="chunk_rows"):
             ExperimentSpec(dataset="german", audit="counterfactual",

@@ -1,5 +1,7 @@
 """Cache artifact slots: sweep-side packing and pack-from-cache reuse."""
 
+import shutil
+
 import pytest
 
 from repro.api import SweepSpec
@@ -90,6 +92,37 @@ class TestSweepPacking:
                        for fp in cache.fingerprints())
 
 
+class TestAuditedCellPacking:
+    def test_packs_the_audited_components_without_refitting(
+            self, tmp_path, monkeypatch):
+        """An audited cell packs the components its audit ran on; they
+        equal a fresh refit of the cell, artifact by artifact."""
+        import repro.artifacts.pack as pack_mod
+        from repro.artifacts import pack_bundle
+        from repro.engine import Job, run_sweep
+
+        job = Job(dataset="german", approach="Hardt-eo", rows=400,
+                  causal_samples=300, audit="counterfactual",
+                  audit_params={"n_particles": 10, "max_rows": 20,
+                                "n_samples": 500})
+        real = pack_mod.build_serving_components
+
+        def boom(job):
+            raise AssertionError("the sweep refit an audited cell")
+
+        monkeypatch.setattr(pack_mod, "build_serving_components", boom)
+        cache = ResultCache(tmp_path / "c")
+        report = run_sweep([job], cache=cache, pack=True)
+        assert not report.failures
+        stored = load_bundle(cache.get_artifact(job))
+        monkeypatch.setattr(pack_mod, "build_serving_components", real)
+        refit = load_bundle(pack_bundle(job, tmp_path / "refit"))
+        assert stored.fingerprint == refit.fingerprint == job.fingerprint
+        assert stored.serving == refit.serving
+        assert ([a["sha256"] for a in stored.manifest["artifacts"]]
+                == [a["sha256"] for a in refit.manifest["artifacts"]])
+
+
 class TestPackFromCache:
     def test_reuses_slot_without_refitting(self, packed_cache, tmp_path,
                                            monkeypatch):
@@ -140,3 +173,38 @@ class TestPackFromCache:
                             where={"approach": "Hardt-eo"})
         pack_from_cache(packed_cache, out,
                         where={"approach": "Hardt-eo"}, overwrite=True)
+
+    def test_cell_from_an_older_spec_version(self, tmp_path, monkeypatch):
+        """A cell stored before a SPEC_VERSION bump packs from its own
+        stored artifact, and is never refit under the new protocol."""
+        import repro.engine.spec as spec_mod
+        from repro.cli import main
+
+        current = spec_mod.SPEC_VERSION
+        monkeypatch.setattr(spec_mod, "SPEC_VERSION", current - 1)
+        root = tmp_path / "c"
+        spec = SweepSpec(datasets=["german"],
+                         approaches=[None, "Hardt-eo"], rows=[400],
+                         seeds=[0], causal_samples=300,
+                         cache_dir=str(root), pack_artifacts=True)
+        assert not spec.run().failures
+        monkeypatch.setattr(spec_mod, "SPEC_VERSION", current)
+        cache = ResultCache(root)
+        (stored,) = [fp for fp, _, params in cache.entries()
+                     if params["approach"] == "Hardt-eo"]
+
+        out = pack_from_cache(cache, tmp_path / "bundle",
+                              where={"approach": "Hardt-eo"})
+        assert load_bundle(out).fingerprint == stored
+        out = pack_from_cache(cache, tmp_path / "by-prefix",
+                              fingerprint=stored[:12])
+        assert load_bundle(out).fingerprint == stored
+
+        shutil.rmtree(cache.artifact_path(stored))
+        with pytest.raises(ValueError, match="re-run the cell"):
+            pack_from_cache(cache, tmp_path / "refit",
+                            where={"approach": "Hardt-eo"})
+        assert main(["pack", "--store", str(root), "--where",
+                     "approach=Hardt-eo", "--out",
+                     str(tmp_path / "cli")]) == 2
+        assert not (tmp_path / "refit").exists()

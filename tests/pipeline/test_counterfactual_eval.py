@@ -58,3 +58,66 @@ class TestEvaluateCounterfactual:
                                     compas_cf_split.test, **kwargs)
         assert a.fairness.mean_gap == b.fairness.mean_gap
         assert a.effects.tv == b.effects.tv
+
+    def test_audit_rows_binned_with_train_edges(self, compas_cf_split,
+                                                monkeypatch):
+        """The audit abducts the test rows binned by the components'
+        train-fitted discretiser; nothing is fitted on the test split."""
+        import repro.pipeline.counterfactual_eval as cf_mod
+        from repro.artifacts.pack import _fit_components
+
+        seen = {}
+        real = cf_mod.counterfactual_fairness
+
+        def spy(scm, columns, *args, **kwargs):
+            seen.update(columns)
+            return real(scm, columns, *args, **kwargs)
+
+        monkeypatch.setattr(cf_mod, "counterfactual_fairness", spy)
+        train, test = compas_cf_split.train, compas_cf_split.test
+        evaluate_counterfactual(None, train, test, n_samples=500,
+                                n_particles=5, max_rows=5, seed=0)
+        components, _ = _fit_components(train, test, None, None, None, 0,
+                                        4, 5, "audit.")
+        numeric = list(components.numeric)
+        assert numeric
+        binned = components.discretizer.transform(
+            test.table.to_matrix(numeric))
+        for j, name in enumerate(numeric):
+            np.testing.assert_array_equal(seen[name], binned[:, j])
+
+    def test_effects_and_error_rates_share_one_draw(self, compas_cf_split,
+                                                    monkeypatch):
+        """After abduction the audit makes one noise draw and four
+        classifier calls for the Ctf effects and the error rates."""
+        import repro.pipeline.counterfactual_eval as cf_mod
+        from repro.causal.counterfactual import CounterfactualSCM
+        from repro.pipeline import FairPipeline
+
+        calls = {"sample_noise": 0, "predict": 0}
+        sample_noise = CounterfactualSCM.sample_noise
+        predict_columns = FairPipeline.predict_columns
+        fairness = cf_mod.counterfactual_fairness
+
+        def counting_noise(self, *args, **kwargs):
+            calls["sample_noise"] += 1
+            return sample_noise(self, *args, **kwargs)
+
+        def counting_predict(self, columns):
+            calls["predict"] += 1
+            return predict_columns(self, columns)
+
+        def then_reset(*args, **kwargs):
+            result = fairness(*args, **kwargs)
+            calls.update(sample_noise=0, predict=0)  # count what follows
+            return result
+
+        monkeypatch.setattr(CounterfactualSCM, "sample_noise",
+                            counting_noise)
+        monkeypatch.setattr(FairPipeline, "predict_columns",
+                            counting_predict)
+        monkeypatch.setattr(cf_mod, "counterfactual_fairness", then_reset)
+        evaluate_counterfactual("Hardt-eo", compas_cf_split.train,
+                                compas_cf_split.test, n_samples=500,
+                                n_particles=5, max_rows=5, seed=0)
+        assert calls == {"sample_noise": 1, "predict": 4}
