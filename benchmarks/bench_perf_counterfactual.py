@@ -22,18 +22,6 @@ The loop reference is skipped above ``--loop-max`` rows (it is the
 point of this benchmark that the loop does not scale; the dense
 situation-testing matrix alone is 3.2 GB at n=20k).
 
-A cores-vs-speedup pass (skippable with ``--no-threads-curve``)
-re-times both audits at each thread count in ``--threads-curve``
-(default 1/2/4) and records the curve per size — embedded in the main
-record and written standalone to ``--threads-out``
-(``BENCH_threads.json``).  The threaded kernels are byte-identical to
-the single-threaded ones (asserted here against the headline result),
-so the curve measures pure scheduling, not numerics.  Under
-``--assert-no-regression`` the curve is also gated: situation testing
-must reach a 2x speedup at 4 threads for n >= 20k — skipped with a
-printed note on machines with fewer than 4 CPUs, where the scaling
-physically cannot appear.
-
 Run:  PYTHONPATH=src python benchmarks/bench_perf_counterfactual.py
       (--sizes 1000 20000 --particles 25 --out
       BENCH_counterfactual.ci.json for the CI smoke variant)
@@ -65,7 +53,6 @@ from common import (comparable, exit_on_regression, floors, machine_block,
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_counterfactual.json"
-DEFAULT_THREADS_OUT = REPO_ROOT / "BENCH_threads.json"
 
 
 def build_audit(size: int, seed: int = 0):
@@ -118,8 +105,7 @@ def traced_phases(ds, scm, cols, predict, n_particles: int, k: int,
 
 def bench_size(size: int, n_particles: int, k: int,
                run_loop: bool, block_size: int | None = None,
-               collect_phases: bool = True,
-               thread_counts: list[int] | None = None) -> dict:
+               collect_phases: bool = True) -> dict:
     from repro.metrics import counterfactual_fairness, situation_testing
     from repro.metrics.reference import (counterfactual_fairness_loop,
                                          situation_testing_loop)
@@ -159,31 +145,6 @@ def bench_size(size: int, n_particles: int, k: int,
         assert abs(st_loop.mean_gap - st_vec.mean_gap) < 0.05, \
             "situation-testing parity violated beyond tie noise"
 
-    if thread_counts:
-        curve: dict = {}
-        for t in thread_counts:
-            cf_t_s, cf_t = timed(lambda t=t: counterfactual_fairness(
-                scm, cols, ds.sensitive, ds.label, predict, rng(1),
-                n_particles=n_particles, max_rows=None, threads=t))
-            st_t_s, st_t = timed(lambda t=t: situation_testing(
-                ds.X, ds.s, y_hat, k=k, block_size=block_size,
-                threads=t))
-            # The threaded kernels are byte-identical at every thread
-            # count, so the curve points must reproduce the headline
-            # audits exactly.
-            assert cf_t.mean_gap == cf_vec.mean_gap, \
-                f"threaded cf audit diverged at threads={t}"
-            assert st_t.mean_gap == st_vec.mean_gap, \
-                f"threaded situation testing diverged at threads={t}"
-            curve[str(t)] = {"cf_s": round(cf_t_s, 4),
-                             "st_s": round(st_t_s, 4)}
-        base = curve.get("1")
-        if base:
-            for point in curve.values():
-                point["cf_speedup"] = round(base["cf_s"] / point["cf_s"], 2)
-                point["st_speedup"] = round(base["st_s"] / point["st_s"], 2)
-        entry["threads_curve"] = curve
-
     if collect_phases:
         entry["phases"], entry["counters"] = traced_phases(
             ds, scm, cols, predict, n_particles, k, block_size)
@@ -210,11 +171,6 @@ def check_regression(payload: dict, baseline_path: pathlib.Path,
     """
     baseline_payload = json.loads(baseline_path.read_text())
     baseline = baseline_payload["results"]
-    # `threads` is absent in pre-schema-4 baselines, where headlines
-    # were always single-threaded.
-    run_knobs = {**payload, "threads": payload.get("threads", 1)}
-    base_knobs = {**baseline_payload,
-                  "threads": baseline_payload.get("threads", 1)}
     note = ("configs differ "
             f"(run {payload.get('n_particles')} particles / "
             f"k={payload.get('k')} / "
@@ -223,9 +179,9 @@ def check_regression(payload: dict, baseline_path: pathlib.Path,
             f"k={baseline_payload.get('k')} / "
             f"block_size={baseline_payload.get('block_size')})")
     groups = [prefix for prefix, knobs in
-              (("cf", ("n_particles", "threads")),
-               ("st", ("k", "block_size", "threads")))
-              if comparable(run_knobs, base_knobs, knobs,
+              (("cf", ("n_particles",)),
+               ("st", ("k", "block_size")))
+              if comparable(payload, baseline_payload, knobs,
                             f"note: {prefix}_* checks skipped — "
                             f"run/baseline {note}")]
     ratios = [(size, f"{prefix}_speedup")
@@ -255,42 +211,6 @@ def check_regression(payload: dict, baseline_path: pathlib.Path,
     return problems
 
 
-def check_scaling(payload: dict, min_rows: int = 20000,
-                  want_threads: int = 4, floor: float = 2.0
-                  ) -> list[str]:
-    """Threaded-kernel scaling gate on the run's own curve.
-
-    At every size >= ``min_rows`` whose curve has a ``want_threads``
-    point, situation testing must reach ``floor``x over the curve's
-    single-threaded point.  Skipped with a printed note on machines
-    with fewer than ``want_threads`` CPUs (the scaling physically
-    cannot appear there) or when no eligible curve point was recorded.
-    """
-    cpus = payload.get("machine", {}).get("cpu_count") or 0
-    if cpus < want_threads:
-        print(f"note: thread-scaling gate skipped — {cpus} CPU(s) "
-              f"available, needs >= {want_threads}")
-        return []
-    problems = []
-    checked = False
-    for size, entry in payload["results"].items():
-        if int(size) < min_rows:
-            continue
-        point = entry.get("threads_curve", {}).get(str(want_threads))
-        if point is None or "st_speedup" not in point:
-            continue
-        checked = True
-        if point["st_speedup"] < floor:
-            problems.append(
-                f"n={size}: situation testing at {want_threads} threads "
-                f"is only {point['st_speedup']:.2f}x over one thread "
-                f"(needs {floor:.1f}x)")
-    if not checked:
-        print("note: thread-scaling gate skipped — no curve point at "
-              f"n>={min_rows} with {want_threads} threads")
-    return problems
-
-
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=int, nargs="+",
@@ -309,17 +229,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--no-phases", action="store_true",
                         help="skip the traced pass that embeds "
                              "per-phase durations and kernel counters")
-    parser.add_argument("--threads-curve", type=int, nargs="+",
-                        default=[1, 2, 4], metavar="T",
-                        help="thread counts for the cores-vs-speedup "
-                             "pass (speedups are computed against the "
-                             "curve's t=1 point)")
-    parser.add_argument("--no-threads-curve", action="store_true",
-                        help="skip the cores-vs-speedup pass")
-    parser.add_argument("--threads-out", type=pathlib.Path,
-                        default=DEFAULT_THREADS_OUT,
-                        help="standalone thread-scaling record "
-                             "(default BENCH_threads.json)")
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     parser.add_argument("--assert-no-regression", type=pathlib.Path,
                         default=None, metavar="BASELINE",
@@ -330,8 +239,6 @@ def main(argv: list[str] | None = None) -> None:
                              "must be retained (default 0.5)")
     args = parser.parse_args(argv)
 
-    thread_counts = (None if args.no_threads_curve
-                     else list(dict.fromkeys(args.threads_curve)))
     results = {}
     for size in args.sizes:
         run_loop = size <= args.loop_max
@@ -341,8 +248,7 @@ def main(argv: list[str] | None = None) -> None:
         results[str(size)] = bench_size(size, args.particles, args.k,
                                         run_loop,
                                         block_size=args.block_size,
-                                        collect_phases=not args.no_phases,
-                                        thread_counts=thread_counts)
+                                        collect_phases=not args.no_phases)
         entry = results[str(size)]
         line = (f"  cf audit {entry['cf_vectorized_s']:.3f}s"
                 f"  situation testing {entry['st_vectorized_s']:.3f}s")
@@ -352,59 +258,27 @@ def main(argv: list[str] | None = None) -> None:
                      f"{entry['cf_speedup']:.1f}x / "
                      f"{entry['st_speedup']:.1f}x)")
         print(line, flush=True)
-        if "threads_curve" in entry:
-            print("  threads curve: "
-                  + "  ".join(
-                      f"t={t} st {p['st_s']:.3f}s"
-                      + (f" ({p['st_speedup']:.2f}x)"
-                         if "st_speedup" in p else "")
-                      for t, p in entry["threads_curve"].items()),
-                  flush=True)
         if "phases" in entry:
             print("  traced phases: "
                   + "  ".join(f"{name} {secs:.3f}s" for name, secs
                               in entry["phases"].items()), flush=True)
 
-    from repro.metrics.pairwise import resolve_threads
-
     payload = {
         "bench": "counterfactual_audit",
-        "schema": 4,
+        "schema": 5,
         "dataset": "compas (synthetic generator, 4-bin discretized)",
         "n_particles": args.particles,
         "k": args.k,
         "block_size": args.block_size,
-        # Thread count the *headline* timings resolved to (REPRO_THREADS
-        # applied); the scaling curve varies it explicitly.
-        "threads": resolve_threads(None),
         "machine": machine_block(),
         "results": results,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
 
-    if thread_counts:
-        curve_payload = {
-            "bench": "thread_scaling",
-            "schema": 1,
-            "dataset": payload["dataset"],
-            "n_particles": args.particles,
-            "k": args.k,
-            "block_size": args.block_size,
-            "thread_counts": thread_counts,
-            "machine": payload["machine"],
-            "results": {size: entry["threads_curve"]
-                        for size, entry in results.items()
-                        if "threads_curve" in entry},
-        }
-        args.threads_out.write_text(
-            json.dumps(curve_payload, indent=2) + "\n")
-        print(f"wrote {args.threads_out}")
-
     if args.assert_no_regression is not None:
         problems = check_regression(payload, args.assert_no_regression,
                                     args.regression_slack)
-        problems += check_scaling(payload)
         exit_on_regression(problems, args.assert_no_regression,
                            args.regression_slack)
 

@@ -30,10 +30,6 @@ Config schema (YAML shown; JSON is isomorphic)::
       chunk_rows: 256                       # abduction batch bound
       audit_params: {n_particles: 20, max_rows: 40}
       block_size: 1024                      # pairwise-kernel blocks
-      threads: 4                            # kernel/abduction worker
-                                            # threads per cell (results
-                                            # identical at any count,
-                                            # so not fingerprinted)
     engine:
       jobs: 2
       cache_dir: .sweep-cache               # or store: sqlite:results.db
@@ -72,8 +68,8 @@ from pathlib import Path
 from .engine import (Job, ResultCache, RetryPolicy, ScenarioGrid,
                      SweepReport, execute_job, run_sweep)
 from .engine.spec import (_normalise_approach, check_audit_params,
-                          check_fingerprintable_params,
-                          check_reserved_params)
+                          check_count, check_fingerprintable_params,
+                          check_reserved_params, check_test_fraction)
 from .pipeline.experiment import EvaluationResult
 from .registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS, METRICS,
                        MODELS, parse_spec)
@@ -177,7 +173,6 @@ class ExperimentSpec:
     chunk_rows: int | None = None
     audit_params: dict = field(default_factory=dict)
     block_size: int | None = None
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         self.dataset = DATASETS.canonical(self.dataset)
@@ -208,12 +203,13 @@ class ExperimentSpec:
         self.audit_params = check_audit_params(self.audit,
                                                self.audit_params,
                                                self.chunk_rows)
+        if self.n_features is not None:
+            check_count("n_features", self.n_features)
+        check_count("causal_samples", self.causal_samples)
+        check_test_fraction(self.test_fraction)
         if self.block_size is not None and self.block_size < 1:
             raise ValueError(
                 f"block_size must be positive, got {self.block_size}")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(
-                f"threads must be positive, got {self.threads}")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -258,8 +254,7 @@ class ExperimentSpec:
                    metric_params=metric_params,
                    audit=self.audit, chunk_rows=self.chunk_rows,
                    audit_params=dict(self.audit_params),
-                   block_size=self.block_size,
-                   threads=self.threads)
+                   block_size=self.block_size)
 
     def run(self) -> EvaluationResult:
         """Execute the experiment (load → split → corrupt → fit →
@@ -301,7 +296,6 @@ class SweepSpec:
     chunk_rows: int | None = None
     audit_params: dict = field(default_factory=dict)
     block_size: int | None = None
-    threads: int | None = None
     jobs: int = 1
     cache_dir: str | None = None
     store: str | None = None
@@ -384,8 +378,7 @@ class SweepSpec:
             test_fraction=self.test_fraction, audit=self.audit,
             chunk_rows=self.chunk_rows,
             audit_params=dict(self.audit_params),
-            block_size=self.block_size,
-            threads=self.threads)
+            block_size=self.block_size)
 
     def to_policy(self) -> RetryPolicy:
         """The :class:`~repro.engine.RetryPolicy` the engine fields

@@ -102,7 +102,7 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def budget(cpus: int, workers: int, tiles: int) -> int:
-    """BLAS threads per worker so that workers × tile threads × BLAS
-    threads stays within ``cpus``; never below 1."""
-    return max(1, cpus // (workers * tiles))
+def budget(cpus: int, workers: int) -> int:
+    """BLAS threads per worker so that workers × BLAS threads stays
+    within ``cpus``; never below 1."""
+    return max(1, cpus // workers)

@@ -208,13 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="pairwise-kernel query rows per block "
                                 "for k-NN components (knn model / "
                                 "imputer)")
-    sweep_cmd.add_argument("--threads", type=int, default=None,
-                           metavar="N",
-                           help="worker threads over kernel tiles and "
-                                "abduction chunks inside each cell "
-                                "(default: REPRO_THREADS or 1; results "
-                                "are identical at any count, so this "
-                                "never splits the cache)")
     sweep_cmd.add_argument("--no-baseline", action="store_true",
                            help="omit the fairness-unaware LR baseline "
                                 "cells")
@@ -547,9 +540,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.block_size is not None and args.block_size < 1:
         print("error: --block-size must be at least 1", file=sys.stderr)
         return 2
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     if args.retry is not None and args.retry < 1:
         print("error: --retry must be at least 1", file=sys.stderr)
         return 2
@@ -637,8 +627,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec.chunk_rows = args.chunk_rows
     if args.block_size is not None:
         spec.block_size = args.block_size
-    if args.threads is not None:
-        spec.threads = args.threads
     if args.config is not None and args.causal_samples is not None:
         spec.causal_samples = args.causal_samples
     if args.retry is not None:

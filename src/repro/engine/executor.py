@@ -12,11 +12,10 @@ then fresh cells through a ``ProcessPoolExecutor`` (or inline when
   BLAS thread count move a result: every fit runs at one BLAS thread
   (:meth:`~repro.pipeline.experiment.FairPipeline.fit`), whatever the
   pool width, the host's core count or ``OPENBLAS_NUM_THREADS``.
-* **CPU budget** — workers × kernel tile threads × BLAS threads stay
-  within the usable CPUs: each pool worker (and the inline path, as
-  one worker) lowers its OpenBLAS pools to
-  ``usable CPUs // (workers × tile threads)`` threads, at least 1,
-  unless ``OPENBLAS_NUM_THREADS`` / ``GOTO_NUM_THREADS`` /
+* **CPU budget** — processes across cells, BLAS threads inside a
+  cell: each pool worker (and the inline path, as one worker) lowers
+  its OpenBLAS pools to ``usable CPUs // workers`` threads, at least
+  1, unless ``OPENBLAS_NUM_THREADS`` / ``GOTO_NUM_THREADS`` /
   ``OMP_NUM_THREADS`` is set (see :mod:`repro.blas`).
 * **Failure isolation** — one diverging cell records a traceback in
   its :class:`JobOutcome`; the remaining cells still run.
@@ -59,6 +58,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import numbers
 import time
 import traceback
 from collections.abc import Callable, Sequence
@@ -67,7 +67,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from .. import blas, obs
-from ..metrics.pairwise import resolve_threads
 from ..pipeline.experiment import EvaluationResult
 from . import chaos as chaos_module
 from .cache import ResultCache
@@ -117,8 +116,8 @@ def prepare_cell(job: Job, span_prefix: str = ""):
     test)``; deterministic in ``job`` alone.
 
     The kernel context stays active for the caller's body:
-    ``job.block_size`` and ``job.threads`` reach every k-NN-shaped
-    component (knn model, knn imputer, metric audits) built inside it.
+    ``job.block_size`` reaches every k-NN-shaped component (knn
+    model, knn imputer, metric audits) built inside it.
     ``job.imputer`` repairs NaNs the error recipe left in the training
     features.  Each step records an ``<span_prefix>dataset`` /
     ``error`` / ``impute`` span, so the packer's refit
@@ -128,8 +127,7 @@ def prepare_cell(job: Job, span_prefix: str = ""):
     from ..metrics import pairwise
     from ..registry import DATASETS, ERRORS
 
-    with pairwise.default_block_size(job.block_size), \
-            pairwise.default_threads(job.threads):
+    with pairwise.default_block_size(job.block_size):
         # dataset_params may override the protocol's n/seed only on a
         # hand-built Job; grid- and spec-built jobs reject that
         # upstream.
@@ -138,6 +136,13 @@ def prepare_cell(job: Job, span_prefix: str = ""):
             dataset = DATASETS.build(job.dataset, **{
                 "n": job.rows, "seed": job.seed, **job.dataset_params})
             if job.n_features is not None:
+                available = len(dataset.feature_names)
+                if (not isinstance(job.n_features, numbers.Integral)
+                        or not 1 <= job.n_features <= available):
+                    raise ValueError(
+                        f"n_features must be an integer from 1 to "
+                        f"{available} ({job.dataset} has {available} "
+                        f"features), got {job.n_features!r}")
                 dataset = dataset.select_features(
                     dataset.feature_names[:job.n_features])
             split = train_test_split(dataset,
@@ -720,12 +725,10 @@ def _run_sweep(jobs: Sequence[Job], *, cache: ResultCache | None,
     if pending:
         inline = (max_workers == 1 or len(pending) <= 1) and not needs_pool
         workers = 1 if inline else min(max_workers, len(pending))
-        tiles = _tile_threads(pending)
         budget = (None if blas.explicit()
-                  else blas.budget(blas.usable_cpus(), workers, tiles))
+                  else blas.budget(blas.usable_cpus(), workers))
         if span is not None:
-            span.set(tile_threads=tiles,
-                     blas_threads="env" if budget is None else budget)
+            span.set(blas_threads="env" if budget is None else budget)
         if inline:
             with (contextlib.nullcontext() if budget is None
                   else blas.limited(budget)):
@@ -735,19 +738,6 @@ def _run_sweep(jobs: Sequence[Job], *, cache: ResultCache | None,
             _run_pool(state, pending, workers, collect, trace_memory,
                       pack_dir, budget)
     return state.report()
-
-
-def _tile_threads(pending: list[_Cell]) -> int:
-    """Widest kernel tile pool among the pending cells.  A malformed
-    ``REPRO_THREADS`` counts as 1 here: it fails inside each cell, by
-    name, instead of taking the whole sweep down."""
-    widest = 1
-    for cell in pending:
-        try:
-            widest = max(widest, resolve_threads(cell.job.threads))
-        except ValueError:
-            pass
-    return widest
 
 
 def _run_inline(state: _SweepState, pending: list[_Cell],

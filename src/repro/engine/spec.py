@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -137,12 +138,6 @@ class Job:
     # Pairwise-kernel block size for every k-NN-shaped component the
     # cell builds (knn model/imputer, metric audits); None = default.
     block_size: int | None = None
-    # Worker threads over kernel tiles / abduction chunks inside the
-    # cell; None = default (REPRO_THREADS or 1).  Purely executional:
-    # exact float64 results are thread-count-independent, so this
-    # field is deliberately EXCLUDED from params()/fingerprint — two
-    # runs at different thread counts share one cache entry.
-    threads: int | None = None
 
     def params(self) -> dict:
         """The job's full parameterization as a JSON-ready mapping.
@@ -197,8 +192,6 @@ class Job:
             "audit_params": dict(self.audit_params),
             "block_size": (None if self.block_size is None
                            else int(self.block_size)),
-            # `threads` intentionally absent: it cannot change results
-            # (see the field comment), so it must not split the cache.
         }
 
     @property
@@ -323,6 +316,22 @@ def _check_json_params(params: dict, what: str) -> dict:
     return params
 
 
+def check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1 (bools and floats
+    included) before any cell is scheduled."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_test_fraction(value) -> None:
+    """Reject a test fraction outside the open interval (0, 1)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value < 1):
+        raise ValueError("test_fraction must lie strictly between 0 and "
+                         f"1, got {value!r}")
+
+
 def check_fingerprintable_params(spec: str, what: str) -> None:
     """Reject spec parameters that cannot enter a fingerprint.
 
@@ -387,9 +396,11 @@ class ScenarioGrid:
     and ``audit_params`` (``n_particles``, ``max_rows``, ``n_bins``,
     ``n_samples``) tune its cost.  ``block_size`` bounds the pairwise
     kernel's query blocks for every k-NN-shaped component a cell
-    builds (the knn model and imputer); ``threads`` parallelises
-    those kernel tiles (and abduction chunks) inside each cell —
-    execution-only, never part of the fingerprint.
+    builds (the knn model and imputer).
+
+    ``feature_counts`` entries (``None`` = every feature) and
+    ``causal_samples`` must be integers >= 1, and ``test_fraction``
+    must lie strictly between 0 and 1.
     """
 
     datasets: Sequence[str]
@@ -407,7 +418,6 @@ class ScenarioGrid:
     chunk_rows: int | None = None
     audit_params: dict = field(default_factory=dict)
     block_size: int | None = None
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         from ..registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS,
@@ -460,12 +470,14 @@ class ScenarioGrid:
         for n in self.rows:
             if n <= 0:
                 raise ValueError(f"rows must be positive, got {n}")
+        for n_features in self.feature_counts:
+            if n_features is not None:
+                check_count("feature_counts entries", n_features)
+        check_count("causal_samples", self.causal_samples)
+        check_test_fraction(self.test_fraction)
         if self.block_size is not None and self.block_size < 1:
             raise ValueError(
                 f"block_size must be positive, got {self.block_size}")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(
-                f"threads must be positive, got {self.threads}")
 
     # ------------------------------------------------------------------
     @property
@@ -547,7 +559,6 @@ class ScenarioGrid:
                     audit=self.audit, chunk_rows=self.chunk_rows,
                     audit_params=dict(self.audit_params),
                     block_size=self.block_size,
-                    threads=self.threads,
                 )
                 fingerprint = job.fingerprint
                 if fingerprint not in seen:

@@ -21,10 +21,7 @@ model:
 
 from __future__ import annotations
 
-import contextvars
-from collections import deque
 from collections.abc import Callable, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,32 +83,6 @@ class CounterfactualFairnessResult:
 _MAX_BATCH = 1 << 18
 
 
-class _UniformTape:
-    """Pre-drawn uniform variates replayed in draw order.
-
-    Stands in for the ``rng`` of :meth:`CounterfactualSCM.abduct_rows`
-    when chunks run on worker threads: abduction consumes exactly one
-    ``rng.random(n)`` per SCM node, in topological order, so the main
-    thread pre-draws that tape serially (in chunk order) and each
-    worker replays its own chunk's slice.  The stream each node sees
-    is then *identical to the sequential path* at any thread count —
-    threading changes the wall-clock schedule, never the draws.
-    """
-
-    __slots__ = ("_draws",)
-
-    def __init__(self, draws: list[np.ndarray]) -> None:
-        self._draws = deque(draws)
-
-    def random(self, n: int) -> np.ndarray:
-        draw = self._draws.popleft()
-        if draw.shape[0] != n:  # pragma: no cover - internal invariant
-            raise RuntimeError(
-                f"abduction tape desynchronised: drew {draw.shape[0]} "
-                f"variates where {n} were consumed")
-        return draw
-
-
 def counterfactual_fairness(scm: CounterfactualSCM,
                             columns: Mapping[str, np.ndarray],
                             sensitive: str, outcome: str,
@@ -121,7 +92,6 @@ def counterfactual_fairness(scm: CounterfactualSCM,
                             max_rows: int | None = 100,
                             threshold: float = 0.05,
                             chunk_rows: int | None = None,
-                            threads: int | None = None,
                             ) -> CounterfactualFairnessResult:
     """Audit a classifier for counterfactual fairness.
 
@@ -163,14 +133,6 @@ def counterfactual_fairness(scm: CounterfactualSCM,
         split, so different ``chunk_rows`` give different (equally
         valid) seeded draws — hold it fixed when comparing runs at the
         same seed.
-    threads:
-        Worker threads over chunks (``None`` = the pairwise-kernel
-        default, i.e. the engine's per-job ``threads`` knob or
-        ``REPRO_THREADS``).  Noise is pre-drawn serially in chunk
-        order (see :class:`_UniformTape`), so results are
-        byte-identical at every thread count — including to the
-        sequential path.  ``predict`` is called concurrently and must
-        be thread-safe (pure-numpy predictors are).
 
     Raises
     ------
@@ -199,12 +161,13 @@ def counterfactual_fairness(scm: CounterfactualSCM,
         raise ValueError(f"chunk_rows must be at least 1, got {chunk_rows}")
     obs.add("audit.rows", int(take))
     gaps = np.empty(take)
-
-    def run_chunk(start: int, source) -> None:
+    for start in range(0, take, chunk_rows):
         stop = min(start + chunk_rows, take)
+        obs.add("abduction.chunks")
+        obs.add("abduction.rows", stop - start)
         evidence = {node: np.repeat(cols[node][start:stop], n_particles)
                     for node in nodes}
-        noise = scm.abduct_rows(evidence, source)
+        noise = scm.abduct_rows(evidence, rng)
         rates = []
         for value in (1.0, 0.0):
             world = scm.evaluate(noise, {sensitive: value}, base=evidence)
@@ -213,52 +176,6 @@ def counterfactual_fairness(scm: CounterfactualSCM,
                          .mean(axis=1))
         gaps[start:stop] = np.abs(rates[0] - rates[1])
 
-    starts = list(range(0, take, chunk_rows))
-    n_threads = pairwise.resolve_threads(threads)
-    if n_threads <= 1 or len(starts) <= 1:
-        for start in starts:
-            obs.add("abduction.chunks")
-            obs.add("abduction.rows", min(start + chunk_rows, take) - start)
-            run_chunk(start, rng)
-    else:
-        # Chunks write disjoint `gaps` slices and abduction replays a
-        # serially pre-drawn tape, so the threaded audit is
-        # byte-identical to the sequential one.  The submission window
-        # stays one past the worker count, bounding pre-drawn noise to
-        # O(workers · chunk) on top of the sequential peak; counters
-        # are bumped in the submitting thread (obs is not thread-safe).
-        workers = min(n_threads, len(starts))
-        obs.add("pairwise.threads_used", workers)
-
-        def run_chunk_pinned(start: int, tape) -> None:
-            # The chunk workers already saturate the audit; nested
-            # kernel consumers (predict → k-NN topk / masked blocks)
-            # must not stack their own tile pools on top — under
-            # REPRO_THREADS=N each of the N workers would re-read the
-            # env and spawn N more.
-            with pairwise.default_threads(1):
-                run_chunk(start, tape)
-
-        with ThreadPoolExecutor(max_workers=workers,
-                                thread_name_prefix="repro-abduct") as pool:
-            pending: deque = deque()
-            for start in starts:
-                stop = min(start + chunk_rows, take)
-                obs.add("abduction.chunks")
-                obs.add("abduction.rows", stop - start)
-                n_ev = (stop - start) * n_particles
-                tape = _UniformTape([rng.random(n_ev) for _ in nodes])
-                # Fresh context copy per chunk (mirroring
-                # pairwise._run_tiles): workers inherit the enclosing
-                # default_block_size/default_threads overrides instead
-                # of starting from an empty context.
-                ctx = contextvars.copy_context()
-                pending.append(pool.submit(ctx.run, run_chunk_pinned,
-                                           start, tape))
-                if len(pending) > workers:
-                    pending.popleft().result()
-            while pending:
-                pending.popleft().result()
     return CounterfactualFairnessResult(
         mean_gap=float(gaps.mean()),
         max_gap=float(gaps.max()),
@@ -319,8 +236,7 @@ class SituationTestingResult:
 
 
 def normalized_euclidean(X: np.ndarray,
-                         block_size: int | None = None, *,
-                         threads: int | None = None) -> np.ndarray:
+                         block_size: int | None = None) -> np.ndarray:
     """Pairwise distances after per-feature min-max scaling.
 
     The standard distance for situation testing: features are rescaled
@@ -331,17 +247,13 @@ def normalized_euclidean(X: np.ndarray,
     ``O(block_size · n)`` on top of the returned ``n × n`` result.
     The pair-sampling metrics below never materialise this matrix at
     all unless one is passed in.
-
-    ``threads`` parallelises the row tiles (identical float64 blocks,
-    only the schedule changes).
     """
     X = np.asarray(X, dtype=float)
     if X.shape[0] == 0:
         raise ValueError(
             "normalized_euclidean: empty input (0 rows, shape "
             f"{X.shape}); there are no individuals to compare")
-    return pairwise.distances(_minmax_scale(X), block_size=block_size,
-                              threads=threads)
+    return pairwise.distances(_minmax_scale(X), block_size=block_size)
 
 
 def situation_testing(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
@@ -349,7 +261,6 @@ def situation_testing(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
                       audit_group: int = 0,
                       distances: np.ndarray | None = None,
                       block_size: int | None = None,
-                      threads: int | None = None,
                       ) -> SituationTestingResult:
     """Zhang et al.'s situation-testing discrimination discovery.
 
@@ -391,9 +302,6 @@ def situation_testing(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
         fly (never materialising them).
     block_size:
         Audited rows per kernel block (``None`` = kernel default).
-    threads:
-        Worker threads over kernel blocks (``None`` = kernel default;
-        results are byte-identical at every thread count).
     """
     X = np.asarray(X, dtype=float)
     s = np.asarray(s, dtype=int)
@@ -431,13 +339,11 @@ def situation_testing(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
         if distances is None:
             nearest, d2 = pairwise.topk(queries, Z[pool], k,
                                         block_size=block_size,
-                                        threads=threads,
                                         exclude=pos[audited])
         else:
             nearest, d2 = pairwise.topk_dense(distances, k,
                                               rows=audited, columns=pool,
                                               block_size=block_size,
-                                              threads=threads,
                                               exclude=pos[audited])
         usable = np.isfinite(d2)  # drops the masked self-entry
         counts = usable.sum(axis=1)
@@ -492,8 +398,7 @@ class SituationReference:
         return (X - self.lo) / self.span
 
     def audit_rows(self, X: np.ndarray,
-                   block_size: int | None = None,
-                   threads: int | None = None) -> dict[str, np.ndarray]:
+                   block_size: int | None = None) -> dict[str, np.ndarray]:
         """Situation-test query rows against the frozen reference.
 
         Unlike the offline audit, query rows are *new* individuals —
@@ -507,8 +412,7 @@ class SituationReference:
         for pool, y_pool in ((self.priv, self.y_priv),
                              (self.unpriv, self.y_unpriv)):
             nearest, d2 = pairwise.topk(Z, pool, self.k,
-                                        block_size=block_size,
-                                        threads=threads)
+                                        block_size=block_size)
             usable = np.isfinite(d2)
             counts = usable.sum(axis=1)
             votes = (y_pool[nearest] * usable).sum(axis=1)

@@ -41,31 +41,20 @@ that take an optional ``block_size`` should pass it through
 :func:`resolve_block_size`; the engine threads a per-job value via
 :func:`default_block_size`.
 
-``threads`` is a second, purely-executional knob: row tiles are
-independent, and BLAS releases the GIL inside the Gram matmuls, so a
-bounded :class:`~concurrent.futures.ThreadPoolExecutor` over tiles
-genuinely overlaps them.  Each tile computes the *same float64 blocks
-in the same order* whatever the thread count — only the wall-clock
-schedule changes — so results are byte-identical across thread
-counts and ``threads`` deliberately does **not** enter job
-fingerprints (the parity suite in
-``tests/metrics/test_thread_parity.py`` locks this in).  Resolution
-order: explicit argument > :func:`default_threads` context (the
-engine sets it per job) > the ``REPRO_THREADS`` environment variable
-> 1.
+Blocks run one after another in the calling thread; parallelism
+inside a block is BLAS's own (the sweep executor sizes it to the
+CPUs its worker processes leave free, see :mod:`repro.blas`).
 
-Both kernel defaults live in :class:`contextvars.ContextVar`\\ s, so concurrent in-process callers
-(worker threads, two ``AuditService`` requests with different cells)
-see their own overrides instead of racing on a module global.
+The block-size default lives in a :class:`contextvars.ContextVar`, so
+concurrent in-process callers (two ``AuditService`` requests with
+different cells) see their own overrides instead of racing on a
+module global.
 """
 
 from __future__ import annotations
 
 import contextvars
-import os
-from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -77,8 +66,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "default_block_size",
     "resolve_block_size",
-    "default_threads",
-    "resolve_threads",
     "minmax_scale",
     "sq_norms",
     "iter_sq_blocks",
@@ -105,14 +92,10 @@ DEFAULT_BLOCK_SIZE = 1024
 #: distance — pathological even for discretised data.
 _SCREEN_MARGIN = 8
 
-#: Kernel defaults as context variables, not module globals: worker
-#: threads inherit the enclosing override through their submission
-#: context, and concurrent in-process callers cannot leak overrides
-#: into each other.
+#: The kernel default as a context variable, not a module global:
+#: concurrent in-process callers cannot leak overrides into each other.
 _default_block_var: contextvars.ContextVar[int] = contextvars.ContextVar(
     "repro_pairwise_block", default=DEFAULT_BLOCK_SIZE)
-_default_threads_var: contextvars.ContextVar[int | None] = \
-    contextvars.ContextVar("repro_pairwise_threads", default=None)
 
 
 def resolve_block_size(block_size: int | None) -> int:
@@ -146,93 +129,6 @@ def default_block_size(block_size: int | None):
         yield
     finally:
         _default_block_var.reset(token)
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Validate an optional tile thread count, falling back to the
-    :func:`default_threads` context, then ``REPRO_THREADS``, then 1."""
-    if threads is None:
-        threads = _default_threads_var.get()
-    if threads is None:
-        env = os.environ.get("REPRO_THREADS")
-        if not env:
-            return 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_THREADS must be an integer, got {env!r}"
-            ) from None
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    return threads
-
-
-@contextmanager
-def default_threads(threads: int | None):
-    """Temporarily override the kernel's default tile thread count.
-
-    The engine wraps each job's execution in this (mirroring
-    :func:`default_block_size`), so ``repro sweep --threads`` reaches
-    every kernel consumer the cell touches.  ``None`` is a no-op
-    (the ``REPRO_THREADS`` environment variable then applies).
-    """
-    if threads is None:
-        yield
-        return
-    token = _default_threads_var.set(resolve_threads(threads))
-    try:
-        yield
-    finally:
-        _default_threads_var.reset(token)
-
-
-# ----------------------------------------------------------------------
-# Threaded tile execution
-# ----------------------------------------------------------------------
-def _run_tiles(compute, starts: list[int], threads: int):
-    """Yield ``compute(start)`` results in ``starts`` order.
-
-    Serial when ``threads <= 1`` or there is a single tile.  Otherwise
-    tiles run on a bounded pool with a submission window one deeper
-    than the worker count, so memory stays ``O(threads · tile)`` while
-    workers never starve; results still come back in tile order, which
-    keeps consumers (and their obs counters) deterministic.  Each tile
-    is submitted under a fresh :func:`contextvars.copy_context`, so
-    kernel defaults set via :func:`default_block_size` /
-    :func:`default_threads` reach the workers (one copy per tile — a
-    single Context object cannot be entered concurrently).
-
-    A consumer that abandons iteration early (``break``, ``islice``)
-    should ``close()`` the generator — ``with closing(...)`` — to shut
-    the pool down promptly; not-yet-started tiles are cancelled on
-    close, and only the tiles already running finish.
-    """
-    if threads <= 1 or len(starts) <= 1:
-        for start in starts:
-            yield compute(start)
-        return
-    workers = min(threads, len(starts))
-    # Counted once per threaded kernel call, in the submitting thread
-    # (obs counters are not thread-safe): total workers dispatched.
-    obs.add("pairwise.threads_used", workers)
-    with ThreadPoolExecutor(max_workers=workers,
-                            thread_name_prefix="repro-pairwise") as pool:
-        pending: deque = deque()
-        try:
-            for start in starts:
-                ctx = contextvars.copy_context()
-                pending.append(pool.submit(ctx.run, compute, start))
-                if len(pending) > workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            # On early exit (GeneratorExit, consumer error) don't let
-            # queued tiles run to completion behind our back.
-            for future in pending:
-                future.cancel()
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +172,6 @@ def sq_norms(Z: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 def iter_sq_blocks(A: np.ndarray, B: np.ndarray | None = None, *,
                    block_size: int | None = None,
-                   threads: int | None = None,
                    a_sq: np.ndarray | None = None,
                    b_sq: np.ndarray | None = None,
                    ) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -286,9 +181,7 @@ def iter_sq_blocks(A: np.ndarray, B: np.ndarray | None = None, *,
     ``‖a‖² + ‖b‖² − 2·a@bᵀ`` over ``block_size`` query rows, clipped
     at zero (the expansion can go slightly negative in floating
     point).  Norm vectors are accepted so repeated sweeps over the
-    same points reuse them.  With ``threads > 1`` blocks are computed
-    ahead on a bounded pool but still yielded in order, with
-    block-for-block identical float64 contents.
+    same points reuse them.
     """
     A = np.asarray(A, dtype=float)
     B = A if B is None else np.asarray(B, dtype=float)
@@ -298,25 +191,19 @@ def iter_sq_blocks(A: np.ndarray, B: np.ndarray | None = None, *,
     if b_sq is None:
         b_sq = a_sq if B is A else sq_norms(B)
     BT = B.T
-
-    def compute(start: int) -> tuple[int, int, np.ndarray]:
+    for start in range(0, A.shape[0], block):
         stop = min(start + block, A.shape[0])
         d2 = A[start:stop] @ BT
         d2 *= -2.0
         d2 += a_sq[start:stop, None]
         d2 += b_sq[None, :]
         np.maximum(d2, 0.0, out=d2)
-        return start, stop, d2
-
-    starts = list(range(0, A.shape[0], block))
-    for result in _run_tiles(compute, starts, resolve_threads(threads)):
         obs.add("pairwise.blocks")
-        yield result
+        yield start, stop, d2
 
 
 def sq_distances(A: np.ndarray, B: np.ndarray | None = None, *,
-                 block_size: int | None = None,
-                 threads: int | None = None) -> np.ndarray:
+                 block_size: int | None = None) -> np.ndarray:
     """Dense squared-distance matrix, filled in row blocks.
 
     Peak *temporary* memory is one ``block_size × n`` block on top of
@@ -328,8 +215,7 @@ def sq_distances(A: np.ndarray, B: np.ndarray | None = None, *,
     B = A if self_mode else np.asarray(B, dtype=float)
     out = np.empty((A.shape[0], B.shape[0]))
     for start, stop, d2 in iter_sq_blocks(A, None if self_mode else B,
-                                          block_size=block_size,
-                                          threads=threads):
+                                          block_size=block_size):
         out[start:stop] = d2
     if self_mode:
         np.fill_diagonal(out, 0.0)
@@ -337,10 +223,9 @@ def sq_distances(A: np.ndarray, B: np.ndarray | None = None, *,
 
 
 def distances(A: np.ndarray, B: np.ndarray | None = None, *,
-              block_size: int | None = None,
-              threads: int | None = None) -> np.ndarray:
+              block_size: int | None = None) -> np.ndarray:
     """Dense Euclidean-distance matrix, filled in row blocks."""
-    out = sq_distances(A, B, block_size=block_size, threads=threads)
+    out = sq_distances(A, B, block_size=block_size)
     return np.sqrt(out, out=out)
 
 
@@ -405,7 +290,6 @@ def prepare_reference(B: np.ndarray) -> PreparedReference:
 
 def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
          block_size: int | None = None,
-         threads: int | None = None,
          exclude: np.ndarray | None = None,
          ) -> tuple[np.ndarray, np.ndarray]:
     """k nearest rows of ``B`` for every row of ``A``, blockwise.
@@ -427,11 +311,6 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
         Neighbours per query row (clipped to ``len(B)``).
     block_size:
         Query rows per screen block (``None`` = the kernel default).
-    threads:
-        Worker threads over query blocks (``None`` = the kernel
-        default).  Blocks write disjoint output slices and each block
-        is computed identically whatever the schedule, so results are
-        byte-identical across thread counts.
     exclude:
         Optional per-query index into ``B`` to mask out (``-1`` =
         nothing), for self-exclusion when the query point is a member
@@ -471,8 +350,7 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
 
     idx = np.empty((n_q, kk), dtype=np.intp)
     d2 = np.empty((n_q, kk))
-
-    def compute(start: int) -> None:
+    for start in range(0, n_q, block):
         stop = min(start + block, n_q)
         rows = slice(start, stop)
         G = A2_32[rows] @ ref.BT_32
@@ -493,9 +371,6 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
         if excl is not None:
             exact[cand == excl[:, None]] = np.inf
         idx[rows], d2[rows] = _stable_smallest(cand, exact, kk)
-
-    starts = list(range(0, n_q, block))
-    for _ in _run_tiles(compute, starts, resolve_threads(threads)):
         obs.add("pairwise.blocks")
     obs.add("pairwise.candidates", n_q * n_cand)
     return idx, d2
@@ -505,7 +380,6 @@ def topk_dense(D: np.ndarray, k: int, *,
                rows: np.ndarray | None = None,
                columns: np.ndarray | None = None,
                block_size: int | None = None,
-               threads: int | None = None,
                exclude: np.ndarray | None = None,
                ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`topk` over a precomputed distance matrix.
@@ -542,8 +416,7 @@ def topk_dense(D: np.ndarray, k: int, *,
     idx = np.empty((n_q, kk), dtype=np.intp)
     vals = np.empty((n_q, kk))
     all_cols = np.arange(m)
-
-    def compute(start: int) -> None:
+    for start in range(0, n_q, block):
         stop = min(start + block, n_q)
         # One fancy-indexed copy of exactly the block × columns
         # submatrix — never a full-width intermediate.
@@ -561,9 +434,6 @@ def topk_dense(D: np.ndarray, k: int, *,
             picked = sub
         idx[start:stop], vals[start:stop] = _stable_smallest(
             cand, np.ascontiguousarray(picked, dtype=float), kk)
-
-    starts = list(range(0, n_q, block))
-    for _ in _run_tiles(compute, starts, resolve_threads(threads)):
         obs.add("pairwise.blocks")
     return idx, vals
 
@@ -574,7 +444,6 @@ def topk_dense(D: np.ndarray, k: int, *,
 def masked_sq_blocks(Z: np.ndarray, observed: np.ndarray,
                      rows: np.ndarray, *,
                      block_size: int | None = None,
-                     threads: int | None = None,
                      ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Blockwise masked squared distances and overlap counts.
 
@@ -603,8 +472,7 @@ def masked_sq_blocks(Z: np.ndarray, observed: np.ndarray,
     ZM = np.where(observed, Z, 0.0)
     ZM_sq = ZM * ZM
     MT, ZMT, ZM_sqT = M.T, ZM.T, ZM_sq.T
-
-    def compute(start: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    for start in range(0, rows.size, block):
         stop = min(start + block, rows.size)
         take = rows[start:stop]
         d2 = ZM[take] @ ZMT
@@ -613,12 +481,8 @@ def masked_sq_blocks(Z: np.ndarray, observed: np.ndarray,
         d2 += M[take] @ ZM_sqT
         np.maximum(d2, 0.0, out=d2)
         counts = M[take] @ MT
-        return start, stop, d2, counts
-
-    starts = list(range(0, rows.size, block))
-    for result in _run_tiles(compute, starts, resolve_threads(threads)):
         obs.add("pairwise.blocks")
-        yield result
+        yield start, stop, d2, counts
 
 
 def masked_mean_distances(d2: np.ndarray, counts: np.ndarray

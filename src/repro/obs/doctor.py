@@ -16,8 +16,7 @@ import platform
 
 __all__ = ["THREAD_ENV_VARS", "environment_info", "format_doctor"]
 
-#: Thread-count environment variables the numerical stack honours
-#: (``REPRO_THREADS`` is this library's own kernel-tile knob).
+#: Thread-count environment variables the numerical stack honours.
 THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -26,7 +25,6 @@ THREAD_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
     "BLIS_NUM_THREADS",
-    "REPRO_THREADS",
 )
 
 
@@ -66,14 +64,7 @@ def environment_info() -> dict:
 
     from .. import __version__, blas
     from ..metrics.individual import _MAX_BATCH
-    from ..metrics.pairwise import DEFAULT_BLOCK_SIZE, resolve_threads
-
-    # The doctor exists to surface misconfiguration: a malformed
-    # REPRO_THREADS must show up in the report, not crash it.
-    try:
-        pairwise_threads = resolve_threads(None)
-    except ValueError as exc:
-        pairwise_threads = f"(invalid: {exc})"
+    from ..metrics.pairwise import DEFAULT_BLOCK_SIZE
 
     return {
         "repro": __version__,
@@ -89,8 +80,6 @@ def environment_info() -> dict:
         "defaults": {
             "pairwise_block_size": DEFAULT_BLOCK_SIZE,
             "abduction_max_batch": _MAX_BATCH,
-            # Resolved default (REPRO_THREADS applied).
-            "pairwise_threads": pairwise_threads,
         },
     }
 

@@ -32,7 +32,9 @@ route is chosen, so the next request on the connection starts where
 this one ended whatever this one's status.  A body the server cannot
 frame — sent with ``Transfer-Encoding`` (411), or with a
 ``Content-Length`` that is not a non-negative integer (400) — is
-answered and its connection closed, as after every stdlib error.
+answered and its connection closed, as after every stdlib error.  So
+is a body longer than :data:`MAX_BODY_BYTES` (413), unread: the
+client's header never sets the size of the server's read.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ from .service import AuditRequestError, AuditService
 __all__ = ["AuditHTTPServer", "serve_forever"]
 
 log = logging.getLogger("repro.serve")
+
+#: Largest request body the server reads, in bytes: over a thousand
+#: times a 64-row ``/audit-batch`` body (about 12 KB).
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class AuditHTTPServer(ThreadingHTTPServer):
@@ -139,7 +145,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._fail(400, "Content-Length header must be a non-negative "
                             f"integer, got {length!r}", close=True)
             return None
-        return self.rfile.read(int(length))
+        size = int(length)
+        if size > MAX_BODY_BYTES:
+            self._fail(413, f"request body of {size} bytes exceeds the "
+                            f"{MAX_BODY_BYTES}-byte limit", close=True)
+            return None
+        return self.rfile.read(size)
 
     # -- routes --------------------------------------------------------
     def do_GET(self):  # noqa: N802 - stdlib dispatch name

@@ -113,6 +113,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="typo"):
             SweepSpec.from_config({"datasets": ["german"], "typo": 1})
 
+    def test_threads_field_is_gone(self):
+        with pytest.raises(ValueError, match="'threads'"):
+            SweepSpec.from_config({"sweep": {"datasets": ["german"],
+                                             "threads": 2}})
+
     def test_grid_matches_direct_scenario_grid(self):
         spec = SweepSpec.from_config(SMALL_SWEEP)
         direct = ScenarioGrid(datasets=["german"],
@@ -315,6 +320,48 @@ class TestAuditThreading:
         assert main(["sweep", "--dataset", "german",
                      "--chunk-rows", "0"]) == 2
         assert "--chunk-rows" in capsys.readouterr().err
+
+
+class TestProtocolValues:
+    @pytest.mark.parametrize("field, value, match", [
+        ("feature_counts", [-1], "feature_counts entries must be an "
+                                 "integer >= 1, got -1"),
+        ("feature_counts", [0], "feature_counts entries must be an "
+                                "integer >= 1, got 0"),
+        ("feature_counts", [2.5], "feature_counts entries must be an "
+                                  "integer >= 1, got 2.5"),
+        ("causal_samples", 0, "causal_samples must be an integer >= 1, "
+                              "got 0"),
+        ("causal_samples", -5, "causal_samples must be an integer >= 1, "
+                               "got -5"),
+        ("test_fraction", 1.5, "test_fraction must lie strictly between "
+                               "0 and 1, got 1.5"),
+        ("test_fraction", 0, "test_fraction must lie strictly between "
+                             "0 and 1, got 0"),
+    ], ids=["features-negative", "features-zero", "features-fractional",
+            "samples-zero", "samples-negative", "fraction-above-one",
+            "fraction-zero"])
+    def test_bad_values_rejected_at_construction(self, field, value,
+                                                 match, tmp_path, capsys):
+        # Each used to build its grid and then misbehave per cell: drop
+        # or add features silently, return NaN effects, or fail inside
+        # the worker.
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"datasets": ["german"],
+                                      field: value}))
+        assert main(["sweep", "--config", str(config),
+                     "--cache-dir", "none"]) == 2
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
+        with pytest.raises(ValueError, match=match):
+            ScenarioGrid(datasets=["german"], **{field: value})
+        with pytest.raises(ValueError, match=match):
+            SweepSpec(datasets=["german"], **{field: value})
+        if field == "feature_counts":
+            field, value = "n_features", value[0]
+            match = match.replace("feature_counts entries", field)
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec(dataset="german", **{field: value})
 
 
 class TestParameterizedReporting:

@@ -1,7 +1,6 @@
 """BLAS thread control: the runtime setters, the per-worker budget, and
 results that do not depend on the BLAS thread count."""
 
-import dataclasses
 import json
 import re
 
@@ -23,8 +22,8 @@ GRID = ScenarioGrid(datasets=["german"], approaches=[None, "Hardt-eo"],
 @pytest.fixture
 def two_threads(monkeypatch):
     """Every OpenBLAS at 2 threads for the test (restored after), with
-    no BLAS or tile-thread variable set."""
-    for var in (*blas.ENV_VARS, "REPRO_THREADS"):
+    no BLAS thread variable set."""
+    for var in blas.ENV_VARS:
         monkeypatch.delenv(var, raising=False)
     before = blas.threads()
     if before is None:
@@ -57,15 +56,15 @@ def report_threads(job):
 
 
 class TestBudget:
-    @pytest.mark.parametrize("cpus, workers, tiles, expected", [
-        (2, 2, 1, 1), (2, 4, 1, 1), (2, 1, 1, 2), (8, 2, 2, 2),
-        (16, 2, 1, 8), (1, 1, 1, 1), (1, 3, 4, 1)])
-    def test_arithmetic(self, cpus, workers, tiles, expected):
-        assert blas.budget(cpus, workers, tiles) == expected
+    @pytest.mark.parametrize("cpus, workers, expected", [
+        (2, 2, 1), (2, 4, 1), (2, 1, 2), (8, 2, 4), (16, 2, 8),
+        (1, 1, 1), (1, 3, 1)])
+    def test_arithmetic(self, cpus, workers, expected):
+        assert blas.budget(cpus, workers) == expected
 
     def test_never_zero(self):
-        assert min(blas.budget(c, w, t) for c in range(1, 9)
-                   for w in range(1, 9) for t in range(1, 5)) == 1
+        assert min(blas.budget(c, w) for c in range(1, 9)
+                   for w in range(1, 9)) == 1
 
 
 class TestRuntimeControl:
@@ -139,7 +138,7 @@ class TestResultsIgnoreBlasThreads:
 
 class TestWorkerBudget:
     def expected(self, parent: int) -> int:
-        return min(parent, blas.budget(blas.usable_cpus(), 2, 1))
+        return min(parent, blas.budget(blas.usable_cpus(), 2))
 
     def test_workers_run_at_the_budget(self, two_threads, monkeypatch):
         monkeypatch.setattr(executor_module, "execute_job", report_threads)
@@ -163,12 +162,3 @@ class TestWorkerBudget:
         monkeypatch.setattr(executor_module, "execute_job", report_threads)
         report = run_sweep(GRID.expand(), max_workers=2)
         assert worker_threads(report) == [2, 2]
-
-    def test_malformed_repro_threads_fails_in_the_cell(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "lots")
-        job = Job(dataset="german", approach=None, model="knn", rows=300,
-                  causal_samples=200)
-        report = run_sweep([job, dataclasses.replace(job, seed=1)],
-                           max_workers=2)
-        assert len(report.failures) == 2
-        assert all("REPRO_THREADS" in o.error for o in report.failures)

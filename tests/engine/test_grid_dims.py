@@ -156,3 +156,29 @@ class TestBlockSizeKnob:
             assert pairwise.resolve_block_size(None) == 77
         assert (pairwise.resolve_block_size(None)
                 == pairwise.DEFAULT_BLOCK_SIZE)
+
+
+class TestFeatureCounts:
+    @pytest.mark.parametrize("n_features", [0, -1, 10, 999, 2.5])
+    def test_prepare_cell_rejects_counts_outside_the_dataset(self,
+                                                             n_features):
+        # A hand-built job skips the grid's checks: -1 used to drop the
+        # last feature, 999 to run all nine under `attrs=999`.
+        from repro.engine.executor import prepare_cell
+
+        job = Job(dataset="german", rows=300, causal_samples=200,
+                  n_features=n_features)
+        with pytest.raises(ValueError, match=rf"from 1 to 9 \(german has "
+                                             rf"9 features\), got "
+                                             rf"{n_features}"):
+            with prepare_cell(job):
+                pass
+
+    def test_the_scalability_sweep_stays_valid(self):
+        from repro.engine.executor import prepare_cell
+
+        grid = ScenarioGrid(datasets=["adult"], rows=[300],
+                            feature_counts=[2, 4, 6, 8, 9])
+        for job in grid.expand():
+            with prepare_cell(job) as (train, _):
+                assert len(train.feature_names) == job.n_features

@@ -9,19 +9,29 @@ sizes, and data:
 * blockwise top-k equals a full-sort float64 reference on tie-free
   data, for every tiling — ``block_size`` is a pure performance knob;
 * top-k is equivariant under query-row permutation;
-* masked (partially observed) distances equal a per-row loop.
+* masked (partially observed) distances equal a per-row loop, and
+  pairs with no shared observed feature are incomparable (``inf``);
+* empty inputs fail by name, and the block-size default is a
+  per-context override that concurrent threads cannot leak.
 
 Hypothesis drives shapes/blocks/seeds; the data itself comes from
 seeded generators (tie-free continuous draws), matching the rest of
 the suite's style.
 """
 
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.spec import Job
+from repro.errors import impute_knn
 from repro.metrics import pairwise
+from repro.metrics.individual import normalized_euclidean
 
 RNG = np.random.default_rng
 
@@ -290,3 +300,75 @@ class TestScalingAndDefaults:
         with pytest.raises(ValueError, match="block_size"):
             with pairwise.default_block_size(-3):
                 pass
+
+    def test_two_thread_block_size_isolation(self):
+        """Regression: the block-size default was a mutable module
+        global, so two concurrent overrides raced and leaked into each
+        other; as a ContextVar each thread sees exactly its own."""
+        seen = {}
+        barrier = threading.Barrier(2)
+
+        def worker(value, key):
+            with pairwise.default_block_size(value):
+                barrier.wait(timeout=5)  # both overrides active at once
+                time.sleep(0.02)
+                seen[key] = pairwise.resolve_block_size(None)
+
+        threads = [threading.Thread(target=worker, args=(17, "a")),
+                   threading.Thread(target=worker, args=(23, "b"))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen == {"a": 17, "b": 23}
+        assert (pairwise.resolve_block_size(None)
+                == pairwise.DEFAULT_BLOCK_SIZE)
+
+    def test_block_size_still_fingerprinted(self):
+        assert (Job(dataset="compas", block_size=256).fingerprint
+                != Job(dataset="compas", block_size=512).fingerprint)
+
+
+class TestEmptyInputs:
+    def test_minmax_scale_zero_rows(self):
+        with pytest.raises(ValueError, match="minmax_scale.*empty"):
+            pairwise.minmax_scale(np.empty((0, 4)))
+
+    def test_normalized_euclidean_zero_rows(self):
+        with pytest.raises(ValueError,
+                           match="normalized_euclidean.*0 rows"):
+            normalized_euclidean(np.empty((0, 4)))
+
+
+class TestZeroOverlap:
+    def test_masked_mean_distances_guard(self):
+        d2 = np.array([[4.0, 9.0], [1.0, 0.0]])
+        counts = np.array([[4.0, 0.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = pairwise.masked_mean_distances(d2, counts)
+        np.testing.assert_array_equal(
+            dist, [[1.0, np.inf], [1.0, np.inf]])
+
+    def test_impute_knn_disjoint_masks(self):
+        """Two row groups with fully disjoint observation patterns:
+        cross-group pairs are incomparable (infinite distance), donors
+        come only from the comparable group, and a cell with no
+        comparable donor falls back to the column mean — with no
+        RuntimeWarnings anywhere."""
+        X = np.array([
+            [1.0, 10.0, np.nan, np.nan],
+            [2.0, np.nan, np.nan, np.nan],
+            [np.nan, np.nan, 3.0, 30.0],
+            [np.nan, np.nan, 4.0, np.nan],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = impute_knn(X, k=2)
+        assert out[1, 1] == 10.0       # donor: row 0 (same group)
+        assert out[3, 3] == 30.0       # donor: row 2 (same group)
+        # Row 1 shares no observed feature with rows 2/3, so columns
+        # 2/3 have no comparable donor: column-mean fallback.
+        assert out[1, 2] == pytest.approx(np.nanmean(X[:, 2]))
+        assert out[1, 3] == pytest.approx(np.nanmean(X[:, 3]))
+        assert not np.isnan(out).any()

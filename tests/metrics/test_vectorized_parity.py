@@ -14,6 +14,7 @@ reference, across odd kernel block boundaries.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.causal import CausalGraph, CounterfactualSCM, DiscreteCPT
 from repro.errors.imputers import impute_knn
 from repro.metrics import (counterfactual_fairness,
@@ -93,6 +94,17 @@ class TestCounterfactualFairnessParity:
             n_particles=500, max_rows=None)
         assert one.n_rows == big.n_rows == 48
         assert one.mean_gap == pytest.approx(big.mean_gap, abs=0.05)
+
+    def test_chunk_counters(self):
+        scm = small_scm()
+        cols = scm.sample(100, RNG(0))
+        with obs.recording() as rec:
+            counterfactual_fairness(
+                scm, cols, "S", "Y", lambda v: v["S"], RNG(1),
+                n_particles=5, max_rows=100, chunk_rows=17)
+        counters = rec.snapshot()["counters"]
+        assert counters["abduction.chunks"] == -(-100 // 17)
+        assert counters["abduction.rows"] == 100
 
     def test_empty_audit_raises_clear_error(self):
         scm = small_scm()

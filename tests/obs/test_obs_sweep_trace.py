@@ -1,7 +1,6 @@
 """Engine integration: traced sweeps, serial/parallel parity, cache
 corruption surfacing."""
 
-import dataclasses
 import logging
 
 import pytest
@@ -111,7 +110,7 @@ class TestSerialParallelParity:
 
 
 class TestSweepSpanThreadMap:
-    """The ``sweep`` span records processes × tiles × BLAS threads."""
+    """The ``sweep`` span records processes × BLAS threads."""
 
     @staticmethod
     def sweep_attrs(collector) -> dict:
@@ -121,19 +120,17 @@ class TestSweepSpanThreadMap:
         return span["attrs"]
 
     def test_pool_and_inline_budgets(self, tmp_path, monkeypatch):
-        for var in (*blas.ENV_VARS, "REPRO_THREADS"):
+        for var in blas.ENV_VARS:
             monkeypatch.delenv(var, raising=False)
         cpus = blas.usable_cpus()
         _, pooled = traced_run(small_jobs(), tmp_path, "p", max_workers=2)
         attrs = self.sweep_attrs(pooled)
-        assert (attrs["workers"], attrs["tile_threads"]) == (2, 1)
-        assert attrs["blas_threads"] == blas.budget(cpus, 2, 1)
-        tiled = [dataclasses.replace(job, threads=2)
-                 for job in small_jobs()]
-        _, serial = traced_run(tiled, tmp_path, "s")
+        assert attrs["workers"] == 2
+        assert attrs["blas_threads"] == blas.budget(cpus, 2)
+        _, serial = traced_run(small_jobs(), tmp_path, "s")
         attrs = self.sweep_attrs(serial)
-        assert (attrs["workers"], attrs["tile_threads"]) == (1, 2)
-        assert attrs["blas_threads"] == blas.budget(cpus, 1, 2)
+        assert attrs["workers"] == 1
+        assert attrs["blas_threads"] == blas.budget(cpus, 1)
 
     def test_explicit_env_recorded(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "1")

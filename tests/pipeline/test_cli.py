@@ -109,6 +109,12 @@ class TestSweep:
         assert main(["sweep", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_sweep_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestAudit:
     def test_audit_baseline_only(self, capsys):

@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.serve import AuditService, serve_forever
+from repro.serve.http import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +262,13 @@ class TestKeepAlive:
 
 
 ONE_ROW = b"POST /audit-one-row HTTP/1.1\r\n"
+HUGE = 10 ** 15
+
+
+def oversized(length: int) -> bytes:
+    """A one-row request whose header announces ``length`` body bytes
+    (none follow: the server must answer without reading them)."""
+    return ONE_ROW + f"Content-Length: {length}\r\n\r\n".encode()
 
 
 class TestFraming:
@@ -279,8 +287,14 @@ class TestFraming:
          501, "Unsupported method ('PUT')"),
         (b"GET /healthz HTTP/x\r\n\r\n", None,
          "Bad request version ('HTTP/x')"),
+        (oversized(HUGE), 413, f"request body of {HUGE} bytes exceeds "
+                               f"the {MAX_BODY_BYTES}-byte limit"),
+        (oversized(MAX_BODY_BYTES + 1), 413,
+         f"request body of {MAX_BODY_BYTES + 1} bytes exceeds the "
+         f"{MAX_BODY_BYTES}-byte limit"),
     ], ids=["length-not-integer", "length-negative", "chunked",
-            "unsupported-method", "bad-request-line"])
+            "unsupported-method", "bad-request-line", "length-huge",
+            "length-over-cap"])
     def test_unframeable_request_fails_by_name_and_closes(
             self, live_server, request_bytes, status, message):
         with obs.recording() as rec:
