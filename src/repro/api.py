@@ -22,14 +22,11 @@ Config schema (YAML shown; JSON is isomorphic)::
       errors: [null, t1]                    # null = clean data
       imputers: [null, mean, "knn(k=7)"]    # repairs NaNs (e.g. after
                                             # the `missing` recipe)
-      metrics: [accuracy, di_star]          # per-cell metric_value
       seeds: [0, 1]                         # or an int: seeds 0..N-1
       rows: [400]
       causal_samples: 300
       audit: counterfactual                 # optional rung-3 audit
-      chunk_rows: 256                       # abduction batch bound
       audit_params: {n_particles: 20, max_rows: 40}
-      block_size: 1024                      # pairwise-kernel blocks
     engine:
       jobs: 2
       cache_dir: .sweep-cache               # or store: sqlite:results.db
@@ -54,13 +51,15 @@ Every component entry is a :mod:`repro.registry` spec — a bare key,
 a parameterized ``"key(param=value)"`` string, or the nested
 ``{key: ..., params: {...}}`` mapping — and the parameters feed the
 cells' cache fingerprints, so a changed ``tau`` recomputes instead of
-silently reusing a cached cell.
+silently reusing a cached cell.  Every cell reports all metrics;
+pick one at report time (``pivot``, ``repro report --pivot``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,8 +70,8 @@ from .engine.spec import (_normalise_approach, check_audit_params,
                           check_count, check_fingerprintable_params,
                           check_reserved_params, check_test_fraction)
 from .pipeline.experiment import EvaluationResult
-from .registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS, METRICS,
-                       MODELS, parse_spec)
+from .registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS, MODELS,
+                       parse_spec)
 
 __all__ = ["ExperimentSpec", "SweepSpec", "load_config", "report",
            "run_spec", "sweep"]
@@ -152,10 +151,11 @@ def _check_fields(config: Mapping, allowed: set[str], what: str) -> None:
 class ExperimentSpec:
     """One fully-described experiment cell, config-file round-trippable.
 
-    Component fields (``dataset``/``approach``/``model``/``error``) are
-    registry specs and are canonicalised (and validated) at
-    construction; ``approach`` accepts the baseline aliases
-    (``None``/``"baseline"``/``"LR"``).
+    Component fields (``dataset``/``approach``/``model``/``error``/
+    ``imputer``) are registry specs and are canonicalised (and
+    validated) at construction; ``approach`` accepts the baseline
+    aliases (``None``/``"baseline"``/``"LR"``).  ``rows`` must be an
+    integer >= 1 and ``seed`` an integer >= 0.
     """
 
     dataset: str = "compas"
@@ -163,16 +163,13 @@ class ExperimentSpec:
     model: str = "lr"
     error: str | None = None
     imputer: str | None = None
-    metric: str | None = None
     seed: int = 0
     rows: int = 4000
     n_features: int | None = None
     causal_samples: int = 5000
     test_fraction: float = 0.3
     audit: str | None = None
-    chunk_rows: int | None = None
     audit_params: dict = field(default_factory=dict)
-    block_size: int | None = None
 
     def __post_init__(self) -> None:
         self.dataset = DATASETS.canonical(self.dataset)
@@ -184,8 +181,6 @@ class ExperimentSpec:
                       else ERRORS.canonical(self.error))
         self.imputer = (None if self.imputer is None
                         else IMPUTERS.canonical(self.imputer))
-        self.metric = (None if self.metric is None
-                       else METRICS.canonical(self.metric))
         check_reserved_params(self.dataset, {
             "n": "the rows field", "seed": "the seed field"})
         check_reserved_params(self.approach,
@@ -194,22 +189,17 @@ class ExperimentSpec:
                            ("approach", self.approach),
                            ("model", self.model),
                            ("error", self.error),
-                           ("imputer", self.imputer),
-                           ("metric", self.metric)):
+                           ("imputer", self.imputer)):
             if spec is not None:
                 check_fingerprintable_params(spec, what)
-        self.seed = int(self.seed)
-        self.rows = int(self.rows)
+        self.seed = check_count("seed", self.seed, least=0)
+        self.rows = check_count("rows", self.rows)
         self.audit_params = check_audit_params(self.audit,
-                                               self.audit_params,
-                                               self.chunk_rows)
+                                               self.audit_params)
         if self.n_features is not None:
             check_count("n_features", self.n_features)
         check_count("causal_samples", self.causal_samples)
         check_test_fraction(self.test_fraction)
-        if self.block_size is not None and self.block_size < 1:
-            raise ValueError(
-                f"block_size must be positive, got {self.block_size}")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -239,22 +229,16 @@ class ExperimentSpec:
                                else parse_spec(self.error))
         imputer, imputer_params = ((None, {}) if self.imputer is None
                                    else parse_spec(self.imputer))
-        metric, metric_params = ((None, {}) if self.metric is None
-                                 else parse_spec(self.metric))
         return Job(dataset=dataset, approach=approach, model=model,
-                   error=error, imputer=imputer, metric=metric,
-                   seed=self.seed, rows=self.rows,
-                   n_features=self.n_features,
+                   error=error, imputer=imputer, seed=self.seed,
+                   rows=self.rows, n_features=self.n_features,
                    causal_samples=self.causal_samples,
                    test_fraction=self.test_fraction,
                    dataset_params=dataset_params,
                    approach_params=approach_params,
                    model_params=model_params, error_params=error_params,
-                   imputer_params=imputer_params,
-                   metric_params=metric_params,
-                   audit=self.audit, chunk_rows=self.chunk_rows,
-                   audit_params=dict(self.audit_params),
-                   block_size=self.block_size)
+                   imputer_params=imputer_params, audit=self.audit,
+                   audit_params=dict(self.audit_params))
 
     def run(self) -> EvaluationResult:
         """Execute the experiment (load → split → corrupt → fit →
@@ -286,16 +270,13 @@ class SweepSpec:
     models: tuple = ("lr",)
     errors: tuple = (None,)
     imputers: tuple = (None,)
-    metrics: tuple = (None,)
     seeds: tuple = (0,)
     rows: tuple = (4000,)
     feature_counts: tuple = (None,)
     causal_samples: int = 5000
     test_fraction: float = 0.3
     audit: str | None = None
-    chunk_rows: int | None = None
     audit_params: dict = field(default_factory=dict)
-    block_size: int | None = None
     jobs: int = 1
     cache_dir: str | None = None
     store: str | None = None
@@ -313,7 +294,6 @@ class SweepSpec:
         self.models = grid.models
         self.errors = grid.errors
         self.imputers = grid.imputers
-        self.metrics = grid.metrics
         self.seeds = grid.seeds
         self.rows = grid.rows
         self.feature_counts = grid.feature_counts
@@ -348,11 +328,8 @@ class SweepSpec:
         allowed = {f.name for f in dataclasses.fields(cls)}
         _check_fields(fields, allowed, "sweep")
         seeds = fields.get("seeds")
-        if isinstance(seeds, int):
-            if seeds < 1:
-                raise ValueError(f"seeds count must be at least 1, "
-                                 f"got {seeds}")
-            fields["seeds"] = list(range(seeds))
+        if isinstance(seeds, numbers.Integral):
+            fields["seeds"] = list(range(check_count("seeds count", seeds)))
         return cls(**fields)
 
     def to_config(self) -> dict:
@@ -371,14 +348,11 @@ class SweepSpec:
         return ScenarioGrid(
             datasets=self.datasets, approaches=self.approaches,
             models=self.models, errors=self.errors,
-            imputers=self.imputers, metrics=self.metrics,
-            seeds=self.seeds,
+            imputers=self.imputers, seeds=self.seeds,
             rows=self.rows, feature_counts=self.feature_counts,
             causal_samples=self.causal_samples,
             test_fraction=self.test_fraction, audit=self.audit,
-            chunk_rows=self.chunk_rows,
-            audit_params=dict(self.audit_params),
-            block_size=self.block_size)
+            audit_params=dict(self.audit_params))
 
     def to_policy(self) -> RetryPolicy:
         """The :class:`~repro.engine.RetryPolicy` the engine fields

@@ -84,8 +84,8 @@ def build_serving_components(job: Job) -> ServingComponents:
     """
     from ..engine.executor import prepare_cell
 
-    with prepare_cell(job, span_prefix="pack.") as (train, test):
-        return _cell_components(job, train, test, "pack.")[0]
+    train, test = prepare_cell(job, span_prefix="pack.")
+    return _cell_components(job, train, test, "pack.")[0]
 
 
 def _cell_components(job: Job, train, test, span_prefix: str):

@@ -180,11 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="imputer repairing NaNs in the training "
                                 "split, e.g. after --error missing "
                                 "(repeatable; default: none)")
-    sweep_cmd.add_argument("--metric", action="append", default=[],
-                           type=_spec_argument(METRICS), metavar="SPEC",
-                           help="report metric surfaced per cell as "
-                                "raw metric_value (repeatable; "
-                                "default: none)")
     sweep_cmd.add_argument("--seeds", type=int, default=None,
                            help="number of seeds per cell (0..N-1; "
                                 "default: 1)")
@@ -199,15 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            choices=["counterfactual"],
                            help="extend every cell with the rung-3 "
                                 "counterfactual audit")
-    sweep_cmd.add_argument("--chunk-rows", type=int, default=None,
-                           metavar="N",
-                           help="abduction rows per batch for the "
-                                "counterfactual audit")
-    sweep_cmd.add_argument("--block-size", type=int, default=None,
-                           metavar="N",
-                           help="pairwise-kernel query rows per block "
-                                "for k-NN components (knn model / "
-                                "imputer)")
     sweep_cmd.add_argument("--no-baseline", action="store_true",
                            help="omit the fairness-unaware LR baseline "
                                 "cells")
@@ -499,8 +485,7 @@ def _evaluate(args: argparse.Namespace,
                             rows=[args.rows],
                             causal_samples=args.causal_samples).expand()
     except (KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message} (see `repro list`)", file=sys.stderr)
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
     try:
         cache = None if args.store is None else ResultCache(args.store)
@@ -525,20 +510,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .api import SweepSpec
 
     grid_flags_used = bool(args.dataset or args.approach or args.model
-                           or args.error or args.imputer or args.metric
-                           or args.rows
+                           or args.error or args.imputer or args.rows
                            or args.seeds is not None or args.no_baseline)
     if args.seeds is not None and args.seeds < 1:
         print("error: --seeds must be at least 1", file=sys.stderr)
         return 2
     if args.jobs is not None and args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    if args.chunk_rows is not None and args.chunk_rows < 1:
-        print("error: --chunk-rows must be at least 1", file=sys.stderr)
-        return 2
-    if args.block_size is not None and args.block_size < 1:
-        print("error: --block-size must be at least 1", file=sys.stderr)
         return 2
     if args.retry is not None and args.retry < 1:
         print("error: --retry must be at least 1", file=sys.stderr)
@@ -566,7 +544,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if grid_flags_used:
             print("error: --config replaces the grid flags; drop "
                   "--dataset/--approach/--model/--error/--imputer/"
-                  "--metric/--seeds/--rows/--no-baseline",
+                  "--seeds/--rows/--no-baseline",
                   file=sys.stderr)
             return 2
         try:
@@ -591,7 +569,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 models=args.model or ["lr"],
                 errors=[None, *args.error] if args.error else [None],
                 imputers=args.imputer or [None],
-                metrics=args.metric or [None],
                 seeds=range(args.seeds if args.seeds is not None else 1),
                 rows=args.rows or [4000],
                 causal_samples=(args.causal_samples
@@ -599,8 +576,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                 else 5000),
             )
         except (KeyError, ValueError) as exc:
-            message = exc.args[0] if exc.args else exc
-            print(f"error: {message} (see `repro list`)",
+            print(f"error: {exc.args[0] if exc.args else exc}",
                   file=sys.stderr)
             return 2
 
@@ -623,10 +599,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec.resume = args.resume
     if args.audit is not None:
         spec.audit = args.audit
-    if args.chunk_rows is not None:
-        spec.chunk_rows = args.chunk_rows
-    if args.block_size is not None:
-        spec.block_size = args.block_size
     if args.config is not None and args.causal_samples is not None:
         spec.causal_samples = args.causal_samples
     if args.retry is not None:
@@ -642,7 +614,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     try:
         # The flags above were set after the spec validated itself
-        # (e.g. --chunk-rows without an audit).
+        # (e.g. --causal-samples 0 over a config).
         grid = spec.to_grid()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,7 +49,6 @@ SQL_STORE_VERSION = 1
 
 _AXIS_COLUMN_TYPES = {
     "seed": "INTEGER", "rows": "INTEGER", "n_features": "INTEGER",
-    "chunk_rows": "INTEGER", "block_size": "INTEGER",
 }
 
 
@@ -225,7 +224,8 @@ class SqlBackend(StoreBackend):
     ``spec_version`` and ``raw`` are written but never read, because
     stores created earlier under the same store version declare them
     ``NOT NULL``; the insert names its columns, so those stores' extra
-    nullable columns stay NULL.
+    nullable columns (such as the metric, abduction-chunk and
+    block-size axes that ``SPEC_VERSION`` 7 removed) stay NULL.
     """
 
     kind = "sqlite"

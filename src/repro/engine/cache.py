@@ -53,8 +53,7 @@ def _grid_order(outcome) -> tuple:
     job = outcome.job
     return (job.dataset, job.rows, _none_first(job.n_features),
             _none_first(job.error), _none_first(job.imputer), job.model,
-            job.approach is not None, job.approach_label,
-            _none_first(job.metric), job.seed)
+            job.approach is not None, job.approach_label, job.seed)
 
 
 #: Problem kinds :meth:`ResultCache.verify` reports.

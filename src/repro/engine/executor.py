@@ -109,55 +109,46 @@ def _impute_train(train, imputer_key: str, imputer_params: dict):
     return train.with_table(table)
 
 
-@contextlib.contextmanager
 def prepare_cell(job: Job, span_prefix: str = ""):
     """A cell's data path: load → (truncate) → split → (corrupt) →
-    (impute), inside the cell's kernel context.  Yields ``(train,
-    test)``; deterministic in ``job`` alone.
+    (impute).  Returns ``(train, test)``; deterministic in ``job``
+    alone.
 
-    The kernel context stays active for the caller's body:
-    ``job.block_size`` reaches every k-NN-shaped component (knn
-    model, knn imputer, metric audits) built inside it.
     ``job.imputer`` repairs NaNs the error recipe left in the training
     features.  Each step records an ``<span_prefix>dataset`` /
     ``error`` / ``impute`` span, so the packer's refit
     (``span_prefix="pack."``) stays apart from the cell's phases.
     """
     from ..datasets import train_test_split
-    from ..metrics import pairwise
     from ..registry import DATASETS, ERRORS
 
-    with pairwise.default_block_size(job.block_size):
-        # dataset_params may override the protocol's n/seed only on a
-        # hand-built Job; grid- and spec-built jobs reject that
-        # upstream.
-        with obs.span(f"{span_prefix}dataset", dataset=job.dataset,
-                      rows=job.rows):
-            dataset = DATASETS.build(job.dataset, **{
-                "n": job.rows, "seed": job.seed, **job.dataset_params})
-            if job.n_features is not None:
-                available = len(dataset.feature_names)
-                if (not isinstance(job.n_features, numbers.Integral)
-                        or not 1 <= job.n_features <= available):
-                    raise ValueError(
-                        f"n_features must be an integer from 1 to "
-                        f"{available} ({job.dataset} has {available} "
-                        f"features), got {job.n_features!r}")
-                dataset = dataset.select_features(
-                    dataset.feature_names[:job.n_features])
-            split = train_test_split(dataset,
-                                     test_fraction=job.test_fraction,
-                                     seed=job.seed)
-        train = split.train
-        if job.error is not None:
-            with obs.span(f"{span_prefix}error", error=job.error):
-                injector = ERRORS.build(job.error, **job.error_params)
-                train = injector(train, seed=job.seed)
-        if job.imputer is not None:
-            with obs.span(f"{span_prefix}impute", imputer=job.imputer):
-                train = _impute_train(train, job.imputer,
-                                      job.imputer_params)
-        yield train, split.test
+    # dataset_params may override the protocol's n/seed only on a
+    # hand-built Job; grid- and spec-built jobs reject that upstream.
+    with obs.span(f"{span_prefix}dataset", dataset=job.dataset,
+                  rows=job.rows):
+        dataset = DATASETS.build(job.dataset, **{
+            "n": job.rows, "seed": job.seed, **job.dataset_params})
+        if job.n_features is not None:
+            available = len(dataset.feature_names)
+            if (not isinstance(job.n_features, numbers.Integral)
+                    or not 1 <= job.n_features <= available):
+                raise ValueError(
+                    f"n_features must be an integer from 1 to "
+                    f"{available} ({job.dataset} has {available} "
+                    f"features), got {job.n_features!r}")
+            dataset = dataset.select_features(
+                dataset.feature_names[:job.n_features])
+        split = train_test_split(dataset, test_fraction=job.test_fraction,
+                                 seed=job.seed)
+    train = split.train
+    if job.error is not None:
+        with obs.span(f"{span_prefix}error", error=job.error):
+            injector = ERRORS.build(job.error, **job.error_params)
+            train = injector(train, seed=job.seed)
+    if job.imputer is not None:
+        with obs.span(f"{span_prefix}impute", imputer=job.imputer):
+            train = _impute_train(train, job.imputer, job.imputer_params)
+    return train, split.test
 
 
 def execute_job(job: Job) -> EvaluationResult:
@@ -165,9 +156,7 @@ def execute_job(job: Job) -> EvaluationResult:
     (audit).  Deterministic in ``job`` alone.
 
     Every component is built through :mod:`repro.registry` from the
-    job's key + parameter overrides.  ``job.metric`` reads the
-    selected report metric off the finished result into
-    ``raw["metric_value"]``.  When ``job.audit`` is
+    job's key + parameter overrides.  When ``job.audit`` is
     ``"counterfactual"``, the cell additionally runs the batched
     rung-3 audit on its serving components (the ones ``repro pack``
     ships) and merges its summary values into the result's ``raw``
@@ -176,46 +165,41 @@ def execute_job(job: Job) -> EvaluationResult:
     import dataclasses
 
     from ..pipeline.experiment import run_experiment
-    from ..registry import METRICS, MODELS
+    from ..registry import MODELS
 
-    with prepare_cell(job) as (train, test):
-        result = run_experiment(job.approach, train, test,
-                                model=MODELS.build(job.model,
-                                                   **job.model_params),
-                                seed=job.seed,
-                                causal_samples=job.causal_samples,
-                                approach_params=job.approach_params)
-        if job.audit == "counterfactual":
-            from ..artifacts.pack import _cell_components
-            from ..pipeline.counterfactual_eval import _audit
+    train, test = prepare_cell(job)
+    result = run_experiment(job.approach, train, test,
+                            model=MODELS.build(job.model,
+                                               **job.model_params),
+                            seed=job.seed,
+                            causal_samples=job.causal_samples,
+                            approach_params=job.approach_params)
+    if job.audit == "counterfactual":
+        from ..artifacts.pack import _cell_components
+        from ..pipeline.counterfactual_eval import _audit
 
-            with obs.span("audit", audit=job.audit):
-                components, binned = _cell_components(job, train, test,
-                                                      "audit.")
-                audit = _audit(components, binned,
-                               job.audit_params.get("n_samples", 20000),
-                               job.audit_params.get("max_rows", 60),
-                               job.chunk_rows)
-            kept = _kept_components.get()
-            if kept is not None:
-                kept[job.fingerprint] = components
-            result = dataclasses.replace(result, raw={
-                **result.raw,
-                "cf_mean_gap": audit.fairness.mean_gap,
-                "cf_max_gap": audit.fairness.max_gap,
-                "cf_unfair_fraction": audit.fairness.unfair_fraction,
-                "ctf_de": audit.effects.de,
-                "ctf_ie": audit.effects.ie,
-                "ctf_se": audit.effects.se,
-                "ctf_tv": audit.effects.tv,
-                "cf_fpr_gap": audit.error_rates.fpr_gap,
-                "cf_fnr_gap": audit.error_rates.fnr_gap,
-            })
-        if job.metric is not None:
-            metric = METRICS.build(job.metric, **job.metric_params)
-            result = dataclasses.replace(result, raw={
-                **result.raw, "metric_value": float(metric.of(result))})
-        return result
+        with obs.span("audit", audit=job.audit):
+            components, binned = _cell_components(job, train, test,
+                                                  "audit.")
+            audit = _audit(components, binned,
+                           job.audit_params.get("n_samples", 20000),
+                           job.audit_params.get("max_rows", 60))
+        kept = _kept_components.get()
+        if kept is not None:
+            kept[job.fingerprint] = components
+        result = dataclasses.replace(result, raw={
+            **result.raw,
+            "cf_mean_gap": audit.fairness.mean_gap,
+            "cf_max_gap": audit.fairness.max_gap,
+            "cf_unfair_fraction": audit.fairness.unfair_fraction,
+            "ctf_de": audit.effects.de,
+            "ctf_ie": audit.effects.ie,
+            "ctf_se": audit.effects.se,
+            "ctf_tv": audit.effects.tv,
+            "cf_fpr_gap": audit.error_rates.fpr_gap,
+            "cf_fnr_gap": audit.error_rates.fnr_gap,
+        })
+    return result
 
 
 def cell_attrs(job: Job) -> dict:
@@ -225,7 +209,7 @@ def cell_attrs(job: Job) -> dict:
     attrs = {"label": job.label(), "fingerprint": job.fingerprint,
              "dataset": job.dataset, "approach": job.approach_label,
              "model": job.model, "rows": job.rows, "seed": job.seed}
-    for axis in ("error", "imputer", "metric", "audit"):
+    for axis in ("error", "imputer", "audit"):
         value = getattr(job, axis)
         if value is not None:
             attrs[axis] = value
@@ -514,8 +498,7 @@ def run_sweep(jobs: Sequence[Job], *, cache: ResultCache | None = None,
                               policy=policy, chaos_plan=chaos,
                               pack_dir=pack_dir)
         with obs.recording(trace_memory=trace.trace_memory) as rec:
-            with obs.span("sweep", cells=len(jobs),
-                          workers=max_workers) as sweep_span:
+            with obs.span("sweep", cells=len(jobs)) as sweep_span:
                 report = _run_sweep(jobs, cache=cache,
                                     max_workers=max_workers,
                                     resume=resume, progress=progress,
@@ -722,21 +705,24 @@ def _run_sweep(jobs: Sequence[Job], *, cache: ResultCache | None,
     # so they force the pool path even for serial/single-cell runs.
     needs_pool = (policy.timeout is not None
                   or (chaos_plan is not None and chaos_plan.needs_pool))
-    if pending:
-        inline = (max_workers == 1 or len(pending) <= 1) and not needs_pool
-        workers = 1 if inline else min(max_workers, len(pending))
-        budget = (None if blas.explicit()
-                  else blas.budget(blas.usable_cpus(), workers))
+    if not pending:  # every cell was a cache hit
         if span is not None:
-            span.set(blas_threads="env" if budget is None else budget)
-        if inline:
-            with (contextlib.nullcontext() if budget is None
-                  else blas.limited(budget)):
-                _run_inline(state, pending, collect, trace_memory,
-                            pack_dir)
-        else:
-            _run_pool(state, pending, workers, collect, trace_memory,
-                      pack_dir, budget)
+            span.set(workers=0)
+        return state.report()
+    inline = (max_workers == 1 or len(pending) <= 1) and not needs_pool
+    workers = 1 if inline else min(max_workers, len(pending))
+    budget = (None if blas.explicit()
+              else blas.budget(blas.usable_cpus(), workers))
+    if span is not None:
+        span.set(workers=workers,
+                 blas_threads="env" if budget is None else budget)
+    if inline:
+        with (contextlib.nullcontext() if budget is None
+              else blas.limited(budget)):
+            _run_inline(state, pending, collect, trace_memory, pack_dir)
+    else:
+        _run_pool(state, pending, workers, collect, trace_memory,
+                  pack_dir, budget)
     return state.report()
 
 

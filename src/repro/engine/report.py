@@ -30,8 +30,7 @@ __all__ = ["cell_key", "group_outcomes", "mean_result",
 
 #: EvaluationResult fields a pivot can aggregate directly; any other
 #: ``value`` resolves through ``result.raw`` (audit metrics like
-#: ``cf_mean_gap``/``ctf_de``, the signed fairness values, the metric
-#: axis's ``metric_value``).
+#: ``cf_mean_gap``/``ctf_de``, the signed fairness values).
 _METRIC_FIELDS = ("accuracy", "precision", "recall", "f1", "di_star",
                   "tprb", "tnrb", "id", "te", "nde", "nie",
                   "fit_seconds")
@@ -40,7 +39,7 @@ _METRIC_FIELDS = ("accuracy", "precision", "recall", "f1", "di_star",
 def _axis_value(job, attr: str):
     """A job attribute as a grouping value.
 
-    Component axes (dataset/approach/model/error/imputer/metric)
+    Component axes (dataset/approach/model/error/imputer)
     include their registry parameter overrides — rendered as the
     canonical spec string — so ``Celis-pp(tau=0.7)`` and
     ``Celis-pp(tau=0.9)`` land in different rows instead of being
@@ -59,14 +58,13 @@ def _axis_value(job, attr: str):
 def cell_key(outcome: JobOutcome) -> tuple:
     """Grid coordinates of a cell with the seed dimension removed.
 
-    Parameter overrides and the audit configuration are part of the
-    coordinates: cells that differ only in ``tau`` (or in
-    ``audit``/``chunk_rows``) aggregate separately.
+    Parameter overrides and the audit are part of the coordinates:
+    cells that differ only in ``tau`` (or in ``audit``) aggregate
+    separately.
     """
     job = outcome.job
     return (*(_axis_value(job, axis) for axis in _COMPONENT_AXES),
-            job.rows, job.n_features, job.audit, job.chunk_rows,
-            job.block_size)
+            job.rows, job.n_features, job.audit)
 
 
 def group_outcomes(outcomes: Iterable[JobOutcome], attr: str
@@ -143,7 +141,7 @@ def pivot(outcomes: Iterable[JobOutcome], index: str, columns: str,
     axes in first-seen grid order; cells observed under several seeds
     are averaged.  ``value`` is a numeric ``EvaluationResult`` field
     or any ``result.raw`` key (``"di"``, ``"cf_mean_gap"``,
-    ``"ctf_de"``, ``"metric_value"``, …); outcomes lacking the raw key
+    ``"ctf_de"``, …); outcomes lacking the raw key
     are skipped, and a ``value`` no outcome carries raises ``KeyError``
     naming everything available.
     """
@@ -220,16 +218,13 @@ def _normalise_axis_query(axis: str, value):
     ``Celis-pp`` because 0.8 restates the declared default)."""
     if isinstance(value, str) and value.lower() in _NONE_SPELLINGS:
         value = None
-    if axis in ("seed", "rows", "n_features", "chunk_rows",
-                "block_size"):
+    if axis in ("seed", "rows", "n_features"):
         return None if value is None else int(value)
     if value is None or axis == "audit":
         return value
-    from ..registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS,
-                            METRICS, MODELS)
+    from ..registry import APPROACHES, DATASETS, ERRORS, IMPUTERS, MODELS
     registry = {"dataset": DATASETS, "approach": APPROACHES,
-                "model": MODELS, "error": ERRORS, "imputer": IMPUTERS,
-                "metric": METRICS}[axis]
+                "model": MODELS, "error": ERRORS, "imputer": IMPUTERS}[axis]
     if axis == "approach":
         from .spec import _normalise_approach
         if _normalise_approach(value) is None:
@@ -268,8 +263,8 @@ def filter_outcomes(outcomes: Iterable[JobOutcome],
 #: Axes grid_slices partitions on — everything that distinguishes
 #: Figure-7 table rows except the approach (the row label) and the
 #: seed (aggregated away).
-_SLICE_AXES = ("dataset", "error", "imputer", "metric", "rows",
-               "n_features", "audit", "chunk_rows", "block_size")
+_SLICE_AXES = ("dataset", "error", "imputer", "rows", "n_features",
+               "audit")
 
 
 def grid_slices(outcomes: Iterable[JobOutcome],

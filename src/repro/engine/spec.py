@@ -33,15 +33,17 @@ __all__ = ["AUDITS", "BASELINE_ALIASES", "Job", "ScenarioGrid",
 #: parameter overrides and the optional counterfactual audit joined
 #: the parameterization.  Version 3: the imputer and metric families
 #: became sweep axes (``imputer``/``metric`` + ``*_params`` fields).
-#: Version 4: the pairwise-kernel ``block_size`` knob joined the
+#: Version 4: the pairwise-kernel block size joined the
 #: parameterization (k-NN consumers' tie-breaking can depend on it).
 #: Version 5: fits run at one BLAS thread, no longer at the core count,
 #: so a cell cached on a multi-core host can differ from a fresh run
 #: (the adult Thomas-dp cell at 4,000 rows does).  Version 6: the
 #: rung-3 audit bins its test rows with train-fitted edges, on the
 #: components ``repro pack`` ships, and its error rates share the Ctf
-#: effects' noise draw, so the ``cf_*`` values move.
-SPEC_VERSION = 6
+#: effects' noise draw, so the ``cf_*`` values move.  Version 7: the
+#: metric axis, the abduction chunk and the kernel block size left the
+#: parameterization; no stored value moved, only the fingerprints.
+SPEC_VERSION = 7
 
 #: Spellings accepted for the fairness-unaware baseline pipeline.
 BASELINE_ALIASES = {None, "", "baseline", "none", "LR"}
@@ -51,47 +53,38 @@ AUDITS = (None, "counterfactual")
 
 #: Parameters ``audit_params`` may tune (the keyword surface of
 #: ``evaluate_counterfactual`` minus what the job protocol owns:
-#: approach/model/seed and the explicit ``chunk_rows`` field), each an
-#: integer with its least value; ``max_rows`` may also be null.
+#: approach/model/seed), each an integer with its least value;
+#: ``max_rows`` may also be null.
 AUDIT_PARAM_MINIMA = {"n_bins": 2, "n_samples": 1, "n_particles": 1,
                       "max_rows": 1}
 
 #: Job axes a report can group, pivot, or filter on (and the SQL
 #: store's axis columns, in this order).
-_COMPONENT_AXES = ("dataset", "approach", "model", "error", "imputer",
-                   "metric")
-_JOB_AXES = (*_COMPONENT_AXES, "seed", "rows", "n_features", "audit",
-             "chunk_rows", "block_size")
+_COMPONENT_AXES = ("dataset", "approach", "model", "error", "imputer")
+_JOB_AXES = (*_COMPONENT_AXES, "seed", "rows", "n_features", "audit")
 
 
-def check_audit_params(audit: str | None, params: dict,
-                       chunk_rows: int | None = None) -> dict:
+def check_audit_params(audit: str | None, params: dict) -> dict:
     """Validate an audit configuration at construction time.
 
     Unknown parameter names, values that are not integers in range,
-    or audit parameters or ``chunk_rows`` without an audit to consume
-    them, must fail before any cell is scheduled, not per-cell inside
-    a worker.  (A stray ``chunk_rows`` would also split the cache: it
-    is hashed into the fingerprint.)
+    or audit parameters without an audit to consume them, must fail
+    before any cell is scheduled, not per-cell inside a worker.
     """
     params = _check_json_params(dict(params), "audit")
     if audit not in AUDITS:
         raise ValueError(f"unknown audit {audit!r}; choose "
                          f"from {[a for a in AUDITS if a]}")
-    if chunk_rows is not None and chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-    for name, given in (("audit_params", sorted(params)),
-                        ("chunk_rows", chunk_rows)):
-        if given and audit is None:
-            raise ValueError(
-                f"{name} {given} given without an audit; set audit to "
-                f"one of {[a for a in AUDITS if a]}")
+    if params and audit is None:
+        raise ValueError(
+            f"audit_params {sorted(params)} given without an audit; set "
+            f"audit to one of {[a for a in AUDITS if a]}")
     unknown = sorted(set(params) - AUDIT_PARAM_MINIMA.keys())
     if unknown:
         raise ValueError(
             f"unknown audit parameter(s) {unknown}; accepted: "
-            f"{sorted(AUDIT_PARAM_MINIMA)} (seed/chunk_rows/approach/"
-            "model are controlled by their own job fields)")
+            f"{sorted(AUDIT_PARAM_MINIMA)} (seed/approach/model are "
+            "controlled by their own job fields)")
     for name, value in params.items():
         nullable = name == "max_rows"  # null audits every test row
         if not (value is None and nullable) and (
@@ -117,7 +110,6 @@ class Job:
     model: str = "lr"
     error: str | None = None  # corruption recipe for the training split
     imputer: str | None = None  # repairs NaNs left in the train split
-    metric: str | None = None  # selected report metric for this cell
     seed: int = 0
     rows: int = 4000
     n_features: int | None = None  # truncate feature set (scalability)
@@ -130,14 +122,9 @@ class Job:
     model_params: dict = field(default_factory=dict)
     error_params: dict = field(default_factory=dict)
     imputer_params: dict = field(default_factory=dict)
-    metric_params: dict = field(default_factory=dict)
-    # Optional per-cell audit extension and its batching knobs.
+    # Optional per-cell audit extension and its cost knobs.
     audit: str | None = None  # e.g. "counterfactual"
-    chunk_rows: int | None = None  # abduction rows per batch
     audit_params: dict = field(default_factory=dict)
-    # Pairwise-kernel block size for every k-NN-shaped component the
-    # cell builds (knn model/imputer, metric audits); None = default.
-    block_size: int | None = None
 
     def params(self) -> dict:
         """The job's full parameterization as a JSON-ready mapping.
@@ -150,7 +137,7 @@ class Job:
         silently re-serving results computed under the old default.
         """
         from ..registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS,
-                                METRICS, MODELS)
+                                MODELS)
 
         return {
             "spec_version": SPEC_VERSION,
@@ -159,7 +146,6 @@ class Job:
             "model": self.model,
             "error": self.error,
             "imputer": self.imputer,
-            "metric": self.metric,
             "seed": int(self.seed),
             "rows": int(self.rows),
             "n_features": (None if self.n_features is None
@@ -182,16 +168,8 @@ class Job:
                 {} if self.imputer is None
                 else IMPUTERS.resolved_params(self.imputer,
                                               self.imputer_params)),
-            "metric_params": (
-                {} if self.metric is None
-                else METRICS.resolved_params(self.metric,
-                                             self.metric_params)),
             "audit": self.audit,
-            "chunk_rows": (None if self.chunk_rows is None
-                           else int(self.chunk_rows)),
             "audit_params": dict(self.audit_params),
-            "block_size": (None if self.block_size is None
-                           else int(self.block_size)),
         }
 
     @property
@@ -227,8 +205,6 @@ class Job:
             parts.insert(2, f"imputer={self.imputer}")
         if self.error is not None:
             parts.insert(2, f"error={self.error}")
-        if self.metric is not None:
-            parts.append(f"metric={self.metric}")
         if self.n_features is not None:
             parts.append(f"attrs={self.n_features}")
         if self.audit is not None:
@@ -248,11 +224,10 @@ def job_from_params(params) -> Job:
     stripped back to overrides, so reconstructed jobs carry the same
     axis labels — and, for current-``SPEC_VERSION`` entries, the same
     fingerprints — as live ones.  Blocks written under an older
-    ``spec_version`` still reconstruct (absent axes default), they just
-    fingerprint differently.
+    ``spec_version`` still reconstruct (absent axes default, keys of
+    removed fields are ignored), they just fingerprint differently.
     """
-    from ..registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS,
-                            METRICS, MODELS)
+    from ..registry import APPROACHES, DATASETS, ERRORS, IMPUTERS, MODELS
 
     def overrides(registry, key) -> dict:
         stored = dict(params.get(f"{registry.family}_params") or {})
@@ -264,15 +239,12 @@ def job_from_params(params) -> Job:
 
     dataset = params["dataset"]
     n_features = params.get("n_features")
-    chunk_rows = params.get("chunk_rows")
-    block_size = params.get("block_size")
     return Job(
         dataset=dataset,
         approach=params.get("approach"),
         model=params.get("model", "lr"),
         error=params.get("error"),
         imputer=params.get("imputer"),
-        metric=params.get("metric"),
         seed=int(params.get("seed", 0)),
         rows=int(params.get("rows", 4000)),
         n_features=None if n_features is None else int(n_features),
@@ -283,11 +255,8 @@ def job_from_params(params) -> Job:
         model_params=overrides(MODELS, params.get("model", "lr")),
         error_params=overrides(ERRORS, params.get("error")),
         imputer_params=overrides(IMPUTERS, params.get("imputer")),
-        metric_params=overrides(METRICS, params.get("metric")),
         audit=params.get("audit"),
-        chunk_rows=None if chunk_rows is None else int(chunk_rows),
         audit_params=dict(params.get("audit_params") or {}),
-        block_size=None if block_size is None else int(block_size),
     )
 
 
@@ -316,12 +285,15 @@ def _check_json_params(params: dict, what: str) -> dict:
     return params
 
 
-def check_count(name: str, value) -> None:
-    """Reject a count that is not an integer >= 1 (bools and floats
-    included) before any cell is scheduled."""
+def check_count(name: str, value, least: int = 1) -> int:
+    """Reject a count that is not an integer >= ``least`` (bools and
+    floats included) before any cell is scheduled; returns it as an
+    ``int``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            or value < least):
+        raise ValueError(
+            f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def check_test_fraction(value) -> None:
@@ -369,8 +341,8 @@ class ScenarioGrid:
     """Declarative cross-product of experimental dimensions.
 
     Expands to ``datasets × approaches × models × errors × imputers ×
-    metrics × seeds × rows × feature_counts`` jobs, in a deterministic
-    nesting order, with duplicate cells removed.  Dimension values are
+    seeds × rows × feature_counts`` jobs, in a deterministic nesting
+    order, with duplicate cells removed.  Dimension values are
     registry specs — a bare key or a parameterized
     ``"key(param=value)"`` string / nested dict — validated against
     the live registries at construction so a typo (in a key *or* a
@@ -381,26 +353,18 @@ class ScenarioGrid:
     as their first row.
 
     ``imputers`` entries repair any NaNs the error recipe left in the
-    training split (``None`` = no repair); ``metrics`` entries select a
-    registered report metric whose value each cell surfaces as
-    ``raw["metric_value"]`` (``None`` = no selection).  Every metric
-    entry is a full grid cell — K metrics run (and cache) each
-    experiment K times — so sweep ``metrics`` only when the metric
-    must be a first-class grid coordinate (per-metric exports, a
-    ``metric`` pivot axis); every result always carries all metric
-    fields anyway, and :func:`~repro.engine.report.pivot` reads them
-    at report time for free.
+    training split (``None`` = no repair).  Every cell reports all
+    correctness and fairness metrics at once, so metrics are no grid
+    dimension: :func:`~repro.engine.report.pivot` picks one at report
+    time.
 
     ``audit="counterfactual"`` extends every cell with the rung-3
-    counterfactual audit; ``chunk_rows`` bounds its abduction batches
-    and ``audit_params`` (``n_particles``, ``max_rows``, ``n_bins``,
-    ``n_samples``) tune its cost.  ``block_size`` bounds the pairwise
-    kernel's query blocks for every k-NN-shaped component a cell
-    builds (the knn model and imputer).
+    counterfactual audit; ``audit_params`` (``n_particles``,
+    ``max_rows``, ``n_bins``, ``n_samples``) tune its cost.
 
-    ``feature_counts`` entries (``None`` = every feature) and
-    ``causal_samples`` must be integers >= 1, and ``test_fraction``
-    must lie strictly between 0 and 1.
+    ``rows``, ``feature_counts`` (``None`` = every feature) and
+    ``causal_samples`` must be integers >= 1, ``seeds`` integers >= 0,
+    and ``test_fraction`` must lie strictly between 0 and 1.
     """
 
     datasets: Sequence[str]
@@ -408,20 +372,16 @@ class ScenarioGrid:
     models: Sequence[str] = ("lr",)
     errors: Sequence[str | None] = (None,)
     imputers: Sequence[str | None] = (None,)
-    metrics: Sequence[str | None] = (None,)
     seeds: Sequence[int] = (0,)
     rows: Sequence[int] = (4000,)
     feature_counts: Sequence[int | None] = (None,)
     causal_samples: int = 5000
     test_fraction: float = 0.3
     audit: str | None = None
-    chunk_rows: int | None = None
     audit_params: dict = field(default_factory=dict)
-    block_size: int | None = None
 
     def __post_init__(self) -> None:
-        from ..registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS,
-                                METRICS, MODELS)
+        from ..registry import APPROACHES, DATASETS, ERRORS, IMPUTERS, MODELS
 
         self.datasets = tuple(
             DATASETS.canonical(d) for d in _as_tuple(self.datasets, ()))
@@ -437,15 +397,13 @@ class ScenarioGrid:
         self.imputers = tuple(
             None if i is None else IMPUTERS.canonical(i)
             for i in _as_tuple(self.imputers, (None,)))
-        self.metrics = tuple(
-            None if m is None else METRICS.canonical(m)
-            for m in _as_tuple(self.metrics, (None,)))
-        self.seeds = tuple(int(s) for s in _as_tuple(self.seeds, (0,)))
-        self.rows = tuple(int(r) for r in _as_tuple(self.rows, (4000,)))
+        self.seeds = tuple(check_count("seeds entries", s, least=0)
+                           for s in _as_tuple(self.seeds, (0,)))
+        self.rows = tuple(check_count("rows entries", r)
+                          for r in _as_tuple(self.rows, (4000,)))
         self.feature_counts = _as_tuple(self.feature_counts, (None,))
         self.audit_params = check_audit_params(self.audit,
-                                               self.audit_params,
-                                               self.chunk_rows)
+                                               self.audit_params)
 
         if not self.datasets:
             raise ValueError("a ScenarioGrid needs at least one dataset")
@@ -459,25 +417,15 @@ class ScenarioGrid:
                             ("approach", self.approaches),
                             ("model", self.models),
                             ("error", self.errors),
-                            ("imputer", self.imputers),
-                            ("metric", self.metrics)):
+                            ("imputer", self.imputers)):
             for spec in specs:
                 if spec is not None:
                     check_fingerprintable_params(spec, what)
-        for seed in self.seeds:
-            if seed < 0:
-                raise ValueError(f"seeds must be non-negative, got {seed}")
-        for n in self.rows:
-            if n <= 0:
-                raise ValueError(f"rows must be positive, got {n}")
         for n_features in self.feature_counts:
             if n_features is not None:
                 check_count("feature_counts entries", n_features)
         check_count("causal_samples", self.causal_samples)
         check_test_fraction(self.test_fraction)
-        if self.block_size is not None and self.block_size < 1:
-            raise ValueError(
-                f"block_size must be positive, got {self.block_size}")
 
     # ------------------------------------------------------------------
     @property
@@ -537,40 +485,30 @@ class ScenarioGrid:
                      n_features, error, error_params, imputer,
                      imputer_params, model, model_params, approach,
                      approach_params) -> None:
-        """Innermost expansion: metrics × seeds for one grid point."""
-        from ..registry import parse_spec
-
-        for metric_spec in self.metrics:
-            metric, metric_params = ((None, {}) if metric_spec is None
-                                     else parse_spec(metric_spec))
-            for seed in self.seeds:
-                job = Job(
-                    dataset=dataset, approach=approach, model=model,
-                    error=error, imputer=imputer, metric=metric,
-                    seed=seed, rows=n_rows, n_features=n_features,
-                    causal_samples=self.causal_samples,
-                    test_fraction=self.test_fraction,
-                    dataset_params=dataset_params,
-                    approach_params=approach_params,
-                    model_params=model_params,
-                    error_params=error_params,
-                    imputer_params=imputer_params,
-                    metric_params=metric_params,
-                    audit=self.audit, chunk_rows=self.chunk_rows,
-                    audit_params=dict(self.audit_params),
-                    block_size=self.block_size,
-                )
-                fingerprint = job.fingerprint
-                if fingerprint not in seen:
-                    seen.add(fingerprint)
-                    jobs.append(job)
+        """Innermost expansion: the seeds of one grid point."""
+        for seed in self.seeds:
+            job = Job(
+                dataset=dataset, approach=approach, model=model,
+                error=error, imputer=imputer, seed=seed, rows=n_rows,
+                n_features=n_features,
+                causal_samples=self.causal_samples,
+                test_fraction=self.test_fraction,
+                dataset_params=dataset_params,
+                approach_params=approach_params,
+                model_params=model_params, error_params=error_params,
+                imputer_params=imputer_params, audit=self.audit,
+                audit_params=dict(self.audit_params),
+            )
+            fingerprint = job.fingerprint
+            if fingerprint not in seen:
+                seen.add(fingerprint)
+                jobs.append(job)
 
     def describe(self) -> str:
         """One-line summary for logs and CLI output."""
         dims = []
         for name in ("datasets", "approaches", "models", "errors",
-                     "imputers", "metrics", "seeds", "rows",
-                     "feature_counts"):
+                     "imputers", "seeds", "rows", "feature_counts"):
             values = getattr(self, name)
             if len(values) > 1 or (len(values) == 1
                                    and values[0] is not None):

@@ -29,33 +29,24 @@ distances to be missed); on heavily tied data the stable re-rank
 picks the lowest reference indices among the ties the screen
 surfaced, mirroring the loop references' stable ``argsort``.
 
-``block_size`` is a performance knob: each query row always sees
+``block_size`` is a performance keyword: each query row always sees
 every reference row whatever the tiling, so selection is
 tiling-independent wherever distances are distinct (the property
 suite in ``tests/metrics/test_pairwise_kernel.py`` locks this in).
 BLAS may still reassociate the float32 screen arithmetic differently
 under different tilings, which could in principle break *exact ties*
-differently — so the engine conservatively hashes ``block_size`` into
-job fingerprints rather than assuming bitwise equivalence.  Callers
-that take an optional ``block_size`` should pass it through
-:func:`resolve_block_size`; the engine threads a per-job value via
-:func:`default_block_size`.
+differently.  Callers that take an optional ``block_size`` pass it
+through :func:`resolve_block_size`; omitted, it is
+:data:`DEFAULT_BLOCK_SIZE`.
 
 Blocks run one after another in the calling thread; parallelism
 inside a block is BLAS's own (the sweep executor sizes it to the
 CPUs its worker processes leave free, see :mod:`repro.blas`).
-
-The block-size default lives in a :class:`contextvars.ContextVar`, so
-concurrent in-process callers (two ``AuditService`` requests with
-different cells) see their own overrides instead of racing on a
-module global.
 """
 
 from __future__ import annotations
 
-import contextvars
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +55,6 @@ from .. import obs
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "default_block_size",
     "resolve_block_size",
     "minmax_scale",
     "sq_norms",
@@ -92,43 +82,17 @@ DEFAULT_BLOCK_SIZE = 1024
 #: distance — pathological even for discretised data.
 _SCREEN_MARGIN = 8
 
-#: The kernel default as a context variable, not a module global:
-#: concurrent in-process callers cannot leak overrides into each other.
-_default_block_var: contextvars.ContextVar[int] = contextvars.ContextVar(
-    "repro_pairwise_block", default=DEFAULT_BLOCK_SIZE)
-
 
 def resolve_block_size(block_size: int | None) -> int:
-    """Validate an optional block size, falling back to the context
-    default (which :func:`default_block_size` can override)."""
+    """Validate an optional block size (``None`` is
+    :data:`DEFAULT_BLOCK_SIZE`)."""
     if block_size is None:
-        return _default_block_var.get()
+        return DEFAULT_BLOCK_SIZE
     block_size = int(block_size)
     if block_size < 1:
         raise ValueError(f"block_size must be at least 1, "
                          f"got {block_size}")
     return block_size
-
-
-@contextmanager
-def default_block_size(block_size: int | None):
-    """Temporarily override the kernel's default block size.
-
-    The engine wraps each job's execution in this, so one
-    ``block_size`` knob reaches every kernel consumer the cell touches
-    (k-NN model, k-NN imputer, metric audits) without threading the
-    parameter through every intermediate signature.  ``None`` is a
-    no-op.  The override lives in a :class:`contextvars.ContextVar`,
-    so concurrent callers in one process each see their own value.
-    """
-    if block_size is None:
-        yield
-        return
-    token = _default_block_var.set(resolve_block_size(block_size))
-    try:
-        yield
-    finally:
-        _default_block_var.reset(token)
 
 
 # ----------------------------------------------------------------------

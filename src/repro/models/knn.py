@@ -23,8 +23,8 @@ class KNearestNeighbors(Classifier):
     k:
         Number of neighbours (paper default: 33).
     block_size:
-        Query rows per kernel block (``None`` = the kernel default,
-        which the sweep engine can override per job).
+        Query rows per kernel block (``None`` = the kernel's
+        :data:`~repro.metrics.pairwise.DEFAULT_BLOCK_SIZE`).
     """
 
     def __init__(self, k: int = 33, block_size: int | None = None):

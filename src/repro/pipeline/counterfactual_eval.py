@@ -62,7 +62,6 @@ def evaluate_counterfactual(approach_name: str | None, train: Dataset,
                             n_particles: int = 150,
                             max_rows: int | None = 60,
                             seed: int = 0,
-                            chunk_rows: int | None = None,
                             approach_params: dict | None = None,
                             ) -> CounterfactualAudit:
     """Fit an approach and audit it at the counterfactual rung.
@@ -90,12 +89,9 @@ def evaluate_counterfactual(approach_name: str | None, train: Dataset,
         Abduction controls of the individual audit (``max_rows=None``
         audits every test row).
     seed:
-        Randomness for fitting, sampling, and abduction.
-    chunk_rows:
-        Audit rows per abduction batch; ``None`` picks a chunk that
-        bounds rows × particles memory.  Chunking sets the RNG batch
-        boundaries, so audits are reproducible for a fixed
-        (seed, chunk_rows) pair, not across different chunk sizes.
+        Randomness for fitting, sampling, and abduction.  The abduction
+        chunk follows ``n_particles`` (it bounds rows × particles
+        memory), so a (seed, n_particles) pair fixes the audit.
     approach_params:
         Registry parameter overrides for the approach factory
         (``approach_name`` may also carry them as a spec string).
@@ -110,12 +106,11 @@ def evaluate_counterfactual(approach_name: str | None, train: Dataset,
     components, binned = _fit_components(
         train, test, approach_name, approach_params, model, seed, n_bins,
         n_particles, "audit.")
-    return _audit(components, binned, n_samples, max_rows, chunk_rows)
+    return _audit(components, binned, n_samples, max_rows)
 
 
 def _audit(components, test: Dataset, n_samples: int,
-           max_rows: int | None, chunk_rows: int | None
-           ) -> CounterfactualAudit:
+           max_rows: int | None) -> CounterfactualAudit:
     """Audit fitted serving components on their binned test split; one
     RNG from the components' seed feeds abduction, then the one noise
     draw the Ctf effects and error rates share."""
@@ -126,8 +121,7 @@ def _audit(components, test: Dataset, n_samples: int,
         fairness = counterfactual_fairness(
             scm, {n: test.table[n].astype(float) for n in meta["nodes"]},
             meta["sensitive"], meta["label"], predict, rng,
-            n_particles=meta["n_particles"], max_rows=max_rows,
-            chunk_rows=chunk_rows)
+            n_particles=meta["n_particles"], max_rows=max_rows)
     with obs.span("audit.effects", n_samples=n_samples):
         effects, error_rates = _ctf_draw(scm, meta["sensitive"],
                                          meta["label"], n_samples, rng,

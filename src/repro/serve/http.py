@@ -34,7 +34,11 @@ frame — sent with ``Transfer-Encoding`` (411), or with a
 ``Content-Length`` that is not a non-negative integer (400) — is
 answered and its connection closed, as after every stdlib error.  So
 is a body longer than :data:`MAX_BODY_BYTES` (413), unread: the
-client's header never sets the size of the server's read.
+client's header never sets the size of the server's read.  Every read
+on a connection has a deadline, :data:`READ_TIMEOUT_S`: a body that
+stalls past it is answered with 408 and its connection closed, and an
+idle keep-alive connection past it is closed without a reply, so a
+silent client cannot hold a handler thread.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ log = logging.getLogger("repro.serve")
 #: Largest request body the server reads, in bytes: over a thousand
 #: times a 64-row ``/audit-batch`` body (about 12 KB).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Seconds a read on a connection may wait for the client (the socket
+#: timeout of :class:`socketserver.StreamRequestHandler`).
+READ_TIMEOUT_S = 30.0
 
 
 class AuditHTTPServer(ThreadingHTTPServer):
@@ -90,6 +98,7 @@ class _Handler(BaseHTTPRequestHandler):
     # keep-alive client's ~40 ms delayed ACK.
     wbufsize = -1
     disable_nagle_algorithm = True
+    timeout = READ_TIMEOUT_S
     server: AuditHTTPServer
 
     # -- plumbing ------------------------------------------------------
@@ -134,8 +143,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes | None:
         """The request body: exactly ``Content-Length`` bytes, none
-        without the header.  A body that cannot be framed is answered
-        here, with the connection closed, and gives ``None``."""
+        without the header.  A body that cannot be framed, or that
+        stalls past the read deadline, is answered here, with the
+        connection closed, and gives ``None``."""
         if "Transfer-Encoding" in self.headers:
             self._fail(411, "Transfer-Encoding is not supported; send the "
                             "body with a Content-Length header", close=True)
@@ -150,7 +160,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._fail(413, f"request body of {size} bytes exceeds the "
                             f"{MAX_BODY_BYTES}-byte limit", close=True)
             return None
-        return self.rfile.read(size)
+        try:
+            return self.rfile.read(size)
+        except TimeoutError:
+            self._fail(408, f"request body not received within "
+                            f"{self.timeout:g} s", close=True)
+            return None
 
     # -- routes --------------------------------------------------------
     def do_GET(self):  # noqa: N802 - stdlib dispatch name

@@ -38,7 +38,7 @@ class TestExperimentSpec:
                               approach="Celis-pp(tau=0.9)",
                               model="knn(k=7)", error="t1", seed=3,
                               rows=500, causal_samples=400,
-                              audit="counterfactual", chunk_rows=32,
+                              audit="counterfactual",
                               audit_params={"n_particles": 5})
         assert ExperimentSpec.from_config(spec.to_config()) == spec
 
@@ -95,6 +95,9 @@ class TestSweepSpec:
         assert spec.seeds == (0, 1, 2)
         with pytest.raises(ValueError):
             SweepSpec.from_config({"datasets": ["german"], "seeds": 0})
+        with pytest.raises(ValueError, match="seeds count must be an "
+                                             "integer >= 1, got True"):
+            SweepSpec.from_config({"datasets": ["german"], "seeds": True})
 
     def test_flat_mapping_accepted(self):
         flat = {"datasets": ["german"], "approaches": ["Hardt-eo"],
@@ -117,6 +120,26 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="'threads'"):
             SweepSpec.from_config({"sweep": {"datasets": ["german"],
                                              "threads": 2}})
+
+    @pytest.mark.parametrize("field, value", [
+        ("metrics", ["accuracy"]), ("chunk_rows", 256),
+        ("block_size", 64)])
+    def test_removed_fields_are_gone(self, field, value, tmp_path,
+                                     capsys):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            SweepSpec.from_config({"sweep": {"datasets": ["german"],
+                                             field: value}})
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"datasets": ["german"],
+                                      field: value}))
+        assert main(["sweep", "--config", str(config),
+                     "--cache-dir", "none"]) == 2
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err and "Traceback" not in err
+        single = "metric" if field == "metrics" else field
+        with pytest.raises(ValueError, match=f"'{single}'"):
+            ExperimentSpec.from_config({"dataset": "german",
+                                        single: value})
 
     def test_grid_matches_direct_scenario_grid(self):
         spec = SweepSpec.from_config(SMALL_SWEEP)
@@ -228,7 +251,6 @@ class TestAuditThreading:
             "rows": [300],
             "causal_samples": 200,
             "audit": "counterfactual",
-            "chunk_rows": 16,
             "audit_params": {"n_particles": 8, "max_rows": 10,
                              "n_samples": 300},
         },
@@ -248,12 +270,8 @@ class TestAuditThreading:
         plain = SweepSpec.from_config(
             {"datasets": ["german"], "approaches": ["baseline"],
              "rows": [300], "causal_samples": 200})
-        rechunked = SweepSpec.from_config(
-            {**self.CONFIG["sweep"], "chunk_rows": 8})
-        fingerprints = {
-            s.to_grid().expand()[0].fingerprint
-            for s in (spec, plain, rechunked)}
-        assert len(fingerprints) == 3
+        assert (spec.to_grid().expand()[0].fingerprint
+                != plain.to_grid().expand()[0].fingerprint)
 
     def test_audit_cell_cached_like_any_other(self, tmp_path):
         spec = SweepSpec.from_config(self.CONFIG)
@@ -269,22 +287,6 @@ class TestAuditThreading:
         with pytest.raises(ValueError, match="audit"):
             SweepSpec.from_config({"datasets": ["german"],
                                    "audit": "quantum"})
-
-    def test_chunk_rows_without_audit_rejected(self, capsys):
-        # chunk_rows is hashed into the fingerprint but read only by the
-        # audit; unaudited it would split one cell into two cache rows.
-        with pytest.raises(ValueError, match="chunk_rows 256 given "
-                                             "without an audit"):
-            ScenarioGrid(datasets=["german"], chunk_rows=256)
-        with pytest.raises(ValueError, match="chunk_rows"):
-            ExperimentSpec(dataset="german", chunk_rows=256)
-        with pytest.raises(ValueError, match="chunk_rows"):
-            SweepSpec(datasets=["german"], chunk_rows=256)
-        assert main(["sweep", "--dataset", "german",
-                     "--chunk-rows", "256", "--cache-dir", "none"]) == 2
-        err = capsys.readouterr().err
-        assert "chunk_rows 256 given without an audit" in err
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize("params", [
         {"n_bins": 1}, {"n_particles": 0}, {"max_rows": 0},
@@ -313,14 +315,6 @@ class TestAuditThreading:
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
 
-    def test_bad_chunk_rows_rejected(self, capsys):
-        with pytest.raises(ValueError, match="chunk_rows"):
-            ExperimentSpec(dataset="german", audit="counterfactual",
-                           chunk_rows=0)
-        assert main(["sweep", "--dataset", "german",
-                     "--chunk-rows", "0"]) == 2
-        assert "--chunk-rows" in capsys.readouterr().err
-
 
 class TestProtocolValues:
     @pytest.mark.parametrize("field, value, match", [
@@ -338,14 +332,24 @@ class TestProtocolValues:
                                "0 and 1, got 1.5"),
         ("test_fraction", 0, "test_fraction must lie strictly between "
                              "0 and 1, got 0"),
+        ("rows", [300.9], "rows entries must be an integer >= 1, "
+                          "got 300.9"),
+        ("rows", [0], "rows entries must be an integer >= 1, got 0"),
+        ("rows", [True], "rows entries must be an integer >= 1, "
+                         "got True"),
+        ("seeds", [1.7], "seeds entries must be an integer >= 0, "
+                         "got 1.7"),
+        ("seeds", [-1], "seeds entries must be an integer >= 0, "
+                        "got -1"),
     ], ids=["features-negative", "features-zero", "features-fractional",
             "samples-zero", "samples-negative", "fraction-above-one",
-            "fraction-zero"])
+            "fraction-zero", "rows-fractional", "rows-zero", "rows-bool",
+            "seeds-fractional", "seeds-negative"])
     def test_bad_values_rejected_at_construction(self, field, value,
                                                  match, tmp_path, capsys):
         # Each used to build its grid and then misbehave per cell: drop
-        # or add features silently, return NaN effects, or fail inside
-        # the worker.
+        # or add features silently, return NaN effects, fail inside
+        # the worker, or truncate a fractional row count or seed.
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({"datasets": ["german"],
                                       field: value}))
@@ -357,11 +361,24 @@ class TestProtocolValues:
             ScenarioGrid(datasets=["german"], **{field: value})
         with pytest.raises(ValueError, match=match):
             SweepSpec(datasets=["german"], **{field: value})
-        if field == "feature_counts":
-            field, value = "n_features", value[0]
-            match = match.replace("feature_counts entries", field)
+        single = {"feature_counts": "n_features", "rows": "rows",
+                  "seeds": "seed"}
+        if field in single:
+            match = match.replace(f"{field} entries", single[field])
+            field, value = single[field], value[0]
         with pytest.raises(ValueError, match=match):
             ExperimentSpec(dataset="german", **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        import numpy as np
+
+        (job,) = ScenarioGrid(datasets=["german"], rows=[np.int64(300)],
+                              seeds=[np.int64(2)]).expand()
+        assert (job.rows, job.seed) == (300, 2)
+        assert type(job.rows) is int and type(job.seed) is int
+        spec = ExperimentSpec(dataset="german", rows=np.int64(300),
+                              seed=np.int64(2))
+        assert spec.to_job().fingerprint == job.fingerprint
 
 
 class TestParameterizedReporting:

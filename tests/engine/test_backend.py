@@ -1,12 +1,16 @@
 """Pluggable store backends: URIs, SQL round-trips, older stores."""
 
+import dataclasses
+import hashlib
 import json
 import sqlite3
 
 import pytest
 
+from repro.cli import main
 from repro.engine import (FileBackend, Job, ResultCache, ScenarioGrid,
-                          SqlBackend, parse_store)
+                          SqlBackend, execute_job, parse_store,
+                          run_sweep)
 from repro.engine.report import _axis_value
 from repro.engine.resilience import Attempt
 from repro.engine.spec import _JOB_AXES
@@ -172,7 +176,8 @@ class TestSqlRoundtrip:
 
 #: The schema SQL stores had under the same store_version while reports
 #: compiled to SQL: two more ``cells`` columns, a per-metric side
-#: table, and an index on each.
+#: table, and an index on each; and, before ``SPEC_VERSION`` 7, the
+#: ``metric``, ``chunk_rows`` and ``block_size`` axis columns.
 OLDER_DDL = """
 PRAGMA journal_mode=WAL;
 CREATE TABLE cells (
@@ -202,6 +207,13 @@ INSERT INTO meta VALUES ('store_version', '1');
 CREATE INDEX cells_grid_order ON cells (grid_order, fingerprint);
 """
 
+#: The axis columns SQL stores had up to ``SPEC_VERSION`` 6 (those of
+#: :data:`OLDER_DDL`), in table order: the current axes plus
+#: ``metric``, ``chunk_rows`` and ``block_size``.
+V6_AXES = ("dataset", "approach", "model", "error", "imputer", "metric",
+           "seed", "rows", "n_features", "audit", "chunk_rows",
+           "block_size")
+
 
 class TestOlderStore:
     """A store written under :data:`OLDER_DDL` loads, takes puts,
@@ -224,10 +236,12 @@ class TestOlderStore:
         for order, job in enumerate(jobs):
             params = {"fingerprint": job.fingerprint, **job.params()}
             result = result_to_dict(self.result(job))
+            # The removed axes (metric, chunk_rows, block_size) are NULL.
+            axes = {axis: _axis_value(job, axis) for axis in _JOB_AXES}
             conn.execute(
                 "INSERT INTO cells VALUES (" + ", ".join(["?"] * 20) + ")",
                 (job.fingerprint, params["spec_version"],
-                 *(_axis_value(job, axis) for axis in _JOB_AXES),
+                 *(axes.get(axis) for axis in V6_AXES),
                  f"{order:04d}", json.dumps(params, sort_keys=True),
                  json.dumps(result, sort_keys=True),
                  json.dumps(result["raw"], sort_keys=True), "[]", None))
@@ -280,6 +294,93 @@ class TestOlderStore:
         assert "cells_grid_order" not in schema
         older.evict(job)
         assert self.cells(older) == self.cells(reference)
+
+
+#: The ``cells`` table SQL stores had at ``SPEC_VERSION`` 6.
+V6_DDL = f"""
+CREATE TABLE cells (
+    fingerprint TEXT PRIMARY KEY,
+    spec_version INTEGER NOT NULL,
+    {", ".join(f'"{axis}"' for axis in V6_AXES)},
+    params TEXT NOT NULL,
+    result TEXT NOT NULL,
+    raw TEXT NOT NULL,
+    attempts TEXT NOT NULL DEFAULT '[]'
+);
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT);
+INSERT INTO meta VALUES ('store_version', '1');
+"""
+
+
+class TestStoreBeforeSpecVersion7:
+    """A store written under ``SPEC_VERSION`` 6 holds two entries of
+    one cell that differed only in the since-removed metric axis: both
+    verify as stale and report as one cell, a re-run at version 7
+    supersedes them, and compact folds them."""
+
+    JOB = Job(dataset="german", rows=300, causal_samples=200)
+
+    def v6_entry(self, **removed) -> tuple[str, dict]:
+        """The fingerprint and params block version 6 wrote."""
+        params = {**self.JOB.params(), "spec_version": 6,
+                  "metric": None, "metric_params": {},
+                  "chunk_rows": None, "block_size": None, **removed}
+        canonical = json.dumps(params, sort_keys=True,
+                               separators=(",", ":"))
+        fingerprint = hashlib.sha256(canonical.encode()).hexdigest()
+        return fingerprint, {"fingerprint": fingerprint, **params}
+
+    def write_v6(self, kind, path, result) -> str:
+        plain = self.v6_entry()
+        metric = self.v6_entry(metric="accuracy")
+        entries = [(*plain, result),
+                   (*metric, dataclasses.replace(result, raw={
+                       **result.raw, "metric_value": result.accuracy}))]
+        if kind == "file":
+            backend = FileBackend(path)
+            for fingerprint, params, stored in entries:
+                backend.save(fingerprint, [stored], params)
+            return f"file:{path}"
+        conn = sqlite3.connect(path)
+        conn.executescript(V6_DDL)
+        for fingerprint, params, stored in entries:
+            payload = result_to_dict(stored)
+            conn.execute(
+                "INSERT INTO cells VALUES ("
+                + ", ".join(["?"] * (len(V6_AXES) + 6)) + ")",
+                (fingerprint, 6, *(params[axis] for axis in V6_AXES),
+                 json.dumps(params, sort_keys=True),
+                 json.dumps(payload, sort_keys=True),
+                 json.dumps(payload["raw"], sort_keys=True), "[]"))
+        conn.commit()
+        conn.close()
+        return f"sqlite:{path}"
+
+    @pytest.mark.parametrize("kind", ["file", "sqlite"])
+    def test_stale_cells_report_then_yield_to_a_rerun(self, kind,
+                                                      tmp_path, capsys):
+        # Wall-clock fit time tells the version-6 result from a rerun's.
+        result = dataclasses.replace(execute_job(self.JOB),
+                                     fit_seconds=123.0)
+        uri = self.write_v6(kind, tmp_path / "store", result)
+        assert main(["cache", "verify", "--store", uri]) == 1
+        err = capsys.readouterr().err
+        assert err.count("stale: ") == 2
+        assert "spec_version 6 (current 7)" in err
+        assert main(["report", "--store", uri]) == 0
+        assert capsys.readouterr().out.startswith("1 cached cells in ")
+
+        cache = ResultCache(uri)
+        assert run_sweep([self.JOB], cache=cache).computed_count == 1
+        (outcome,) = cache.outcomes()
+        assert outcome.job == self.JOB
+        assert outcome.result.fit_seconds != 123.0
+        assert main(["cache", "compact", "--store", uri]) == 0
+        assert ("folded 2 stale duplicate(s), 1 entries kept"
+                in capsys.readouterr().out)
+        assert cache.fingerprints() == [self.JOB.fingerprint]
+        assert main(["cache", "verify", "--store", uri]) == 0
+        cache.close()
 
 
 class TestFileBackendVacuum:

@@ -93,4 +93,4 @@ class TestGoldenExports:
             assert record["fit_seconds"] == 0.0
             assert set(record) >= {"approach", "error", "imputer",
                                    "seed", "accuracy", "di_star",
-                                   "block_size"}
+                                   "audit"}

@@ -111,7 +111,7 @@ class TestFingerprint:
         ("error_params", {"unprivileged_rate": 0.3}),
         ("dataset_params", {"n": 100}),
         ("audit", "counterfactual"),
-        ("chunk_rows", 64),
+        ("n_features", 4),
         ("audit_params", {"n_particles": 5})])
     def test_registry_params_feed_the_hash(self, field, value):
         changed = dataclasses.replace(self.JOB, **{field: value})

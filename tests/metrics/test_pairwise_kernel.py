@@ -11,16 +11,13 @@ sizes, and data:
 * top-k is equivariant under query-row permutation;
 * masked (partially observed) distances equal a per-row loop, and
   pairs with no shared observed feature are incomparable (``inf``);
-* empty inputs fail by name, and the block-size default is a
-  per-context override that concurrent threads cannot leak.
+* empty inputs and a block size below 1 fail by name.
 
 Hypothesis drives shapes/blocks/seeds; the data itself comes from
 seeded generators (tie-free continuous draws), matching the rest of
 the suite's style.
 """
 
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -28,7 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.spec import Job
 from repro.errors import impute_knn
 from repro.metrics import pairwise
 from repro.metrics.individual import normalized_euclidean
@@ -272,61 +268,9 @@ class TestScalingAndDefaults:
         Z = pairwise.minmax_scale(np.array([[2.0, -1.0, 7.0]]))
         assert np.array_equal(Z, np.zeros((1, 3)))
 
-    def test_default_block_size_context(self):
-        assert pairwise.resolve_block_size(None) == \
-            pairwise.DEFAULT_BLOCK_SIZE
-        with pairwise.default_block_size(17):
-            assert pairwise.resolve_block_size(None) == 17
-            # explicit values still win over the ambient default
-            assert pairwise.resolve_block_size(5) == 5
-        assert pairwise.resolve_block_size(None) == \
-            pairwise.DEFAULT_BLOCK_SIZE
-
-    def test_default_block_size_none_is_noop(self):
-        with pairwise.default_block_size(None):
-            assert pairwise.resolve_block_size(None) == \
-                pairwise.DEFAULT_BLOCK_SIZE
-
-    def test_default_block_size_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with pairwise.default_block_size(9):
-                raise RuntimeError("boom")
-        assert pairwise.resolve_block_size(None) == \
-            pairwise.DEFAULT_BLOCK_SIZE
-
     def test_invalid_block_size_rejected(self):
         with pytest.raises(ValueError, match="block_size"):
             pairwise.resolve_block_size(0)
-        with pytest.raises(ValueError, match="block_size"):
-            with pairwise.default_block_size(-3):
-                pass
-
-    def test_two_thread_block_size_isolation(self):
-        """Regression: the block-size default was a mutable module
-        global, so two concurrent overrides raced and leaked into each
-        other; as a ContextVar each thread sees exactly its own."""
-        seen = {}
-        barrier = threading.Barrier(2)
-
-        def worker(value, key):
-            with pairwise.default_block_size(value):
-                barrier.wait(timeout=5)  # both overrides active at once
-                time.sleep(0.02)
-                seen[key] = pairwise.resolve_block_size(None)
-
-        threads = [threading.Thread(target=worker, args=(17, "a")),
-                   threading.Thread(target=worker, args=(23, "b"))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert seen == {"a": 17, "b": 23}
-        assert (pairwise.resolve_block_size(None)
-                == pairwise.DEFAULT_BLOCK_SIZE)
-
-    def test_block_size_still_fingerprinted(self):
-        assert (Job(dataset="compas", block_size=256).fingerprint
-                != Job(dataset="compas", block_size=512).fingerprint)
 
 
 class TestEmptyInputs:

@@ -131,6 +131,15 @@ class TestSweepSpanThreadMap:
         attrs = self.sweep_attrs(serial)
         assert attrs["workers"] == 1
         assert attrs["blas_threads"] == blas.budget(cpus, 1)
+        # The pool is as wide as the pending cells, not max_workers.
+        _, narrow = traced_run(small_jobs()[:2], tmp_path, "n",
+                               max_workers=4)
+        attrs = self.sweep_attrs(narrow)
+        assert attrs["workers"] == 2
+        assert attrs["blas_threads"] == blas.budget(cpus, 2)
+        _, cached = traced_run(small_jobs()[:2], tmp_path, "n",
+                               max_workers=4)
+        assert self.sweep_attrs(cached)["workers"] == 0
 
     def test_explicit_env_recorded(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "1")

@@ -33,7 +33,8 @@ class TestRun:
     def test_unknown_approach_is_error(self, capsys):
         code = main(["run", "--rows", "400", "--approach", "FairGAN"])
         assert code == 2
-        assert "unknown approach" in capsys.readouterr().err
+        assert ("unknown approach 'FairGAN'; choose from"
+                in capsys.readouterr().err)
 
 
 class TestModelOption:
@@ -99,7 +100,8 @@ class TestSweep:
 
     def test_sweep_unknown_approach_rejected(self, capsys):
         assert main(["sweep", "--approach", "FairGAN"]) == 2
-        assert "unknown approach" in capsys.readouterr().err
+        assert ("unknown approach 'FairGAN'; choose from"
+                in capsys.readouterr().err)
 
     def test_sweep_bad_seeds_rejected(self, capsys):
         assert main(["sweep", "--seeds", "0"]) == 2
@@ -114,6 +116,27 @@ class TestSweep:
             main(["sweep", "--threads", "2"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--metric", "accuracy"), ("--chunk-rows", "8"),
+        ("--block-size", "64")])
+    def test_removed_sweep_flags_are_gone(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dataset", "german", flag, value,
+                  "--cache-dir", "none"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize("command", ["sweep", "run"])
+    def test_protocol_error_has_no_registry_hint(self, command, capsys):
+        # Only an unknown component names the registry's choices.
+        assert main([command, "--dataset", "german", "--causal-samples",
+                     "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: causal_samples must be an integer >= 1, "
+                       "got 0\n")
 
 
 class TestAudit:

@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.serve import AuditService, serve_forever
+from repro.serve import http as serve_http
 from repro.serve.http import MAX_BODY_BYTES
 
 
@@ -304,6 +305,29 @@ class TestFraming:
         assert body == {"error": message}
         assert rec.counters["serve.errors"] == 1
         assert get(live_server + "/healthz")[0] == 200
+
+    def test_stalled_body_gets_408_and_closes(self, live_server,
+                                              monkeypatch):
+        monkeypatch.setattr(serve_http._Handler, "timeout", 0.3)
+        with obs.recording() as rec:
+            # 10 of the 100 announced bytes, then silence; raw_exchange
+            # returns only once the server has closed.
+            status, body = raw_exchange(
+                live_server, ONE_ROW + b"Content-Length: 100\r\n\r\n"
+                + b"0123456789")
+        assert status == 408
+        assert body == {"error": "request body not received within 0.3 s"}
+        assert rec.counters["serve.errors"] == 1
+        assert get(live_server + "/healthz")[0] == 200
+
+    def test_idle_keep_alive_connection_is_closed(self, live_server,
+                                                  monkeypatch):
+        monkeypatch.setattr(serve_http._Handler, "timeout", 0.3)
+        conn = connect(live_server)
+        assert exchange(conn, "GET", "/healthz")[0] == 200
+        # Past the deadline the server closes the idle connection.
+        assert conn.sock.recv(1) == b""
+        conn.close()
 
     def test_head_reply_has_no_body(self, live_server):
         reply = raw_reply(live_server, b"HEAD /healthz HTTP/1.1\r\n\r\n")
