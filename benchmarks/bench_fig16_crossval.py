@@ -17,7 +17,7 @@ from repro.datasets import stratified_k_fold
 from repro.pipeline import (CORRECTNESS_COLUMNS, FAIRNESS_COLUMNS,
                             run_experiment)
 from repro.pipeline.report import HEADER_LABELS
-from repro.registry import APPROACHES
+from repro.registry import APPROACHES, DATASETS
 
 VARIANTS = APPROACHES.keys() if FULL else APPROACHES.keys(group="main")
 COLUMNS = [*CORRECTNESS_COLUMNS, *FAIRNESS_COLUMNS]
@@ -25,9 +25,7 @@ FIGURE_BY_DATASET = {"adult": 16, "compas": 17, "german": 18}
 
 
 def run_crossval(dataset_name: str) -> str:
-    from repro.datasets import load
-
-    dataset = load(dataset_name, n=CV_SIZES[dataset_name], seed=0)
+    dataset = DATASETS.build(dataset_name, n=CV_SIZES[dataset_name], seed=0)
     splits = stratified_k_fold(dataset, k=5, seed=0)
     lines = [f"Figure {FIGURE_BY_DATASET[dataset_name]} ({dataset_name}): "
              "5-fold cross-validated averages"]

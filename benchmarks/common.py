@@ -69,9 +69,9 @@ def emit(name: str, text: str) -> str:
 
 
 def load_sized(dataset_name: str, seed: int = 0):
-    from repro.datasets import load
+    from repro.registry import DATASETS
 
-    return load(dataset_name, n=SIZES[dataset_name], seed=seed)
+    return DATASETS.build(dataset_name, n=SIZES[dataset_name], seed=seed)
 
 
 def once(benchmark, fn):

@@ -16,7 +16,6 @@ from repro.datasets import load_compas, train_test_split
 from repro.metrics import (ConfusionCounts, causal_effects_of_predictions,
                            disparate_impact)
 from repro.pipeline import FairPipeline, evaluate_pipeline, run_experiment
-from repro.fairness import make_approach
 
 
 def audit_group_errors(y, y_hat, s) -> None:

@@ -9,12 +9,11 @@ Run:  python examples/model_sensitivity.py
 """
 
 from repro.datasets import load_adult, train_test_split
-from repro.fairness import make_approach
-from repro.models import make_model
 from repro.pipeline import FairPipeline, evaluate_pipeline
+from repro.registry import APPROACHES, MODELS
 
-MODELS = ("lr", "svm", "knn", "rf", "mlp")
-APPROACHES = ("KamCal-dp", "Feld-dp", "KamKar-dp")
+MODEL_NAMES = ("lr", "svm", "knn", "rf", "mlp")
+APPROACH_NAMES = ("KamCal-dp", "Feld-dp", "KamKar-dp")
 
 
 def model_kwargs(name: str) -> dict:
@@ -26,15 +25,15 @@ def main() -> None:
     dataset = load_adult(n=4000, seed=3)
     split = train_test_split(dataset, seed=3)
 
-    for approach_name in APPROACHES:
-        stage = make_approach(approach_name).stage.value
+    for approach_name in APPROACH_NAMES:
+        stage = APPROACHES.build(approach_name, seed=0).stage.value
         print(f"{approach_name} ({stage}):")
         print(f"  {'model':5s} {'acc':>6s} {'DI*':>6s} {'1-|TE|':>7s}")
         spread = []
-        for model_name in MODELS:
+        for model_name in MODEL_NAMES:
             pipe = FairPipeline(
-                make_approach(approach_name, seed=0),
-                model=make_model(model_name, **model_kwargs(model_name)))
+                APPROACHES.build(approach_name, seed=0),
+                model=MODELS.build(model_name, **model_kwargs(model_name)))
             pipe.fit(split.train)
             r = evaluate_pipeline(pipe, split.test, causal_samples=3000)
             spread.append(r.di_star)

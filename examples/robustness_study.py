@@ -11,8 +11,8 @@ Run:  python examples/robustness_study.py
 """
 
 from repro.datasets import load_compas, train_test_split
-from repro.errors import corrupt
 from repro.pipeline import run_experiment
+from repro.registry import ERRORS
 
 APPROACHES = (None, "KamCal-dp", "Zafar-dp-fair", "Hardt-eo")
 RECIPES = ("t1", "t2", "t3")
@@ -31,7 +31,7 @@ def main() -> None:
         print(f"{clean.approach:14s} {'clean':9s} {clean.accuracy:6.3f} "
               f"{clean.di_star:6.3f} {clean.tprb:9.3f}")
         for recipe in RECIPES:
-            corrupted_train = corrupt(split.train, recipe, seed=0)
+            corrupted_train = ERRORS.build(recipe)(split.train, seed=0)
             r = run_experiment(name, corrupted_train, split.test,
                                causal_samples=3000, seed=0)
             print(f"{'':14s} {recipe.upper():9s} {r.accuracy:6.3f} "

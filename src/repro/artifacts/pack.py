@@ -113,7 +113,7 @@ def _fit_components(train, test, approach_name, approach_params, model,
         raise ValueError(
             f"dataset {train.name!r} has no causal graph; the rung-3 "
             "audit and the serving path need one (learn it with "
-            "repro.causal.pc)")
+            "repro.causal.learn_dataset_graph)")
     numeric = tuple(f for f in train.feature_names
                     if f not in train.categorical)
     discretizer = None

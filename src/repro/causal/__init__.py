@@ -11,7 +11,6 @@ from .identification import (Identification, backdoor_estimate,
                              frontdoor_sets, identify_effect, instruments,
                              interventional_distribution, is_backdoor_set,
                              is_frontdoor_set)
-from .pc import CPDAG, pc_algorithm, pc_skeleton
 from .pse import (PathSpecificEffect, active_edges_for_direct,
                   active_edges_for_indirect, edges_of_paths,
                   path_specific_effect, pse_decomposition)
@@ -21,7 +20,6 @@ __all__ = [
     "CausalGraph", "StructuralCausalModel", "Mechanism", "SizedRNG",
     "Effects", "interventional_effects", "observational_effects",
     "g_test", "learn_graph", "learn_dataset_graph",
-    "CPDAG", "pc_skeleton", "pc_algorithm",
     "DiscreteCPT", "CounterfactualSCM", "NoiseAssignment",
     "PathSpecificEffect", "edges_of_paths", "active_edges_for_direct",
     "active_edges_for_indirect", "path_specific_effect",

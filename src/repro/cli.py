@@ -89,6 +89,7 @@ import sys
 from collections.abc import Sequence
 
 from .engine import ResultCache, ScenarioGrid, grid_table, run_sweep
+from .engine.spec import check_count
 from .fairness import Stage
 from .metrics.notions import (Association, CausalHierarchy, Granularity,
                               catalog)
@@ -701,8 +702,18 @@ def _parse_where(pairs: Sequence[str]) -> dict:
 def cmd_report(args: argparse.Namespace) -> int:
     from .engine import (export_csv, export_json, format_pivot_table,
                          grid_slices)
+    from .engine.report import check_axes
     from .pipeline.report import format_runtime_table
 
+    axes = [axis for index, columns, _ in args.pivot
+            for axis in (index, columns)]
+    if args.overhead is not None:
+        axes.append(args.overhead)
+    try:
+        check_axes(axes)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     store = args.store if args.store is not None else args.cache_dir
     try:
         cache = ResultCache(store)
@@ -755,7 +766,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             table = cache.pivot(index=index, columns=columns,
                                 value=value, where=where or None,
                                 outcomes=outcomes)
-        except (AttributeError, KeyError) as exc:
+        except KeyError as exc:
             message = exc.args[0] if exc.args else exc
             print(f"error: {message}", file=sys.stderr)
             return 2
@@ -768,7 +779,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             series = cache.overhead_series(sweep=args.overhead,
                                            where=where or None,
                                            outcomes=outcomes)
-        except (AttributeError, KeyError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             message = exc.args[0] if exc.args else exc
             print(f"error: {message}", file=sys.stderr)
             return 2
@@ -985,6 +996,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_describe(args: argparse.Namespace) -> int:
     from .datasets import check_mvd, discretize_dataset
 
+    try:
+        check_count("--rows", args.rows)
+        check_count("--seed", args.seed, least=0)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     dataset = DATASETS.build(args.dataset, n=args.rows, seed=args.seed)
     print(dataset)
     print(f"base rates: P(Y=1|S=0) = {dataset.base_rate(0):.3f}, "

@@ -6,11 +6,10 @@ from .dependencies import MvdReport, check_mvd
 from .encoding import (EqualFrequencyDiscretizer, FeatureEncoder,
                        OneHotEncoder, StandardScaler, discretize_dataset,
                        encode_features)
-from .generators import (LOADERS, load, load_admissions, load_adult,
-                         load_compas, load_german)
+from .generators import (load_admissions, load_adult, load_compas,
+                         load_german)
 from .io import format_csv, parse_csv, read_csv, write_csv
-from .real import (load_adult_csv, load_compas_csv, load_dataset,
-                   load_german_csv)
+from .real import load_adult_csv, load_compas_csv, load_german_csv
 from .splits import (Split, k_fold, stratified_k_fold, train_test_split,
                      train_validation_test_split)
 from .table import AGGREGATIONS, GroupBy, Table, crosstab, value_counts
@@ -21,9 +20,8 @@ __all__ = [
     "StandardScaler", "OneHotEncoder", "EqualFrequencyDiscretizer",
     "FeatureEncoder",
     "discretize_dataset", "encode_features",
-    "load", "load_adult", "load_compas", "load_german", "load_admissions",
-    "LOADERS",
-    "load_dataset", "load_adult_csv", "load_compas_csv", "load_german_csv",
+    "load_adult", "load_compas", "load_german", "load_admissions",
+    "load_adult_csv", "load_compas_csv", "load_german_csv",
     "read_csv", "write_csv", "parse_csv", "format_csv",
     "Split", "train_test_split", "train_validation_test_split",
     "k_fold", "stratified_k_fold",

@@ -343,13 +343,3 @@ def load_admissions() -> Dataset:
         admissible=("sat",),
     )
 
-
-LOADERS = {"adult": load_adult, "compas": load_compas, "german": load_german}
-
-
-def load(name: str, n: int | None = None, seed: int = 0) -> Dataset:
-    """Load a benchmark dataset by name (``adult``/``compas``/``german``)."""
-    if name not in LOADERS:
-        raise KeyError(f"unknown dataset {name!r}; choose from {sorted(LOADERS)}")
-    loader = LOADERS[name]
-    return loader(seed=seed) if n is None else loader(n=n, seed=seed)

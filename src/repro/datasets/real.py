@@ -19,9 +19,8 @@ Expected file formats:
 * ``load_german_csv`` — the Kaggle ``german_credit_data.csv`` layout
   with a ``Risk`` column.
 
-``load_dataset`` is the high-level entry point: it tries the real file
-when a path is given and otherwise falls back to the synthetic
-generator.
+The synthetic counterparts are built by name through
+:data:`repro.registry.DATASETS`.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "load_adult_csv",
     "load_compas_csv",
     "load_german_csv",
-    "load_dataset",
 ]
 
 
@@ -254,57 +252,3 @@ def load_german_csv(path: str | Path) -> Dataset:
         categorical=template.categorical,
         admissible=template.admissible,
     )
-
-
-# ----------------------------------------------------------------------
-# Unified entry point
-# ----------------------------------------------------------------------
-_REAL_LOADERS = {
-    "adult": load_adult_csv,
-    "compas": load_compas_csv,
-    "german": load_german_csv,
-}
-
-_SYNTHETIC_LOADERS = {
-    "adult": load_adult,
-    "compas": load_compas,
-    "german": load_german,
-}
-
-
-def load_dataset(name: str, path: str | Path | None = None,
-                 n: int = 5000, seed: int = 0) -> Dataset:
-    """Load a benchmark dataset, real if a path is given else synthetic.
-
-    Parameters
-    ----------
-    name:
-        ``"adult"``, ``"compas"``, or ``"german"``.
-    path:
-        Optional location of the original CSV; when given, the real
-        loader is used and ``n``/``seed`` are ignored.
-    n, seed:
-        Size and seed of the synthetic sample (path-less mode).
-
-    Raises
-    ------
-    KeyError
-        On an unknown dataset name.
-    FileNotFoundError
-        When ``path`` is given but does not exist.
-    """
-    key = name.lower()
-    if key not in _SYNTHETIC_LOADERS:
-        raise KeyError(
-            f"unknown dataset {name!r}; choose from "
-            f"{sorted(_SYNTHETIC_LOADERS)}"
-        )
-    if path is None:
-        return _SYNTHETIC_LOADERS[key](n, seed=seed)
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(
-            f"{path} does not exist; omit `path` to use the synthetic "
-            f"{key} generator"
-        )
-    return _REAL_LOADERS[key](path)

@@ -219,7 +219,13 @@ def _normalise_axis_query(axis: str, value):
     if isinstance(value, str) and value.lower() in _NONE_SPELLINGS:
         value = None
     if axis in ("seed", "rows", "n_features"):
-        return None if value is None else int(value)
+        if value is None:
+            return None
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{axis} must be an integer, got {value!r}") from None
     if value is None or axis == "audit":
         return value
     from ..registry import APPROACHES, DATASETS, ERRORS, IMPUTERS, MODELS
@@ -232,14 +238,20 @@ def _normalise_axis_query(axis: str, value):
     return registry.canonical(value)
 
 
+def check_axes(axes: Iterable[str]) -> None:
+    """Raise ``KeyError`` naming every axis that is not a job axis
+    (:data:`_JOB_AXES`) and the choices."""
+    unknown = sorted(set(axes) - set(_JOB_AXES))
+    if unknown:
+        raise KeyError(f"unknown report axis(es) {unknown}; choose "
+                       f"from {sorted(_JOB_AXES)}")
+
+
 def _normalise_where(where: Mapping[str, object]) -> dict[str, object]:
     """Validate ``axis=value`` constraints and normalise each value
     (:func:`_normalise_axis_query`); unknown axes raise ``KeyError``.
     Shared by :func:`filter_outcomes` and the SQL store's row scan."""
-    unknown = sorted(set(where) - set(_JOB_AXES))
-    if unknown:
-        raise KeyError(f"unknown report axis(es) {unknown}; choose "
-                       f"from {sorted(_JOB_AXES)}")
+    check_axes(where)
     return {axis: _normalise_axis_query(axis, value)
             for axis, value in where.items()}
 

@@ -267,11 +267,14 @@ def _normalise_approach(name):
     return name
 
 
-def _as_tuple(values: Iterable | None, default: tuple) -> tuple:
+def _as_tuple(name: str, values: Iterable | None, default: tuple) -> tuple:
+    """Grid dimension ``name`` as a tuple (``None`` is ``default``); a
+    scalar, a bare string included, fails naming the dimension."""
     if values is None:
         return default
-    if isinstance(values, (str, bytes)):
-        raise TypeError(f"expected a sequence of values, got {values!r}")
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ValueError(
+            f"{name} must be a list of values, got {values!r}")
     return tuple(values)
 
 
@@ -384,24 +387,27 @@ class ScenarioGrid:
         from ..registry import APPROACHES, DATASETS, ERRORS, IMPUTERS, MODELS
 
         self.datasets = tuple(
-            DATASETS.canonical(d) for d in _as_tuple(self.datasets, ()))
+            DATASETS.canonical(d)
+            for d in _as_tuple("datasets", self.datasets, ()))
         self.approaches = tuple(
             None if _normalise_approach(a) is None
             else APPROACHES.canonical(a)
-            for a in _as_tuple(self.approaches, (None,)))
+            for a in _as_tuple("approaches", self.approaches, (None,)))
         self.models = tuple(
-            MODELS.canonical(m) for m in _as_tuple(self.models, ("lr",)))
+            MODELS.canonical(m)
+            for m in _as_tuple("models", self.models, ("lr",)))
         self.errors = tuple(
             None if e is None else ERRORS.canonical(e)
-            for e in _as_tuple(self.errors, (None,)))
+            for e in _as_tuple("errors", self.errors, (None,)))
         self.imputers = tuple(
             None if i is None else IMPUTERS.canonical(i)
-            for i in _as_tuple(self.imputers, (None,)))
+            for i in _as_tuple("imputers", self.imputers, (None,)))
         self.seeds = tuple(check_count("seeds entries", s, least=0)
-                           for s in _as_tuple(self.seeds, (0,)))
+                           for s in _as_tuple("seeds", self.seeds, (0,)))
         self.rows = tuple(check_count("rows entries", r)
-                          for r in _as_tuple(self.rows, (4000,)))
-        self.feature_counts = _as_tuple(self.feature_counts, (None,))
+                          for r in _as_tuple("rows", self.rows, (4000,)))
+        self.feature_counts = _as_tuple("feature_counts",
+                                        self.feature_counts, (None,))
         self.audit_params = check_audit_params(self.audit,
                                                self.audit_params)
 

@@ -5,8 +5,8 @@ situations where classifiers may perform unexpectedly, not ... all
 possible scenarios".  This module fills in the rest of the standard
 data-quality taxonomy (label noise, selection bias, outliers,
 duplicates, feature missingness) so robustness studies can sweep a
-wider corruption space, plus a :class:`CorruptionPipeline` for
-composing several corruptions deterministically.
+wider corruption space.  The named recipes (T4–T6 and ``missing``)
+are registered in :data:`repro.registry.ERRORS` beside T1–T3.
 
 All injectors follow the T-recipe conventions: they take a dataset and
 a boolean row mask (usually from
@@ -18,7 +18,6 @@ dataset.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +30,6 @@ __all__ = [
     "inject_outliers",
     "duplicate_rows",
     "missing_completely_at_random",
-    "CorruptionStep",
-    "CorruptionPipeline",
-    "EXTENDED_RECIPES",
-    "corrupt_extended",
 ]
 
 
@@ -142,58 +137,6 @@ def missing_completely_at_random(dataset: Dataset, columns: Sequence[str],
 
 
 # ----------------------------------------------------------------------
-# Composition
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CorruptionStep:
-    """One named corruption in a pipeline.
-
-    ``apply`` receives ``(dataset, mask, rng)`` and returns the
-    corrupted dataset; the pipeline supplies the mask and rng.
-    """
-
-    name: str
-    apply: Callable[[Dataset, np.ndarray, np.random.Generator], Dataset]
-
-
-class CorruptionPipeline:
-    """Deterministically compose several corruptions.
-
-    Each step draws its own affected-row mask at the configured group
-    rates, so corruption compounds the way real pipelines degrade —
-    independently per issue, but consistently skewed against the
-    unprivileged group.
-
-    >>> pipe = CorruptionPipeline([
-    ...     CorruptionStep("flip", lambda d, m, r: flip_labels(d, m)),
-    ...     CorruptionStep("dupes", lambda d, m, r: duplicate_rows(d, m)),
-    ... ])                                             # doctest: +SKIP
-    """
-
-    def __init__(self, steps: Sequence[CorruptionStep],
-                 unprivileged_rate: float = 0.5,
-                 privileged_rate: float = 0.1):
-        if not steps:
-            raise ValueError("pipeline needs at least one step")
-        names = [s.name for s in steps]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate step names: {names}")
-        self.steps = list(steps)
-        self.unprivileged_rate = unprivileged_rate
-        self.privileged_rate = privileged_rate
-
-    def apply(self, dataset: Dataset, seed: int = 0) -> Dataset:
-        """Run every step in order on fresh masks from ``seed``."""
-        rng = np.random.default_rng(seed)
-        out = dataset
-        for step in self.steps:
-            mask = affected_rows(out, self.unprivileged_rate,
-                                 self.privileged_rate, rng)
-            out = step.apply(out, mask, rng)
-        return out
-
-
-# ----------------------------------------------------------------------
 # Named extended recipes (T4–T6), mirroring the T1–T3 interface
 # ----------------------------------------------------------------------
 def corrupt_t4(dataset: Dataset, rng: np.random.Generator,
@@ -252,16 +195,3 @@ def corrupt_missing(dataset: Dataset, rng: np.random.Generator,
         table = table.assign(**{feature: values})
     return dataset.with_table(table)
 
-
-EXTENDED_RECIPES = {"t4": corrupt_t4, "t5": corrupt_t5, "t6": corrupt_t6,
-                    "missing": corrupt_missing}
-
-
-def corrupt_extended(dataset: Dataset, recipe: str, seed: int = 0,
-                     **kwargs) -> Dataset:
-    """Apply a named extended recipe (``t4``/``t5``/``t6``)."""
-    if recipe not in EXTENDED_RECIPES:
-        raise KeyError(f"unknown recipe {recipe!r}; choose from "
-                       f"{sorted(EXTENDED_RECIPES)}")
-    return EXTENDED_RECIPES[recipe](dataset, np.random.default_rng(seed),
-                                    **kwargs)

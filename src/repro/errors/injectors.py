@@ -12,8 +12,9 @@ correlate with sensitive attributes in practice:
   re-imputed with standard imputers.
 
 The injectors here are generic over column names so the same machinery
-drives tests, benchmarks, and ad-hoc studies; :func:`corrupt` applies a
-named recipe to a dataset the way the paper does.
+drives tests, benchmarks, and ad-hoc studies; a named recipe is built
+through :data:`repro.registry.ERRORS` (``ERRORS.build("t2")(dataset,
+seed=0)``) and applied to a dataset the way the paper does.
 """
 
 from __future__ import annotations
@@ -128,14 +129,3 @@ def corrupt_t3(dataset: Dataset, rng: np.random.Generator,
     out = impute_missing(dataset, dataset.sensitive, mask, categorical=True)
     return impute_missing(out, dataset.label, mask, categorical=True)
 
-
-RECIPES = {"t1": corrupt_t1, "t2": corrupt_t2, "t3": corrupt_t3}
-
-
-def corrupt(dataset: Dataset, recipe: str, seed: int = 0,
-            **kwargs) -> Dataset:
-    """Apply a named corruption recipe (``t1``/``t2``/``t3``)."""
-    if recipe not in RECIPES:
-        raise KeyError(f"unknown recipe {recipe!r}; choose from "
-                       f"{sorted(RECIPES)}")
-    return RECIPES[recipe](dataset, np.random.default_rng(seed), **kwargs)

@@ -1,14 +1,17 @@
 """Fair classification approaches: the paper's 13 approaches and 21
-evaluated variants, grouped by fairness-enforcing stage.
+evaluated variants, plus three extension variants, grouped by
+fairness-enforcing stage.
 
-Variants are registered in :data:`repro.registry.APPROACHES`."""
+Variants are registered in, and built through,
+:data:`repro.registry.APPROACHES`: ``APPROACHES.build("Hardt-eo")``;
+select a group's keys with ``APPROACHES.keys(group="main")``
+(``"additional"``, ``"extension"``) or a stage's with
+``APPROACHES.keys(stage=Stage.PRE)``."""
 
 from .base import (FairApproach, InProcessor, Notion, PostProcessor,
                    Preprocessor, Stage, group_masks)
-from .registry import approaches_by_stage, make_approach
 
 __all__ = [
     "Stage", "Notion", "FairApproach", "Preprocessor", "InProcessor",
     "PostProcessor", "group_masks",
-    "make_approach", "approaches_by_stage",
 ]

@@ -1,7 +1,8 @@
 """Evaluation metrics: correctness (Figure 2), fairness (Figure 4), and
 the full notion catalog of Figure 3 (observational, interventional, and
 counterfactual).  :mod:`repro.metrics.pairwise` is the shared
-block-matmul distance/top-k kernel behind every k-NN-shaped consumer.
+block-matmul top-k and pair-distance kernel behind every k-NN-shaped
+consumer.
 """
 
 from . import pairwise
@@ -22,7 +23,6 @@ from .fairness import (causal_effects_of_predictions, disparate_impact,
 from .individual import (CounterfactualFairnessResult,
                          SituationTestingResult, counterfactual_fairness,
                          fairness_through_awareness, metric_multifairness,
-                         normalized_euclidean,
                          path_specific_counterfactual_fairness,
                          situation_testing)
 from .normalize import (NormalizedScore, di_star, normalize_di, normalize_id,
@@ -45,5 +45,5 @@ __all__ = [
     "path_specific_counterfactual_fairness",
     "SituationTestingResult", "situation_testing",
     "fairness_through_awareness", "metric_multifairness",
-    "normalized_euclidean", "pairwise",
+    "pairwise",
 ]

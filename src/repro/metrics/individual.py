@@ -42,11 +42,9 @@ __all__ = [
     "situation_testing",
     "fairness_through_awareness",
     "metric_multifairness",
-    "normalized_euclidean",
 ]
 
 Predictor = Callable[[dict[str, np.ndarray]], np.ndarray]
-Similarity = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 # ----------------------------------------------------------------------
@@ -235,31 +233,9 @@ class SituationTestingResult:
     n_audited: int
 
 
-def normalized_euclidean(X: np.ndarray,
-                         block_size: int | None = None) -> np.ndarray:
-    """Pairwise distances after per-feature min-max scaling.
-
-    The standard distance for situation testing: features are rescaled
-    to ``[0, 1]`` so no single attribute dominates (zero-variance
-    features contribute nothing rather than dividing by zero).  The
-    matrix is filled through the shared block-matmul kernel
-    (:mod:`repro.metrics.pairwise`), so peak *temporary* memory stays
-    ``O(block_size · n)`` on top of the returned ``n × n`` result.
-    The pair-sampling metrics below never materialise this matrix at
-    all unless one is passed in.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] == 0:
-        raise ValueError(
-            "normalized_euclidean: empty input (0 rows, shape "
-            f"{X.shape}); there are no individuals to compare")
-    return pairwise.distances(_minmax_scale(X), block_size=block_size)
-
-
 def situation_testing(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
                       k: int = 8, threshold: float = 0.2,
                       audit_group: int = 0,
-                      distances: np.ndarray | None = None,
                       block_size: int | None = None,
                       ) -> SituationTestingResult:
     """Zhang et al.'s situation-testing discrimination discovery.
@@ -296,10 +272,6 @@ def situation_testing(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
         Gap above which an individual is flagged.
     audit_group:
         Which group's members to audit (default: the unprivileged).
-    distances:
-        Optional precomputed pairwise distance matrix; defaults to
-        min-max-scaled Euclidean distances computed blockwise on the
-        fly (never materialising them).
     block_size:
         Audited rows per kernel block (``None`` = kernel default).
     """
@@ -329,22 +301,13 @@ def situation_testing(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
         pos[pool] = np.arange(pool.size)
         positions.append(pos)
 
-    if distances is None:
-        Z = _minmax_scale(X)
-        queries = Z[audited]
-    else:
-        distances = np.asarray(distances, dtype=float)
+    Z = _minmax_scale(X)
+    queries = Z[audited]
     rates = []
     for pool, pos in zip(pools, positions):
-        if distances is None:
-            nearest, d2 = pairwise.topk(queries, Z[pool], k,
-                                        block_size=block_size,
-                                        exclude=pos[audited])
-        else:
-            nearest, d2 = pairwise.topk_dense(distances, k,
-                                              rows=audited, columns=pool,
-                                              block_size=block_size,
-                                              exclude=pos[audited])
+        nearest, d2 = pairwise.topk(queries, Z[pool], k,
+                                    block_size=block_size,
+                                    exclude=pos[audited])
         usable = np.isfinite(d2)  # drops the masked self-entry
         counts = usable.sum(axis=1)
         votes = (y_hat[pool[nearest]] * usable).sum(axis=1)
@@ -479,7 +442,6 @@ def fairness_through_awareness(X: np.ndarray, scores: np.ndarray,
                                rng: np.random.Generator,
                                lipschitz: float = 1.0,
                                n_pairs: int = 5000,
-                               distances: np.ndarray | None = None,
                                ) -> float:
     """Dwork et al.'s Lipschitz fairness violation rate.
 
@@ -499,10 +461,7 @@ def fairness_through_awareness(X: np.ndarray, scores: np.ndarray,
         raise ValueError("no valid pairs sampled; increase n_pairs")
     # Only the sampled pairs' distances are needed — O(n_pairs) memory,
     # never the dense n × n matrix.
-    if distances is None:
-        d_ab = pairwise.pair_distances(_minmax_scale(X), a, b)
-    else:
-        d_ab = np.asarray(distances)[a, b]
+    d_ab = pairwise.pair_distances(_minmax_scale(X), a, b)
     violations = np.abs(scores[a] - scores[b]) > lipschitz * d_ab + 1e-12
     return float(np.mean(violations))
 
@@ -510,8 +469,7 @@ def fairness_through_awareness(X: np.ndarray, scores: np.ndarray,
 def metric_multifairness(X: np.ndarray, scores: np.ndarray,
                          rng: np.random.Generator,
                          n_sets: int = 50, set_size: int = 40,
-                         radius: float = 0.25,
-                         distances: np.ndarray | None = None) -> float:
+                         radius: float = 0.25) -> float:
     """Kim et al.'s metric multifairness violation.
 
     For a collection of random comparison sets of *similar* pairs
@@ -522,14 +480,13 @@ def metric_multifairness(X: np.ndarray, scores: np.ndarray,
     """
     X = np.asarray(X, dtype=float)
     scores = np.asarray(scores, dtype=float)
-    Z = _minmax_scale(X) if distances is None else None
+    Z = _minmax_scale(X)
     n = X.shape[0]
     worst = 0.0
     found_any = False
     for _ in range(n_sets):
         a, b = _sample_pairs(n, set_size * 4, rng)
-        d_ab = (pairwise.pair_distances(Z, a, b) if distances is None
-                else np.asarray(distances)[a, b])
+        d_ab = pairwise.pair_distances(Z, a, b)
         close = d_ab <= radius
         a, b = a[close][:set_size], b[close][:set_size]
         if a.size == 0:

@@ -1,20 +1,21 @@
 """Shared block-matmul pairwise-distance / top-k kernel.
 
 Every individual-fairness metric in this repo ultimately needs one of
-three primitives over a point set:
+two primitives over a point set:
 
-* a **dense** pairwise-distance matrix (``normalized_euclidean``),
 * the **k nearest rows** of a reference set for each query row
-  (situation testing, the k-NN classifier, k-NN donor imputation), or
+  (situation testing, the k-NN classifier, and k-NN donor imputation
+  over partially observed rows), or
 * distances for an **explicit list of index pairs** (awareness and
   multifairness pair sampling).
 
-They all reduce to the Gram expansion ``‖a − b‖² = ‖a‖² + ‖b‖² −
-2·a@bᵀ`` evaluated in row blocks, so this module is the single home
-for that kernel: squared norms are precomputed once, query rows are
-tiled in blocks of ``block_size``, and neighbour selection uses
+Neighbour search reduces to the Gram expansion ``‖a − b‖² = ‖a‖² +
+‖b‖² − 2·a@bᵀ`` evaluated in row blocks, so this module is the single
+home for that kernel: reference norms are precomputed once, query rows
+are tiled in blocks of ``block_size``, and neighbour selection uses
 :func:`np.argpartition` per block — the dense ``n × n`` matrix is
-never materialised unless the dense matrix *is* the requested output.
+never materialised.  Pair distances come from the coordinate
+differences of the requested pairs alone.
 
 Top-k selection runs a two-stage **screen / re-rank** scheme: the
 screening pass evaluates the Gram blocks in float32 (on memory-bound
@@ -57,15 +58,10 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "resolve_block_size",
     "minmax_scale",
-    "sq_norms",
-    "iter_sq_blocks",
-    "sq_distances",
-    "distances",
     "pair_distances",
     "PreparedReference",
     "prepare_reference",
     "topk",
-    "topk_dense",
     "masked_sq_blocks",
     "masked_mean_distances",
 ]
@@ -96,7 +92,7 @@ def resolve_block_size(block_size: int | None) -> int:
 
 
 # ----------------------------------------------------------------------
-# Scaling and norms
+# Scaling and pair distances
 # ----------------------------------------------------------------------
 def minmax_scale(X: np.ndarray) -> np.ndarray:
     """Rescale every feature to ``[0, 1]``.
@@ -122,75 +118,6 @@ def minmax_scale(X: np.ndarray) -> np.ndarray:
     span = X.max(axis=0) - lo
     span[span == 0] = 1.0
     return (X - lo) / span
-
-
-def sq_norms(Z: np.ndarray) -> np.ndarray:
-    """Per-row squared Euclidean norms (the reusable Gram-trick
-    scale vector)."""
-    Z = np.asarray(Z, dtype=float)
-    return np.einsum("ij,ij->i", Z, Z)
-
-
-# ----------------------------------------------------------------------
-# Dense distances, filled blockwise
-# ----------------------------------------------------------------------
-def iter_sq_blocks(A: np.ndarray, B: np.ndarray | None = None, *,
-                   block_size: int | None = None,
-                   a_sq: np.ndarray | None = None,
-                   b_sq: np.ndarray | None = None,
-                   ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield ``(start, stop, d2)`` row blocks of squared distances.
-
-    ``B=None`` means self-distances (``B = A``).  Each block is
-    ``‖a‖² + ‖b‖² − 2·a@bᵀ`` over ``block_size`` query rows, clipped
-    at zero (the expansion can go slightly negative in floating
-    point).  Norm vectors are accepted so repeated sweeps over the
-    same points reuse them.
-    """
-    A = np.asarray(A, dtype=float)
-    B = A if B is None else np.asarray(B, dtype=float)
-    block = resolve_block_size(block_size)
-    if a_sq is None:
-        a_sq = sq_norms(A)
-    if b_sq is None:
-        b_sq = a_sq if B is A else sq_norms(B)
-    BT = B.T
-    for start in range(0, A.shape[0], block):
-        stop = min(start + block, A.shape[0])
-        d2 = A[start:stop] @ BT
-        d2 *= -2.0
-        d2 += a_sq[start:stop, None]
-        d2 += b_sq[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        obs.add("pairwise.blocks")
-        yield start, stop, d2
-
-
-def sq_distances(A: np.ndarray, B: np.ndarray | None = None, *,
-                 block_size: int | None = None) -> np.ndarray:
-    """Dense squared-distance matrix, filled in row blocks.
-
-    Peak *temporary* memory is one ``block_size × n`` block on top of
-    the returned float64 matrix.  In self mode (``B=None``) the
-    diagonal is forced to exactly zero.
-    """
-    A = np.asarray(A, dtype=float)
-    self_mode = B is None
-    B = A if self_mode else np.asarray(B, dtype=float)
-    out = np.empty((A.shape[0], B.shape[0]))
-    for start, stop, d2 in iter_sq_blocks(A, None if self_mode else B,
-                                          block_size=block_size):
-        out[start:stop] = d2
-    if self_mode:
-        np.fill_diagonal(out, 0.0)
-    return out
-
-
-def distances(A: np.ndarray, B: np.ndarray | None = None, *,
-              block_size: int | None = None) -> np.ndarray:
-    """Dense Euclidean-distance matrix, filled in row blocks."""
-    out = sq_distances(A, B, block_size=block_size)
-    return np.sqrt(out, out=out)
 
 
 def pair_distances(Z: np.ndarray, a: np.ndarray,
@@ -338,68 +265,6 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
         obs.add("pairwise.blocks")
     obs.add("pairwise.candidates", n_q * n_cand)
     return idx, d2
-
-
-def topk_dense(D: np.ndarray, k: int, *,
-               rows: np.ndarray | None = None,
-               columns: np.ndarray | None = None,
-               block_size: int | None = None,
-               exclude: np.ndarray | None = None,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`topk` over a precomputed distance matrix.
-
-    For callers that accept an externally supplied metric (situation
-    testing with ``distances=``): selects, for each of the query
-    ``rows`` of ``D`` (default: all), the ``kk`` smallest entries
-    among ``columns`` (default: all), with the same blockwise sweep,
-    stable ``(value, index)`` order, ``exclude`` masking, and
-    ``(idx, value)`` return contract as :func:`topk` — ``idx``
-    indexes into ``columns``.  Only one ``block_size``-row slice of
-    the selected submatrix is ever copied at a time.
-    """
-    D = np.asarray(D, dtype=float)
-    if D.ndim != 2:
-        raise ValueError(f"D must be 2-D, got shape {D.shape}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    block = resolve_block_size(block_size)
-    rows = (np.arange(D.shape[0]) if rows is None
-            else np.asarray(rows))
-    n_q = rows.size
-    m = D.shape[1] if columns is None else len(columns)
-    kk = min(k, m)
-    if m == 0 or n_q == 0:
-        return (np.empty((n_q, kk), dtype=np.intp),
-                np.empty((n_q, kk)))
-    if exclude is not None:
-        exclude = np.asarray(exclude)
-        if exclude.shape != (n_q,):
-            raise ValueError(
-                f"exclude must have one entry per query row, got shape "
-                f"{exclude.shape} for {n_q} rows")
-    idx = np.empty((n_q, kk), dtype=np.intp)
-    vals = np.empty((n_q, kk))
-    all_cols = np.arange(m)
-    for start in range(0, n_q, block):
-        stop = min(start + block, n_q)
-        # One fancy-indexed copy of exactly the block × columns
-        # submatrix — never a full-width intermediate.
-        sub = (D[rows[start:stop]] if columns is None
-               else D[np.ix_(rows[start:stop], columns)])
-        if exclude is not None:
-            excl = exclude[start:stop]
-            member = excl >= 0
-            sub[np.flatnonzero(member), excl[member]] = np.inf
-        if kk < m:
-            cand = np.argpartition(sub, kk - 1, axis=1)[:, :kk]
-            picked = np.take_along_axis(sub, cand, axis=1)
-        else:
-            cand = np.broadcast_to(all_cols, (stop - start, m))
-            picked = sub
-        idx[start:stop], vals[start:stop] = _stable_smallest(
-            cand, np.ascontiguousarray(picked, dtype=float), kk)
-        obs.add("pairwise.blocks")
-    return idx, vals
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""From-scratch ML model substrate (the scikit-learn substitute)."""
+"""From-scratch ML model substrate (the scikit-learn substitute).
+
+The model families are built by key through
+:data:`repro.registry.MODELS` (``lr``/``svm``/``knn``/``rf``/``mlp``/
+``nb``/``gb``)."""
 
 from .base import Classifier, add_intercept, check_weights, check_Xy, sigmoid
 from .boosting import GradientBoosting
@@ -10,41 +14,15 @@ from .knn import KNearestNeighbors
 from .logistic import LogisticRegression
 from .mlp import MLPClassifier
 from .naive_bayes import GaussianNB
-from .selection import (GridSearch, GridSearchResult, ParameterGrid,
-                        cross_val_score, kfold_indices)
 from .svm import KernelSVM, LinearSVM, RBFSampler
 from .tree import DecisionTree
-
-MODEL_FAMILIES = {
-    "lr": LogisticRegression,
-    "svm": KernelSVM,
-    "knn": KNearestNeighbors,
-    "rf": RandomForest,
-    "mlp": MLPClassifier,
-    "nb": GaussianNB,
-    "gb": GradientBoosting,
-}
-
-
-def make_model(name: str, **kwargs) -> Classifier:
-    """Instantiate a model family by its short name (``lr``/``svm``/...).
-
-    These are the five downstream models of the paper's Section 4.5
-    sensitivity experiment (plus naive Bayes as an extra).
-    """
-    if name not in MODEL_FAMILIES:
-        raise KeyError(f"unknown model {name!r}; choose from {sorted(MODEL_FAMILIES)}")
-    return MODEL_FAMILIES[name](**kwargs)
-
 
 __all__ = [
     "Classifier", "sigmoid", "add_intercept", "check_Xy", "check_weights",
     "LogisticRegression", "LinearSVM", "KernelSVM", "RBFSampler",
     "KNearestNeighbors", "DecisionTree", "RandomForest", "MLPClassifier",
-    "GaussianNB", "GradientBoosting", "MODEL_FAMILIES", "make_model",
+    "GaussianNB", "GradientBoosting",
     "PlattScaler", "IsotonicRegression", "CalibratedClassifier",
     "brier_score", "expected_calibration_error", "reliability_curve",
     "ReliabilityCurve",
-    "kfold_indices", "cross_val_score", "ParameterGrid", "GridSearch",
-    "GridSearchResult",
 ]

@@ -1,6 +1,6 @@
 """Experiment pipeline: uniform fit/evaluate flow, report formatting,
-statistics, ASCII plotting, result persistence, and the Section 5
-guidelines advisor."""
+result persistence, stage composition, the rung-3 counterfactual
+audit, and the Section 5 guidelines advisor."""
 
 from .composition import ChainedPreprocessor, ComposedPipeline
 from .counterfactual_eval import (CounterfactualAudit,
@@ -9,12 +9,9 @@ from .experiment import (EvaluationResult, FairPipeline, evaluate_pipeline,
                          run_experiment)
 from .guidelines import (ApplicationProfile, Recommendation, StageScore,
                          recommend)
-from .plots import bar_chart, grouped_bar_chart, line_chart
 from .report import (CORRECTNESS_COLUMNS, FAIRNESS_COLUMNS,
                      format_delta_table, format_results_table,
                      format_runtime_table)
-from .stats import (PairedComparison, StabilitySummary, bootstrap_ci,
-                    paired_comparison, stability_summary)
 from .store import ResultStore, result_from_dict, result_to_dict
 
 __all__ = [
@@ -22,9 +19,6 @@ __all__ = [
     "run_experiment", "format_results_table", "format_runtime_table",
     "format_delta_table", "CORRECTNESS_COLUMNS", "FAIRNESS_COLUMNS",
     "ApplicationProfile", "Recommendation", "StageScore", "recommend",
-    "StabilitySummary", "stability_summary", "bootstrap_ci",
-    "PairedComparison", "paired_comparison",
-    "bar_chart", "grouped_bar_chart", "line_chart",
     "ResultStore", "result_to_dict", "result_from_dict",
     "ChainedPreprocessor", "ComposedPipeline",
     "CounterfactualAudit", "evaluate_counterfactual",

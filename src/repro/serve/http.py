@@ -45,7 +45,9 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .. import obs
@@ -62,6 +64,10 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: Seconds a read on a connection may wait for the client (the socket
 #: timeout of :class:`socketserver.StreamRequestHandler`).
 READ_TIMEOUT_S = 30.0
+
+#: Seconds a closing connection keeps reading what the client still
+#: sends (see :meth:`AuditHTTPServer.shutdown_request`).
+LINGER_S = 1.0
 
 
 class AuditHTTPServer(ThreadingHTTPServer):
@@ -89,6 +95,23 @@ class AuditHTTPServer(ThreadingHTTPServer):
                     and self.requests_handled >= self.max_requests):
                 threading.Thread(target=self.shutdown,
                                  daemon=True).start()
+
+    def shutdown_request(self, request) -> None:
+        """Close a connection without resetting it: stop writing, then
+        read and drop what the client still sends until it closes or
+        :data:`LINGER_S` passes.  Closed with unread bytes, a socket
+        sends a reset, and a client still sending a body the server
+        answered unread (411, 413) fails mid-send or loses the reply."""
+        try:
+            request.shutdown(socket.SHUT_WR)
+            deadline = time.monotonic() + LINGER_S
+            while (left := deadline - time.monotonic()) > 0:
+                request.settimeout(left)
+                if not request.recv(65536):
+                    break
+        except OSError:
+            pass
+        self.close_request(request)
 
 
 class _Handler(BaseHTTPRequestHandler):

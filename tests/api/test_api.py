@@ -1,6 +1,7 @@
 """The declarative experiment API: specs, configs, and round trips."""
 
 import json
+import re
 
 import pytest
 
@@ -140,6 +141,23 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"'{single}'"):
             ExperimentSpec.from_config({"dataset": "german",
                                         single: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("rows", 300), ("datasets", "german"), ("approaches", "Hardt-eo")])
+    def test_scalar_grid_dimension_names_the_field(self, field, value,
+                                                   tmp_path, capsys):
+        fields = {"datasets": ["german"], field: value}
+        message = f"{field} must be a list of values, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepSpec.from_config({"sweep": fields})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioGrid(**fields)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(fields))
+        assert main(["sweep", "--config", str(config),
+                     "--cache-dir", "none"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_grid_matches_direct_scenario_grid(self):
         spec = SweepSpec.from_config(SMALL_SWEEP)

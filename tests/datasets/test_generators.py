@@ -4,8 +4,9 @@ documented population statistics."""
 import numpy as np
 import pytest
 
-from repro.datasets import (LOADERS, load, load_admissions, load_adult,
-                            load_compas, load_german)
+from repro.datasets import (load_admissions, load_adult, load_compas,
+                            load_german)
+from repro.registry import DATASETS
 
 
 class TestAdult:
@@ -98,31 +99,19 @@ class TestAdmissions:
 
 
 class TestLoaderRegistry:
-    def test_load_by_name(self):
-        ds = load("compas", n=100, seed=1)
-        assert ds.name == "compas"
-        assert ds.n_rows == 100
-
-    def test_load_unknown(self):
-        with pytest.raises(KeyError):
-            load("mnist")
-
-    def test_all_loaders_present(self):
-        assert set(LOADERS) == {"adult", "compas", "german"}
-
     @pytest.mark.parametrize("name", ["adult", "compas", "german"])
     def test_every_feature_in_graph(self, name):
-        ds = load(name, n=50, seed=0)
+        ds = DATASETS.build(name, n=50, seed=0)
         for feature in ds.feature_names:
             assert feature in ds.causal_graph
 
     @pytest.mark.parametrize("name", ["adult", "compas", "german"])
     def test_sensitive_is_root(self, name):
         """Observational TE estimation requires a root S (paper graphs)."""
-        ds = load(name, n=50, seed=0)
+        ds = DATASETS.build(name, n=50, seed=0)
         assert ds.causal_graph.parents(ds.sensitive) == []
 
     @pytest.mark.parametrize("name", ["adult", "compas", "german"])
     def test_admissible_subset_of_features(self, name):
-        ds = load(name, n=50, seed=0)
+        ds = DATASETS.build(name, n=50, seed=0)
         assert set(ds.admissible) <= set(ds.feature_names)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets import (load_adult_csv, load_compas_csv, load_dataset,
-                            load_german_csv)
+from repro.datasets import load_adult_csv, load_compas_csv, load_german_csv
 
 ADULT_ROWS = """\
 39, State-gov, 77516, Bachelors, 13, Never-married, Adm-clerical, \
@@ -119,23 +118,3 @@ class TestGermanLoader:
         ds = load_german_csv(german_path)
         assert ds.table["savings"][0] == 0.0  # empty cell → default bucket
 
-
-class TestLoadDataset:
-    def test_synthetic_fallback(self):
-        ds = load_dataset("compas", n=200, seed=1)
-        assert ds.name == "compas"
-        assert ds.n_rows == 200
-
-    def test_real_path(self, tmp_path):
-        path = tmp_path / "compas.csv"
-        path.write_text(COMPAS_CSV)
-        ds = load_dataset("compas", path=path)
-        assert ds.name == "compas-real"
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError, match="unknown dataset"):
-            load_dataset("folktables")
-
-    def test_missing_path(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="synthetic"):
-            load_dataset("adult", path=tmp_path / "nope.csv")

@@ -8,12 +8,13 @@ import pytest
 
 import repro.engine.executor as executor_module
 from repro import blas, obs
-from repro.datasets import load, train_test_split
+from repro.datasets import train_test_split
 from repro.engine import Job, ScenarioGrid, run_sweep
 from repro.fairness.postprocessing import Hardt
 from repro.fairness.preprocessing import KamCal
 from repro.models.logistic import LogisticRegression
 from repro.pipeline import ComposedPipeline, FairPipeline, result_to_dict
+from repro.registry import DATASETS
 
 GRID = ScenarioGrid(datasets=["german"], approaches=[None, "Hardt-eo"],
                     seeds=[0], rows=[300], causal_samples=200)
@@ -90,7 +91,8 @@ class TestRuntimeControl:
                 seen.append(blas.threads())
                 return super().fit(X, y, *args, **kwargs)
 
-        split = train_test_split(load("german", n=300, seed=0), seed=0)
+        split = train_test_split(DATASETS.build("german", n=300, seed=0),
+                                 seed=0)
         FairPipeline(None, model=Recording()).fit(split.train)
         assert seen == [1]
         assert blas.threads() == 2
@@ -104,7 +106,8 @@ class TestRuntimeControl:
                 seen.append(blas.threads())
                 return super().fit(X, y, *args, **kwargs)
 
-        split = train_test_split(load("german", n=300, seed=0), seed=0)
+        split = train_test_split(DATASETS.build("german", n=300, seed=0),
+                                 seed=0)
         ComposedPipeline(pre=KamCal(seed=0), post=Hardt(),
                          model=Recording(), seed=0).fit(split.train)
         assert seen == [1, 1]  # the held-out fit, then the refit

@@ -172,6 +172,25 @@ class TestCli:
                      "--overhead", "bogus"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--pivot", "nosuch", "seed", "accuracy"],
+         "unknown report axis(es) ['nosuch']; choose from"),
+        (["--overhead", "nosuch"],
+         "unknown report axis(es) ['nosuch']; choose from"),
+        (["--where", "seed=abc"], "seed must be an integer, got 'abc'"),
+        (["--where", "rows=x"], "rows must be an integer, got 'x'"),
+        (["--where", "n_features=1.5"],
+         "n_features must be an integer, got '1.5'"),
+    ], ids=["pivot", "overhead", "where-seed", "where-rows",
+            "where-n_features"])
+    def test_report_bad_axis_is_named_error(self, cache_dir, argv,
+                                            message, capsys):
+        assert main(["report", "--cache-dir", str(cache_dir),
+                     "--no-tables", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1  # one line, no traceback
+
     def test_report_pivot_and_where(self, cache_dir, capsys):
         code = main(["report", "--cache-dir", str(cache_dir),
                      "--where", "imputer=knn",

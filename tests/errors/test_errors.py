@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.errors import (affected_rows, add_noise, corrupt, corrupt_t1,
-                          corrupt_t2, corrupt_t3, impute_mean, impute_median,
+from repro.errors import (affected_rows, add_noise, corrupt_t1, corrupt_t2,
+                          corrupt_t3, impute_mean, impute_median,
                           impute_missing, impute_mode, scale_column,
                           swap_columns)
+from repro.registry import ERRORS
 
 
 class TestImputers:
@@ -112,16 +113,16 @@ class TestRecipes:
             (out.s != compas_small.s).any()
 
     def test_corrupt_dispatch(self, compas_small):
-        out = corrupt(compas_small, "t1", seed=0)
+        out = ERRORS.build("t1")(compas_small, seed=0)
         assert out.n_rows == compas_small.n_rows
 
     def test_corrupt_unknown_recipe(self, compas_small):
         with pytest.raises(KeyError):
-            corrupt(compas_small, "t9")
+            ERRORS.build("t9")
 
     def test_corruption_is_deterministic(self, compas_small):
-        a = corrupt(compas_small, "t2", seed=5)
-        b = corrupt(compas_small, "t2", seed=5)
+        a = ERRORS.build("t2")(compas_small, seed=5)
+        b = ERRORS.build("t2")(compas_small, seed=5)
         assert a.table == b.table
 
     def test_corruption_hits_unprivileged_harder(self, compas_small):
@@ -131,5 +132,5 @@ class TestRecipes:
         assert changed[s == 0].mean() > changed[s == 1].mean()
 
     def test_recipes_generalise_to_other_datasets(self, adult_small):
-        out = corrupt(adult_small, "t1", seed=0)  # falls back to features
+        out = ERRORS.build("t1")(adult_small, seed=0)  # falls back to features
         assert out.n_rows == adult_small.n_rows

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import (CorruptionPipeline, CorruptionStep,
-                          corrupt_extended, duplicate_rows, flip_labels,
-                          impute_constant, impute_iterative, impute_knn,
-                          inject_outliers, missing_completely_at_random,
-                          selection_bias)
+from repro.errors import (duplicate_rows, flip_labels, impute_constant,
+                          impute_iterative, impute_knn, inject_outliers,
+                          missing_completely_at_random, selection_bias)
+from repro.registry import ERRORS
 
 RNG = np.random.default_rng
 
@@ -115,45 +114,18 @@ class TestMCAR:
             missing_completely_at_random(ds, [], 1.5, RNG(0))
 
 
-class TestPipeline:
-    def test_composition_applies_all_steps(self, ds):
-        pipe = CorruptionPipeline([
-            CorruptionStep("flip", lambda d, m, r: flip_labels(d, m)),
-            CorruptionStep("dupes", lambda d, m, r: duplicate_rows(d, m)),
-        ])
-        out = pipe.apply(ds, seed=3)
-        assert out.n_rows > ds.n_rows          # duplication happened
-        assert not np.array_equal(out.y[:ds.n_rows], ds.y)  # flips happened
-
-    def test_deterministic_given_seed(self, ds):
-        pipe = CorruptionPipeline([
-            CorruptionStep("flip", lambda d, m, r: flip_labels(d, m)),
-        ])
-        a, b = pipe.apply(ds, seed=7), pipe.apply(ds, seed=7)
-        assert np.array_equal(a.y, b.y)
-
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ValueError, match="at least one step"):
-            CorruptionPipeline([])
-
-    def test_duplicate_names_rejected(self):
-        step = CorruptionStep("x", lambda d, m, r: d)
-        with pytest.raises(ValueError, match="duplicate step names"):
-            CorruptionPipeline([step, step])
-
-
 class TestExtendedRecipes:
     @pytest.mark.parametrize("recipe", ["t4", "t5", "t6"])
     def test_recipes_run_and_change_data(self, ds, recipe):
-        out = corrupt_extended(ds, recipe, seed=0)
+        out = ERRORS.build(recipe)(ds, seed=0)
         changed = (out.n_rows != ds.n_rows
                    or not np.array_equal(out.y, ds.y)
                    or not np.array_equal(out.X, ds.X))
         assert changed
 
-    def test_unknown_recipe(self, ds):
-        with pytest.raises(KeyError, match="unknown recipe"):
-            corrupt_extended(ds, "t9")
+    def test_unknown_recipe(self):
+        with pytest.raises(KeyError, match="unknown error 't9'"):
+            ERRORS.build("t9")
 
 
 class TestNewImputers:

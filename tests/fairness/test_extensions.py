@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import train_test_split
-from repro.fairness import Stage, make_approach
+from repro.fairness import Stage
 from repro.fairness.inprocessing.kamishima import Kamishima
 from repro.fairness.postprocessing import Hardt, KamKar
 from repro.fairness.preprocessing import KamCal
@@ -101,12 +101,12 @@ class TestKamishima:
 class TestRegistryExtensions:
     def test_extension_names_resolvable(self):
         for name in APPROACHES.keys(group="extension"):
-            approach = make_approach(name)
+            approach = APPROACHES.build(name, seed=0)
             assert approach.name == name
 
     def test_stages(self):
-        assert make_approach("CaldersVerwer-dp").stage is Stage.PRE
-        assert make_approach("Kamishima-pr").stage is Stage.IN
+        assert APPROACHES.build("CaldersVerwer-dp").stage is Stage.PRE
+        assert APPROACHES.build("Kamishima-pr").stage is Stage.IN
 
 
 class TestChainedPreprocessor:

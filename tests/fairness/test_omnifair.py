@@ -118,8 +118,8 @@ class TestEndToEnd:
         assert min(di, 1 / di if di > 0 else 0) > 0.7
 
     def test_registry_name(self):
-        from repro.fairness import make_approach
+        from repro.registry import APPROACHES
 
-        approach = make_approach("OmniFair-dp")
+        approach = APPROACHES.build("OmniFair-dp", seed=0)
         assert approach.name == "OmniFair-dp"
         assert approach.notion.value == "demographic parity"

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_compas, train_test_split
-from repro.fairness import Notion, make_approach
+from repro.fairness import Notion
 from repro.pipeline import FairPipeline, evaluate_pipeline, run_experiment
-from repro.registry import APPROACHES
+from repro.registry import APPROACHES, ERRORS, MODELS
 
 VARIANTS = APPROACHES.keys()
 
@@ -57,7 +57,7 @@ TARGET_METRIC = {
 def test_improves_target_notion(name, all_results, baseline):
     """Paper Section 4.2: every approach improves the metric it targets
     (allowing small generalisation noise)."""
-    approach = make_approach(name)
+    approach = APPROACHES.build(name, seed=0)
     metric = TARGET_METRIC.get(approach.notion)
     if metric is None:
         pytest.skip("predictive parity/equality not among headline "
@@ -113,10 +113,8 @@ def test_seed_reproducibility(split):
 @pytest.mark.parametrize("model_name", ["lr", "knn", "nb"])
 def test_preprocessing_composes_with_other_models(split, model_name):
     """Section 4.5 machinery: pre-processing pairs with any model."""
-    from repro.models import make_model
-
-    pipe = FairPipeline(make_approach("KamCal-dp"),
-                        model=make_model(model_name))
+    pipe = FairPipeline(APPROACHES.build("KamCal-dp", seed=0),
+                        model=MODELS.build(model_name))
     pipe.fit(split.train)
     r = evaluate_pipeline(pipe, split.test, causal_samples=1000)
     assert 0.4 <= r.accuracy <= 1.0
@@ -124,9 +122,7 @@ def test_preprocessing_composes_with_other_models(split, model_name):
 
 def test_robustness_pipeline_runs(split):
     """Section 4.4 machinery: corrupt train, evaluate on clean test."""
-    from repro.errors import corrupt
-
-    corrupted = corrupt(split.train, "t2", seed=0)
+    corrupted = ERRORS.build("t2")(split.train, seed=0)
     r = run_experiment("KamCal-dp", corrupted, split.test,
                        causal_samples=1000)
     assert 0.3 <= r.accuracy <= 1.0

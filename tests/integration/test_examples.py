@@ -2,9 +2,10 @@
 
 Every example must at least compile; the fast ones are also executed
 end-to-end so documentation drift breaks the build rather than the
-user.  The slow, full-size examples (quickstart, robustness, model
-sensitivity, causal audit) are exercised implicitly by the benchmark
-suite that runs the same code paths at the same scale.
+user.  The slower ones (quickstart, compas audit, robustness, model
+sensitivity, causal audit, sweep demo) run end to end in CI's
+examples step, which executes every script but ``serve_smoke.py``;
+that one needs a packed bundle and runs in CI's serve steps.
 """
 
 import pathlib

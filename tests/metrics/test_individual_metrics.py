@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from repro.causal import CausalGraph, CounterfactualSCM, DiscreteCPT
 from repro.metrics import (counterfactual_fairness,
                            fairness_through_awareness, metric_multifairness,
-                           normalized_euclidean,
-                           path_specific_counterfactual_fairness,
+                           pairwise, path_specific_counterfactual_fairness,
                            situation_testing)
 
 RNG = np.random.default_rng
@@ -190,30 +189,22 @@ class TestSituationTesting:
 
 
 class TestNormalizedEuclidean:
-    def test_zero_diagonal_and_symmetry(self):
-        X = RNG(0).normal(size=(20, 4))
-        d = normalized_euclidean(X)
-        assert np.allclose(np.diag(d), 0.0)
-        assert np.allclose(d, d.T)
+    """The live metrics' individual distance: min-max scaling, then
+    Euclidean distance over the sampled pairs."""
 
     def test_constant_feature_ignored(self):
         X = np.column_stack([np.arange(5.0), np.full(5, 3.0)])
-        d = normalized_euclidean(X)
-        assert d[0, 4] == pytest.approx(1.0)
-
-    @given(st.integers(2, 30))
-    @settings(max_examples=20, deadline=None)
-    def test_triangle_inequality(self, n):
-        X = RNG(n).normal(size=(n, 3))
-        d = normalized_euclidean(X)
-        i, j, k = RNG(n + 1).integers(0, n, 3)
-        assert d[i, k] <= d[i, j] + d[j, k] + 1e-9
+        d = pairwise.pair_distances(pairwise.minmax_scale(X),
+                                    np.array([0]), np.array([4]))
+        assert d[0] == pytest.approx(1.0)
 
     def test_single_row_distance_matrix(self):
         """One row means every feature is constant — the scale guard
-        must yield a clean 1×1 zero matrix."""
-        d = normalized_euclidean(np.array([[3.0, -2.0, 9.0]]))
-        assert np.array_equal(d, np.zeros((1, 1)))
+        must yield a clean zero self-distance."""
+        Z = pairwise.minmax_scale(np.array([[3.0, -2.0, 9.0]]))
+        assert np.array_equal(Z, np.zeros((1, 3)))
+        d = pairwise.pair_distances(Z, np.array([0]), np.array([0]))
+        assert np.array_equal(d, np.zeros(1))
 
 
 class TestAwareness:

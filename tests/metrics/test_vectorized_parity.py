@@ -3,9 +3,8 @@ reference.
 
 The vectorized paths reorder RNG draws (one batch per node instead of
 one batch per row), so the audits are compared exactly where the
-result is RNG-independent (deterministic predictors, shared distance
-matrices, tie-free neighbourhoods) and to statistical tolerance where
-it is not.  Every consumer of the shared pairwise kernel — situation
+result is RNG-independent (deterministic predictors, tie-free
+neighbourhoods) and to statistical tolerance where it is not.  Every consumer of the shared pairwise kernel — situation
 testing, awareness, multifairness, the k-NN classifier, and k-NN
 donor imputation — is checked here against its retained loop
 reference, across odd kernel block boundaries.
@@ -19,13 +18,12 @@ from repro.causal import CausalGraph, CounterfactualSCM, DiscreteCPT
 from repro.errors.imputers import impute_knn
 from repro.metrics import (counterfactual_fairness,
                            fairness_through_awareness, metric_multifairness,
-                           normalized_euclidean, situation_testing)
+                           situation_testing)
 from repro.metrics.reference import (counterfactual_fairness_loop,
                                      fairness_through_awareness_dense,
                                      impute_knn_loop,
                                      knn_predict_proba_loop,
                                      metric_multifairness_dense,
-                                     normalized_euclidean_dense,
                                      situation_testing_loop)
 from repro.models.knn import KNearestNeighbors
 
@@ -155,16 +153,6 @@ class TestSituationTestingParity:
         assert vec.flagged_fraction == loop.flagged_fraction
         assert vec.n_audited == loop.n_audited
 
-    def test_matches_loop_with_precomputed_distances(self):
-        X, s, y_hat = self.make_data(seed=1)
-        d = normalized_euclidean_dense(X)
-        vec = situation_testing(X, s, y_hat, k=5, distances=d,
-                                audit_group=1)
-        loop = situation_testing_loop(X, s, y_hat, k=5, distances=d,
-                                      audit_group=1)
-        assert vec.mean_gap == pytest.approx(loop.mean_gap, abs=1e-12)
-        assert vec.flagged_fraction == loop.flagged_fraction
-
     def test_block_size_does_not_change_result(self):
         X, s, y_hat = self.make_data(seed=2, n=150)
         whole = situation_testing(X, s, y_hat, k=6, block_size=10_000)
@@ -197,28 +185,9 @@ class TestSituationTestingParity:
         X, s, y_hat = self.make_data(seed=3, n=60)
         with pytest.raises(ValueError, match="block_size"):
             situation_testing(X, s, y_hat, k=4, block_size=0)
-        with pytest.raises(ValueError, match="block_size"):
-            normalized_euclidean(X, block_size=-1)
-
-    def test_float32_distances_accepted(self):
-        X, s, y_hat = self.make_data(seed=4, n=120)
-        d = normalized_euclidean_dense(X).astype(np.float32)
-        res = situation_testing(X, s, y_hat, k=5, distances=d,
-                                block_size=17)
-        ref = situation_testing_loop(X, s, y_hat, k=5,
-                                     distances=d.astype(float))
-        assert res.mean_gap == pytest.approx(ref.mean_gap, abs=1e-6)
 
 
 class TestDistanceParity:
-    def test_blocked_normalized_euclidean_matches_dense(self):
-        X = RNG(0).normal(size=(97, 5))
-        blocked = normalized_euclidean(X, block_size=11)
-        default = normalized_euclidean(X)
-        dense = normalized_euclidean_dense(X)
-        assert np.allclose(blocked, dense, atol=1e-12)
-        assert np.allclose(default, dense, atol=1e-12)
-
     def test_awareness_matches_dense_path(self):
         rng = RNG(1)
         X = rng.random((250, 3))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import (LogisticRegression, add_intercept, check_weights,
-                          check_Xy, make_model, sigmoid)
+                          check_Xy, sigmoid)
 
 
 class TestCheckXy:
@@ -91,7 +91,3 @@ class TestClassifierProtocol:
         fresh = m.clone()
         assert fresh.l2 == 3.0
         assert fresh.coef_ is None
-
-    def test_make_model_unknown(self):
-        with pytest.raises(KeyError):
-            make_model("transformer")

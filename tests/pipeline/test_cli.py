@@ -139,6 +139,18 @@ class TestErrorMessages:
                        "got 0\n")
 
 
+class TestDescribe:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rows", "0", "--rows must be an integer >= 1, got 0"),
+        ("--rows", "-3", "--rows must be an integer >= 1, got -3"),
+        ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
+    ], ids=["rows-zero", "rows-negative", "seed-negative"])
+    def test_degenerate_sample_is_named_error(self, flag, value, message,
+                                              capsys):
+        assert main(["describe", "--dataset", "german", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestAudit:
     def test_audit_baseline_only(self, capsys):
         code = main(["audit", "--dataset", "compas", "--rows", "600",

@@ -75,12 +75,12 @@ class TestPaperFindings:
 
 class TestRecommendationOutput:
     def test_candidates_match_stage_and_notion(self):
-        from repro.fairness import make_approach
+        from repro.registry import APPROACHES
 
         rec = recommend(ApplicationProfile(target_notion="error-rate",
                                            dirty_data=True))
         for name in rec.approaches:
-            approach = make_approach(name)
+            approach = APPROACHES.build(name, seed=0)
             assert approach.stage is rec.best_stage
 
     def test_every_adjustment_has_a_reason(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.fairness import Stage, approaches_by_stage, make_approach
+from repro.fairness import Stage
 from repro.models import KNearestNeighbors
 from repro.pipeline import (FairPipeline, evaluate_pipeline,
                             format_delta_table, format_results_table,
@@ -21,9 +21,9 @@ class TestRegistry:
         assert len(APPROACHES.keys()) == 24
 
     def test_stage_partition(self):
-        pre = approaches_by_stage(Stage.PRE, include_additional=True)
-        in_ = approaches_by_stage(Stage.IN, include_additional=True)
-        post = approaches_by_stage(Stage.POST, include_additional=True)
+        pre = APPROACHES.keys(stage=Stage.PRE)
+        in_ = APPROACHES.keys(stage=Stage.IN)
+        post = APPROACHES.keys(stage=Stage.POST)
         assert len(pre) == 9    # 7 main + Madras + CaldersVerwer
         assert len(in_) == 11   # 8 main + Agarwal×2 + Kamishima
         assert len(post) == 4   # 3 main + OmniFair
@@ -31,11 +31,11 @@ class TestRegistry:
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
-            make_approach("FairGAN")
+            APPROACHES.build("FairGAN")
 
     def test_every_factory_builds(self):
         for name in APPROACHES.keys():
-            approach = make_approach(name, seed=1)
+            approach = APPROACHES.build(name, seed=1)
             assert approach.stage in Stage
             assert approach.notion is not None
 

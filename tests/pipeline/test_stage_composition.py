@@ -4,11 +4,12 @@ including the transform-on-test and SCM-prediction paths."""
 import numpy as np
 import pytest
 
-from repro.fairness import Stage, make_approach
+from repro.fairness import Stage
 from repro.fairness.inprocessing import ZhaLe
 from repro.fairness.postprocessing import Hardt
 from repro.fairness.preprocessing import Feld, Madras
 from repro.pipeline import FairPipeline, evaluate_pipeline
+from repro.registry import APPROACHES
 
 
 class TestPreStage:
@@ -75,7 +76,7 @@ class TestStageDispatch:
         ("Hardt-eo", Stage.POST),
     ])
     def test_pipeline_reports_stage(self, compas_split, name, expected):
-        pipe = FairPipeline(make_approach(name))
+        pipe = FairPipeline(APPROACHES.build(name, seed=0))
         assert pipe.stage is expected
 
     def test_unsupported_approach_type_rejected(self, compas_split):

@@ -1,5 +1,7 @@
 """The unified component registry: keys, specs, params, stochasticity."""
 
+import importlib
+
 import pytest
 
 from repro import registry
@@ -96,17 +98,6 @@ class TestFamilies:
     def test_unknown_key_lists_choices(self):
         with pytest.raises(KeyError, match="Celis-pp"):
             APPROACHES.get("FairGAN")
-
-    def test_registries_stay_in_sync_with_legacy_dicts(self):
-        # LOADERS/MODEL_FAMILIES/RECIPES remain live API; a component
-        # added to one side must be added to the other.
-        from repro.datasets import LOADERS
-        from repro.errors import EXTENDED_RECIPES, RECIPES
-        from repro.models import MODEL_FAMILIES
-
-        assert set(DATASETS.keys()) == set(LOADERS)
-        assert set(MODELS.keys()) == set(MODEL_FAMILIES)
-        assert set(ERRORS.keys()) == set(RECIPES) | set(EXTENDED_RECIPES)
 
     def test_keys_filter_by_metadata(self):
         assert len(APPROACHES.keys(group="main")) == 18
@@ -221,14 +212,6 @@ class TestErrorInjectors:
         corrupted = injector(german_small, seed=0)
         assert corrupted.n_rows == german_small.n_rows
 
-    def test_injector_matches_legacy_corrupt(self, german_small):
-        from repro.errors import corrupt
-
-        ours = ERRORS.build("t2(scale_factor=5.0)")(german_small, seed=3)
-        legacy = corrupt(german_small, "t2", seed=3, scale_factor=5.0)
-        for column in ours.table.columns:
-            assert (ours.table[column] == legacy.table[column]).all()
-
     def test_extended_recipes_registered(self, german_small):
         flipped = ERRORS.build("t4")(german_small, seed=1)
         assert (flipped.y != german_small.y).any()
@@ -264,14 +247,37 @@ class TestMetrics:
         assert sum(1 for k in kinds.values() if k == "fairness") == 7
 
 
-class TestLegacyShim:
-    """``make_approach`` outlived the deprecated approach dicts."""
 
-    def test_make_approach_does_not_warn(self, recwarn):
-        from repro.fairness import make_approach
+#: Names and modules deleted because a second implementation of their
+#: behaviour remained (the registries) or nothing but their own tests
+#: called them; ``None`` means the whole module is gone.
+GONE = [
+    ("repro", "make_approach"), ("repro", "load"),
+    ("repro.datasets", "load"), ("repro.datasets", "LOADERS"),
+    ("repro.datasets", "load_dataset"),
+    ("repro.models", "make_model"), ("repro.models", "MODEL_FAMILIES"),
+    ("repro.fairness", "make_approach"),
+    ("repro.fairness", "approaches_by_stage"),
+    ("repro.errors", "corrupt"), ("repro.errors", "RECIPES"),
+    ("repro.errors", "corrupt_extended"),
+    ("repro.errors", "EXTENDED_RECIPES"),
+    ("repro.errors", "CorruptionPipeline"),
+    ("repro.metrics", "normalized_euclidean"),
+    ("repro.metrics.pairwise", "topk_dense"),
+    ("repro.metrics.pairwise", "sq_distances"),
+    ("repro.fairness.registry", None), ("repro.causal.pc", None),
+    ("repro.pipeline.plots", None), ("repro.pipeline.stats", None),
+    ("repro.models.selection", None),
+]
 
-        approach = make_approach("Hardt-eo", seed=1)
-        assert approach.stage is Stage.POST
-        deprecations = [w for w in recwarn.list
-                        if issubclass(w.category, DeprecationWarning)]
-        assert not deprecations
+
+@pytest.mark.parametrize(
+    "module, name", GONE,
+    ids=[module if name is None else f"{module}.{name}"
+         for module, name in GONE])
+def test_deleted_name_is_gone(module, name):
+    if name is None:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    else:
+        assert not hasattr(importlib.import_module(module), name)

@@ -334,6 +334,21 @@ class TestFraming:
         assert reply.startswith(b"HTTP/1.1 501 ")
         assert reply.endswith(b"\r\n\r\n")
 
+    def test_client_may_finish_an_unread_body(self, live_server):
+        # The 411 goes out with 64 KiB of a chunked body unread.  The
+        # server drains it rather than resetting the connection, so a
+        # client that reads the reply first can still send the rest.
+        split = urllib.parse.urlsplit(live_server)
+        with socket.create_connection((split.hostname, split.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"POST /audit-one-row HTTP/1.1\r\n"
+                         b"Transfer-Encoding: chunked\r\n\r\n"
+                         b"10000\r\n" + b"x" * 0x10000)
+            reply = b"".join(iter(lambda: sock.recv(65536), b""))
+            time.sleep(0.1)  # past the close of a server that resets
+            sock.sendall(b"\r\n0\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 411 ")
+
     def test_chunked_body_does_not_garble_the_next_reply(self,
                                                          live_server):
         conn = connect(live_server)
