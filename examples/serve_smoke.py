@@ -20,7 +20,7 @@ auditor's client sends them.  The smoke passes only if:
 Any mismatch exits non-zero, so CI can gate on it directly.
 
 Run:  PYTHONPATH=src python examples/serve_smoke.py BUNDLE_DIR
-      (pack BUNDLE_DIR first: ``repro pack --cache-dir ... --out ...``)
+      (pack BUNDLE_DIR first: ``repro pack --store ... --out ...``)
 """
 
 import http.client

@@ -32,8 +32,8 @@ def main() -> None:
     print(f"declared {spec.to_grid().describe()}")
     print(f"first cell fingerprint: {jobs[0].fingerprint[:16]}…")
 
-    with tempfile.TemporaryDirectory() as cache_dir:
-        spec.cache_dir = cache_dir
+    with tempfile.TemporaryDirectory() as store:
+        spec.store = store
 
         print("\ncold cache, 2 workers:")
         report = spec.run(progress=lambda p: print(f"  {p.line()}"))

@@ -29,10 +29,9 @@ Config schema (YAML shown; JSON is isomorphic)::
       audit_params: {n_particles: 20, max_rows: 40}
     engine:
       jobs: 2
-      cache_dir: .sweep-cache               # or store: sqlite:results.db
-                                            # (any backend URI; `store`
-                                            # and `cache_dir` are the
-                                            # same knob)
+      store: .sweep-cache                   # or sqlite:results.db (any
+                                            # backend URI; none = no
+                                            # caching)
       resume: true
       retry: 3                              # attempts per cell on
                                             # transient failures
@@ -249,9 +248,8 @@ class ExperimentSpec:
 # ----------------------------------------------------------------------
 # Sweeps
 # ----------------------------------------------------------------------
-_ENGINE_FIELDS = ("jobs", "cache_dir", "store", "resume", "retry",
-                  "timeout", "backoff", "max_failures",
-                  "pack_artifacts")
+_ENGINE_FIELDS = ("jobs", "store", "resume", "retry", "timeout",
+                  "backoff", "max_failures", "pack_artifacts")
 
 
 @dataclass
@@ -259,7 +257,7 @@ class SweepSpec:
     """A declarative scenario grid plus engine options.
 
     The grid fields mirror :class:`~repro.engine.ScenarioGrid` (every
-    dimension entry is a registry spec); ``jobs``/``cache_dir``/
+    dimension entry is a registry spec); ``jobs``/``store``/
     ``resume`` configure execution.  Construction validates everything
     against the live registries, so a typo in a key or parameter fails
     before any cell is scheduled.
@@ -278,7 +276,6 @@ class SweepSpec:
     audit: str | None = None
     audit_params: dict = field(default_factory=dict)
     jobs: int = 1
-    cache_dir: str | None = None
     store: str | None = None
     resume: bool = True
     retry: int = 1
@@ -298,22 +295,12 @@ class SweepSpec:
         self.rows = grid.rows
         self.feature_counts = grid.feature_counts
         self.audit_params = dict(grid.audit_params)
-        self.jobs = int(self.jobs)
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-        if self.store is not None:
-            # `store` is the backend-URI spelling of `cache_dir`
-            # (file:DIR / sqlite:PATH); fold it in so the rest of the
-            # engine sees one field.
-            if self.cache_dir is not None \
-                    and self.cache_dir != self.store:
-                raise ValueError(
-                    f"cache_dir {self.cache_dir!r} and store "
-                    f"{self.store!r} disagree; set only one")
-            self.cache_dir = self.store
-            self.store = None
-        self.retry = int(self.retry)
-        self.to_policy()  # validates retry/timeout/backoff/max_failures
+        self.jobs = check_count("jobs", self.jobs)
+        self.retry = check_count("retry", self.retry)
+        if self.max_failures is not None:
+            self.max_failures = check_count("max_failures",
+                                            self.max_failures, least=0)
+        self.to_policy()  # validates timeout/backoff
 
     # ------------------------------------------------------------------
     @classmethod
@@ -380,10 +367,10 @@ class SweepSpec:
         With ``pack_artifacts: true`` (engine section) each computed
         cell's fitted components are packed into its cache artifact
         slot, so ``repro pack`` later builds serving bundles without
-        re-fitting (requires ``cache_dir``).
+        re-fitting (requires ``store``).
         """
-        if cache is None and self.cache_dir not in (None, "none"):
-            cache = ResultCache(self.cache_dir)
+        if cache is None and self.store not in (None, "none"):
+            cache = ResultCache(self.store)
         trace_dir, collector = _resolve_trace(trace)
         report = run_sweep(
             self.to_grid().expand(), cache=cache,
@@ -433,11 +420,11 @@ def sweep(config, progress=None, trace=None, chaos=None) -> SweepReport:
     return spec.run(progress=progress, trace=trace, chaos=chaos)
 
 
-def report(cache_dir, where: Mapping | None = None) -> SweepReport:
+def report(store, where: Mapping | None = None) -> SweepReport:
     """Load a finished sweep cache as a :class:`SweepReport` — the
     cache is the query surface, nothing is re-executed.
 
-    ``cache_dir`` is a directory path or a store URI (``file:DIR`` or
+    ``store`` is a directory path or a store URI (``file:DIR`` or
     ``sqlite:PATH``) — see :mod:`repro.engine.backend`.  Every cached
     cell's stored ``params`` block is reconstructed into its job, so
     the returned outcomes support the full aggregation toolkit
@@ -453,7 +440,7 @@ def report(cache_dir, where: Mapping | None = None) -> SweepReport:
         If the store does not exist (an existing-but-empty cache
         returns an empty report instead).
     """
-    cache = ResultCache(cache_dir)
+    cache = ResultCache(store)
     if not cache.exists():
         raise FileNotFoundError(f"no sweep cache at {cache.location}")
     outcomes = cache.outcomes(where=where or None)

@@ -26,7 +26,7 @@ store and report on them later::
 Sweep a full scenario grid in parallel with result caching::
 
     python -m repro sweep --dataset compas --approach KamCal-dp \
-        --approach Hardt-eo --seeds 3 --jobs 4 --cache-dir .sweep-cache
+        --approach Hardt-eo --seeds 3 --jobs 4 --store .sweep-cache
 
 Run the same kind of sweep from a declarative scenario file::
 
@@ -44,12 +44,12 @@ very machinery with deterministic fault injection::
 Audit a sweep cache for corrupt or stale shards (and delete them so
 the next sweep recomputes exactly those cells)::
 
-    python -m repro cache verify --cache-dir .sweep-cache --repair
+    python -m repro cache verify --store .sweep-cache --repair
 
 Query a finished sweep's cache — tables, pivots, exports — without
 re-executing anything::
 
-    python -m repro report --cache-dir .sweep-cache \
+    python -m repro report --store .sweep-cache \
         --where error=missing --pivot approach imputer accuracy
 
 Record a sweep's telemetry and inspect it (also openable in
@@ -67,7 +67,7 @@ Pack one finished cell's fitted components into a serving bundle, look
 inside it, then serve online audits from it::
 
     python -m repro sweep --config examples/sweep.yaml --pack-artifacts
-    python -m repro pack --cache-dir .sweep-cache \
+    python -m repro pack --store .sweep-cache \
         --where approach=Hardt-eo seed=0 --out audit-bundle
     python -m repro inspect audit-bundle
     python -m repro serve audit-bundle --port 8399
@@ -200,15 +200,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "cells")
     sweep_cmd.add_argument("--jobs", type=int, default=None, metavar="N",
                            help="worker processes (default 1 = serial)")
-    sweep_cmd.add_argument("--cache-dir", metavar="DIR", default=None,
-                           help="content-addressed result cache "
-                                "(default: .sweep-cache; 'none' "
-                                "disables caching)")
     sweep_cmd.add_argument("--store", metavar="URI", default=None,
-                           help="result-store backend URI: file:DIR "
-                                "(sharded JSON, the default layout) "
-                                "or sqlite:PATH (one database file); "
-                                "replaces --cache-dir")
+                           help="content-addressed result store: "
+                                "file:DIR (sharded JSON; a bare DIR "
+                                "means the same) or sqlite:PATH (one "
+                                "database file); default: the "
+                                "config's store, else .sweep-cache; "
+                                "'none' disables caching")
     sweep_cmd.add_argument("--resume", default=None,
                            action=argparse.BooleanOptionalAction,
                            help="reuse cached cells (--no-resume "
@@ -276,14 +274,11 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="for merge: SRC DST store URIs or "
                                 "directories (e.g. file:host1-cache "
                                 "sqlite:merged.db)")
-    cache_cmd.add_argument("--cache-dir", metavar="DIR",
+    cache_cmd.add_argument("--store", metavar="URI",
                            default=".sweep-cache",
-                           help="sweep cache to operate on (default: "
-                                ".sweep-cache; verify/compact only)")
-    cache_cmd.add_argument("--store", metavar="URI", default=None,
                            help="store URI to operate on (file:DIR / "
-                                "sqlite:PATH; replaces --cache-dir for "
-                                "verify/compact)")
+                                "sqlite:PATH; default: .sweep-cache; "
+                                "verify/compact only)")
     cache_cmd.add_argument("--repair", action="store_true",
                            help="delete defective entries so the next "
                                 "sweep recomputes exactly those cells")
@@ -313,13 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report_cmd = sub.add_parser(
         "report", help="query a finished sweep cache (no re-execution)")
-    report_cmd.add_argument("--cache-dir", metavar="DIR",
+    report_cmd.add_argument("--store", metavar="URI",
                             default=".sweep-cache",
-                            help="sweep cache to load (default: "
-                                 ".sweep-cache)")
-    report_cmd.add_argument("--store", metavar="URI", default=None,
                             help="store URI to load (file:DIR / "
-                                 "sqlite:PATH; replaces --cache-dir); "
+                                 "sqlite:PATH; default: .sweep-cache); "
                                  "on sqlite stores --where filters run "
                                  "in the row scan")
     report_cmd.add_argument("--where", nargs="*", default=[],
@@ -347,13 +339,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pack_cmd = sub.add_parser(
         "pack", help="build a serving bundle from a finished sweep cell")
-    pack_cmd.add_argument("--cache-dir", metavar="DIR",
+    pack_cmd.add_argument("--store", metavar="URI",
                           default=".sweep-cache",
-                          help="sweep cache holding the cell "
-                               "(default: .sweep-cache)")
-    pack_cmd.add_argument("--store", metavar="URI", default=None,
                           help="store URI holding the cell "
-                               "(replaces --cache-dir)")
+                               "(default: .sweep-cache)")
     pack_cmd.add_argument("--where", nargs="*", default=[],
                           metavar="AXIS=VALUE",
                           help="select exactly one cached cell by job "
@@ -584,18 +573,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # CLI engine/audit flags override the config (or fill defaults).
     if args.jobs is not None:
         spec.jobs = args.jobs
-    if args.store is not None and args.cache_dir is not None:
-        print("error: --store replaces --cache-dir; set only one",
-              file=sys.stderr)
-        return 2
     if args.store is not None:
-        spec.cache_dir = args.store
-    elif args.cache_dir is not None:
-        spec.cache_dir = args.cache_dir
-    elif spec.cache_dir is None:
+        spec.store = args.store
+    elif spec.store is None:
         # The CLI always caches by default (configs disable it
-        # explicitly with cache_dir: none).
-        spec.cache_dir = ".sweep-cache"
+        # explicitly with store: none).
+        spec.store = ".sweep-cache"
     if args.resume is not None:
         spec.resume = args.resume
     if args.audit is not None:
@@ -620,15 +603,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    caching = spec.cache_dir not in (None, "none")
+    caching = spec.store != "none"
     if spec.pack_artifacts and not caching:
         print("error: --pack-artifacts stores bundles in the result "
-              "cache; it cannot be combined with --cache-dir none",
+              "cache; it cannot be combined with --store none",
               file=sys.stderr)
         return 2
     if caching:
         try:
-            cache = ResultCache(spec.cache_dir)
+            cache = ResultCache(spec.store)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -714,9 +697,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    store = args.store if args.store is not None else args.cache_dir
     try:
-        cache = ResultCache(store)
+        cache = ResultCache(args.store)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -732,6 +714,17 @@ def cmd_report(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         outcomes = cache.outcomes(where=where or None)
+        # Every requested view is computed before anything renders, so
+        # a bad --pivot metric fails before the first table prints (an
+        # empty selection renders nothing and exits 1 below).
+        if outcomes:
+            pivots = [(index, columns, value,
+                       cache.pivot(index=index, columns=columns,
+                                   value=value, outcomes=outcomes))
+                      for index, columns, value in args.pivot]
+            series = (None if args.overhead is None
+                      else cache.overhead_series(sweep=args.overhead,
+                                                 outcomes=outcomes))
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
@@ -761,28 +754,12 @@ def cmd_report(args: argparse.Namespace) -> int:
                                        f"seed-averaged over "
                                        f"{len(seeds)} seeds)"))
 
-    for index, columns, value in args.pivot:
-        try:
-            table = cache.pivot(index=index, columns=columns,
-                                value=value, where=where or None,
-                                outcomes=outcomes)
-        except KeyError as exc:
-            message = exc.args[0] if exc.args else exc
-            print(f"error: {message}", file=sys.stderr)
-            return 2
+    for index, columns, value, table in pivots:
         print()
         print(format_pivot_table(table, index=index, columns=columns,
                                  value=value))
 
-    if args.overhead is not None:
-        try:
-            series = cache.overhead_series(sweep=args.overhead,
-                                           where=where or None,
-                                           outcomes=outcomes)
-        except (KeyError, ValueError) as exc:
-            message = exc.args[0] if exc.args else exc
-            print(f"error: {message}", file=sys.stderr)
-            return 2
+    if series is not None:
         print()
         print(format_runtime_table(
             list(series.items()), sweep_label=args.overhead,
@@ -800,11 +777,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
         return _cmd_cache_merge(args)
     if args.stores:
         print(f"error: cache {args.action} takes no positional "
-              "stores (use --store/--cache-dir)", file=sys.stderr)
+              "stores (use --store)", file=sys.stderr)
         return 2
-    store = args.store if args.store is not None else args.cache_dir
     try:
-        cache = ResultCache(store)
+        cache = ResultCache(args.store)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -871,9 +847,8 @@ def _cmd_cache_merge(args: argparse.Namespace) -> int:
 def cmd_pack(args: argparse.Namespace) -> int:
     from .artifacts import BundleError, load_bundle, pack_from_cache
 
-    store = args.store if args.store is not None else args.cache_dir
     try:
-        cache = ResultCache(store)
+        cache = ResultCache(args.store)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ seed) — and this subsystem is the one way to run them:
 * :mod:`~repro.engine.report` — pivots a finished grid into the
   per-figure tables, filters outcomes by any axis, and exports flat
   records; together with :meth:`ResultCache.outcomes` it turns a
-  cache directory into a query surface (``repro report``).
+  result store into a query surface (``repro report``).
 """
 
 from .backend import (FileBackend, SqlBackend, StoreBackend,

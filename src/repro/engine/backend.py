@@ -1,51 +1,55 @@
 """Pluggable storage backends for the sweep result cache.
 
-:class:`~repro.engine.cache.ResultCache` historically *was* a layout:
-sharded JSON files under a directory.  That layout is now one
-implementation of the :class:`StoreBackend` protocol —
-:class:`FileBackend`, byte-compatible with every existing cache — and
-a second implementation, :class:`SqlBackend`, keeps one row per cell
-in a single SQLite database: a whole sweep is one file, ``--where``
-filters run in the row scan, and whole caches merge across hosts,
-compact, and verify like directories do.
+:class:`~repro.engine.cache.ResultCache` keys each finished cell by
+its job fingerprint and keeps it in a :class:`StoreBackend`.  Two
+ship: :class:`FileBackend`, a sharded directory of one JSON entry per
+cell, and :class:`SqlBackend`, one row per cell in a single SQLite
+database: a whole sweep is one file, ``--where`` filters run in the
+row scan, and whole caches merge across hosts, compact, and verify
+like directories do.
 
 Backends are addressed by URI::
 
     file:/path/to/dir      sharded-JSON directory (the default)
     sqlite:/path/to/db     single-file SQLite database
-    /bare/path             shorthand for file:/bare/path (back-compat)
+    /bare/path             shorthand for file:/bare/path
 
 ``parse_store`` resolves any of these (or a ``Path``, or an existing
 backend instance) to a backend; ``backend.uri`` round-trips, so worker
 processes can rebuild their parent's store from a string.
 
-The SQLite ``cells`` table stores the full entry payload
-(``params``/``result``/``attempts`` as JSON text), so ``load()``
-reproduces exactly what the file backend returns, plus the report
-axes as real columns for the ``--where`` row scan.  Artifact bundles
-are directory trees with their own manifest/checksums, so they live in
-a ``<db>.artifacts/<fp>/`` sidecar directory and are found on disk.
+Every entry is the one result a cell has plus its ``params`` block.
+The SQLite ``cells`` table stores both as the JSON the file entry
+holds, so ``load()`` returns exactly what the file backend returns,
+plus the report axes as real columns for the ``--where`` row scan.
+Artifact bundles are directory trees with their own
+manifest/checksums, so they live in a ``<db>.artifacts/<fp>/`` sidecar
+directory and are found on disk.
 """
 
 from __future__ import annotations
 
 import abc
-import dataclasses
 import json
+import os
 import re
 import sqlite3
+import tempfile
 from collections.abc import Mapping
 from pathlib import Path
 
 from .. import obs
-from ..pipeline.store import (ResultStore, result_from_dict,
-                              result_to_dict)
+from ..pipeline.experiment import (EvaluationResult, result_from_dict,
+                                   result_to_dict)
 from .spec import _JOB_AXES, job_from_params
 
 __all__ = ["StoreBackend", "FileBackend", "SqlBackend", "parse_store"]
 
 #: Schema version of the SQL cell table (``meta.store_version``).
 SQL_STORE_VERSION = 1
+
+#: Format version of a file entry (its ``"version"`` field).
+_ENTRY_VERSION = 1
 
 _AXIS_COLUMN_TYPES = {
     "seed": "INTEGER", "rows": "INTEGER", "n_features": "INTEGER",
@@ -68,12 +72,11 @@ def _axis_values(params: dict) -> dict:
 class StoreBackend(abc.ABC):
     """Where the result cache keeps its entries.
 
-    One entry per cell, addressed by the job's content fingerprint;
-    each entry is the ``(results, params)`` pair the original file
-    layout stored, plus optional execution ``attempts`` provenance and
-    an artifact-bundle slot.  ``load`` raises ``FileNotFoundError`` on
-    a missing entry and ``ValueError``/``KeyError`` on a corrupt one —
-    the cache maps those to miss/corrupt-miss exactly as before.
+    One entry per cell, addressed by the job's content fingerprint:
+    the cell's one result and its ``params`` block, plus an
+    artifact-bundle slot.  ``load`` raises ``FileNotFoundError`` on a
+    missing entry and ``ValueError``/``KeyError`` on a corrupt one —
+    the cache maps those to a miss and a corrupt miss.
     """
 
     kind: str
@@ -95,14 +98,14 @@ class StoreBackend(abc.ABC):
 
     # -- entries -------------------------------------------------------
     @abc.abstractmethod
-    def save(self, fingerprint: str, results, params: dict,
-             attempts=()) -> Path:
+    def save(self, fingerprint: str, result: EvaluationResult,
+             params: dict) -> Path:
         """Write one entry (replacing any previous one); returns the
         path holding it (the shard file, or the database)."""
 
     @abc.abstractmethod
-    def load(self, fingerprint: str):
-        """Read one entry back as ``(results, params)``."""
+    def load(self, fingerprint: str) -> tuple[EvaluationResult, dict]:
+        """Read one entry back as ``(result, params)``."""
 
     @abc.abstractmethod
     def delete(self, fingerprint: str) -> None:
@@ -140,13 +143,11 @@ class StoreBackend(abc.ABC):
 
 
 class FileBackend(StoreBackend):
-    """The original sharded-JSON directory layout, byte-for-byte.
+    """A sharded directory of JSON entries.
 
-    ``<root>/<fp[:2]>/<fp>.json`` entries written atomically through
-    :class:`~repro.pipeline.store.ResultStore`, with artifact bundles
-    as ``<fp>.artifacts`` sibling directories.  Existing caches load
-    unchanged; ``attempts`` provenance is accepted but not persisted
-    (adding it would change entry bytes under old caches' diffs).
+    ``<root>/<fp[:2]>/<fp>.json`` holds ``{"params": …, "results":
+    [<result>], "run": <fp>, "version": 1}``, written atomically;
+    artifact bundles are ``<fp>.artifacts`` sibling directories.
     """
 
     kind = "file"
@@ -165,25 +166,52 @@ class FileBackend(StoreBackend):
     def exists(self) -> bool:
         return self.root.is_dir()
 
-    def _store(self, fingerprint: str) -> ResultStore:
-        return ResultStore(self.root / fingerprint[:2])
-
     def entry_path(self, fingerprint: str) -> Path:
         return self.root / fingerprint[:2] / f"{fingerprint}.json"
 
-    def save(self, fingerprint: str, results, params: dict,
-             attempts=()) -> Path:
-        path = self._store(fingerprint).save(fingerprint, results,
-                                             params=params)
+    def save(self, fingerprint: str, result: EvaluationResult,
+             params: dict) -> Path:
+        """Write the entry through a temp file and ``os.replace``, so a
+        crash mid-save (a killed sweep worker) leaves the old complete
+        entry or the new one, never a truncated JSON."""
+        path = self.entry_path(fingerprint)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        payload = {"version": _ENTRY_VERSION, "run": fingerprint,
+                   "params": dict(params),
+                   "results": [result_to_dict(result)]}
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
+                                        prefix=f".{fingerprint}.",
+                                        suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(json.dumps(payload, indent=2, sort_keys=True))
+            os.replace(tmp_name, path)
+        except BaseException:
+            os.unlink(tmp_name)
+            raise
         obs.add("store.rows")
         obs.add("cache.bytes_written", path.stat().st_size)
         return path
 
-    def load(self, fingerprint: str):
-        return self._store(fingerprint).load(fingerprint)
+    def load(self, fingerprint: str) -> tuple[EvaluationResult, dict]:
+        """Raises ``ValueError`` on an entry that is not a JSON object
+        of the current format version holding exactly one result."""
+        payload = json.loads(self.entry_path(fingerprint).read_text())
+        if not isinstance(payload, dict):
+            raise ValueError(f"entry is a JSON {type(payload).__name__}, "
+                             "not an object")
+        version = payload.get("version")
+        if version != _ENTRY_VERSION:
+            raise ValueError(f"entry has format version {version}, "
+                             f"expected {_ENTRY_VERSION}")
+        results = payload["results"]
+        if not isinstance(results, list) or len(results) != 1:
+            raise ValueError("entry does not hold exactly one result")
+        return (result_from_dict(results[0]),
+                dict(payload.get("params", {})))
 
     def delete(self, fingerprint: str) -> None:
-        self._store(fingerprint).delete(fingerprint)
+        self.entry_path(fingerprint).unlink(missing_ok=True)
 
     def fingerprints(self) -> list[str]:
         if not self.root.exists():
@@ -218,14 +246,15 @@ class SqlBackend(StoreBackend):
 
     WAL journaling with a generous busy timeout, so concurrent readers
     and the writing sweep coexist.  The payload columns
-    (``params``/``result``/``attempts``) hold the exact JSON the file
-    layout stores, so ``load`` is lossless; the axis columns are
-    derived at save time for the ``--where`` row scan.
-    ``spec_version`` and ``raw`` are written but never read, because
-    stores created earlier under the same store version declare them
-    ``NOT NULL``; the insert names its columns, so those stores' extra
-    nullable columns (such as the metric, abduction-chunk and
-    block-size axes that ``SPEC_VERSION`` 7 removed) stay NULL.
+    (``params``/``result``) hold the exact JSON the file layout
+    stores, so ``load`` is lossless; the axis columns are derived at
+    save time for the ``--where`` row scan.  ``spec_version`` and
+    ``raw`` are written but never read, because stores created
+    earlier under the same store version declare them ``NOT NULL``;
+    ``attempts`` is left at its ``'[]'`` default.  The insert names
+    its columns, so those stores' extra nullable columns (such as the
+    metric, abduction-chunk and block-size axes that ``SPEC_VERSION``
+    7 removed) stay NULL.
     """
 
     kind = "sqlite"
@@ -308,38 +337,33 @@ class SqlBackend(StoreBackend):
     # ------------------------------------------------------------------
     _INSERT = ("INSERT OR REPLACE INTO cells (fingerprint, spec_version, "
                + ", ".join(f'"{c}"' for c in _JOB_AXES)
-               + ", params, result, raw, attempts) VALUES ("
-               + ", ".join(["?"] * (len(_JOB_AXES) + 6)) + ")")
+               + ", params, result, raw) VALUES ("
+               + ", ".join(["?"] * (len(_JOB_AXES) + 5)) + ")")
 
-    def save(self, fingerprint: str, results, params: dict,
-             attempts=()) -> Path:
-        if len(results) != 1:
-            raise ValueError(
-                f"SQL stores keep one result per cell, got "
-                f"{len(results)} for {fingerprint[:12]}…")
+    def save(self, fingerprint: str, result: EvaluationResult,
+             params: dict) -> Path:
         axes = _axis_values(params)
-        result = result_to_dict(results[0])
+        payload = result_to_dict(result)
         conn = self.connection()
         conn.execute(self._INSERT, (
             fingerprint, int(params.get("spec_version", 0)),
             *(axes.get(axis) for axis in _JOB_AXES),
             json.dumps(params, sort_keys=True),
-            json.dumps(result, sort_keys=True),
-            json.dumps(result.get("raw", {}), sort_keys=True),
-            json.dumps([dataclasses.asdict(a) for a in attempts])))
+            json.dumps(payload, sort_keys=True),
+            json.dumps(payload["raw"], sort_keys=True)))
         conn.commit()
         obs.add("store.rows")
         return self.path
 
-    def load(self, fingerprint: str):
+    def load(self, fingerprint: str) -> tuple[EvaluationResult, dict]:
         row = self.connection().execute(
             "SELECT result, params FROM cells WHERE fingerprint = ?",
             (fingerprint,)).fetchone()
         if row is None:
             raise FileNotFoundError(
                 f"no entry {fingerprint!r} in {self.path}")
-        results = [result_from_dict(json.loads(row[0]))]
-        return results, dict(json.loads(row[1]))
+        return (result_from_dict(json.loads(row[0])),
+                dict(json.loads(row[1])))
 
     def select(self, where: Mapping[str, object]):
         """``(fingerprint, result, params)`` JSON text of every row
@@ -361,19 +385,6 @@ class SqlBackend(StoreBackend):
             "SELECT fingerprint, result, params FROM cells WHERE "
             + (" AND ".join(clauses) or "1") + " ORDER BY fingerprint",
             parameters)
-
-    def load_attempts(self, fingerprint: str) -> list[dict]:
-        """Stored execution provenance for one cell (``[]`` for cells
-        written by the file backend or merged from one)."""
-        row = self.connection().execute(
-            "SELECT attempts FROM cells WHERE fingerprint = ?",
-            (fingerprint,)).fetchone()
-        if row is None:
-            return []
-        try:
-            return list(json.loads(row[0]))
-        except (ValueError, TypeError):
-            return []
 
     def delete(self, fingerprint: str) -> None:
         conn = self.connection()
@@ -432,9 +443,8 @@ def parse_store(store) -> StoreBackend:
 
     Accepts a backend instance (returned as-is), a ``Path`` (file
     layout), or a string: ``file:DIR``, ``sqlite:PATH``, or a bare
-    directory path (file layout, the historical spelling every
-    existing call site uses).  Any other scheme raises ``ValueError``
-    naming the two supported ones.
+    directory path (file layout).  Any other scheme raises
+    ``ValueError`` naming the two supported ones.
     """
     if isinstance(store, StoreBackend):
         return store

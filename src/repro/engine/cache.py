@@ -9,10 +9,9 @@ that describes the same cell hits the same entry, so a grid re-run
 
 Two backends ship (see :mod:`repro.engine.backend`):
 
-* ``file:DIR`` (default) — the original sharded-JSON directory,
-  byte-compatible with every existing cache::
+* ``file:DIR`` (default) — a sharded-JSON directory::
 
-      <root>/<fp[:2]>/<fp>.json       # one run file per cell
+      <root>/<fp[:2]>/<fp>.json       # one entry per cell
       <root>/<fp[:2]>/<fp>.artifacts  # optional artifact bundle
 
 * ``sqlite:PATH`` — one database row per cell in a single file;
@@ -23,9 +22,9 @@ folds stale spec-version duplicates in place
 (:meth:`ResultCache.compact`), and reports through the same in-memory
 path over :meth:`ResultCache.outcomes`.
 
-File entries remain ordinary one-result run files (the ``params``
-block holds the job's full parameterization), so cached cells stay
-greppable and loadable with the plain ``ResultStore`` API.
+Every entry holds the cell's one result and a ``params`` block with
+the job's full parameterization, so cached cells stay greppable and
+load back as jobs without re-execution.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .. import obs
-from ..pipeline.experiment import EvaluationResult
-from ..pipeline.store import result_from_dict
+from ..pipeline.experiment import EvaluationResult, result_from_dict
 from .backend import SqlBackend, StoreBackend, parse_store
 from .spec import Job
 
@@ -57,8 +55,8 @@ def _grid_order(outcome) -> tuple:
 
 
 #: Problem kinds :meth:`ResultCache.verify` reports.
-PROBLEM_KINDS = ("unreadable", "empty", "mismatch", "unparseable",
-                 "stale", "orphaned")
+PROBLEM_KINDS = ("unreadable", "mismatch", "unparseable", "stale",
+                 "orphaned")
 
 
 @dataclass(frozen=True)
@@ -69,9 +67,7 @@ class CacheProblem:
 
     ``unreadable``
         The entry no longer parses (truncated write, disk corruption,
-        chaos ``corrupt`` fault).
-    ``empty``
-        The entry parses but holds no results.
+        chaos ``corrupt`` fault) or does not hold exactly one result.
     ``mismatch``
         The stored fingerprint disagrees with the entry's address, or
         the entry's own params re-fingerprint to a different value —
@@ -129,8 +125,7 @@ class ResultCache:
     """Fingerprint-addressed store of finished grid cells.
 
     ``store`` is a backend URI (``file:DIR`` / ``sqlite:PATH``), a
-    bare directory path (file layout — the historical spelling), a
-    ``Path``, or a constructed
+    bare directory path (file layout), a ``Path``, or a constructed
     :class:`~repro.engine.backend.StoreBackend`.
     """
 
@@ -182,7 +177,7 @@ class ResultCache:
         """
         fingerprint = job.fingerprint
         try:
-            results, params = self.backend.load(fingerprint)
+            result, params = self.backend.load(fingerprint)
         except FileNotFoundError:
             obs.add("cache.misses")
             return None
@@ -190,29 +185,19 @@ class ResultCache:
             obs.add("cache.misses")
             self._corrupt(fingerprint, exc)
             return None
-        if params.get("fingerprint") != fingerprint or not results:
+        if params.get("fingerprint") != fingerprint:
             obs.add("cache.misses")
-            self._corrupt(fingerprint, ValueError(
-                "entry fingerprint mismatch" if results
-                else "entry holds no results"))
+            self._corrupt(fingerprint,
+                          ValueError("entry fingerprint mismatch"))
             return None
         obs.add("cache.hits")
-        return results[0]
+        return result
 
-    def put(self, job: Job, result: EvaluationResult,
-            attempts=()) -> Path:
-        """Store a finished cell; returns the path holding the entry.
-
-        ``attempts`` is the cell's execution provenance
-        (:class:`~repro.engine.resilience.Attempt` history); SQL
-        backends persist it in the entry's ``attempts`` column, the
-        file backend ignores it to stay byte-compatible with existing
-        caches.
-        """
+    def put(self, job: Job, result: EvaluationResult) -> Path:
+        """Store a finished cell; returns the path holding the entry."""
         fingerprint = job.fingerprint
         params = {"fingerprint": fingerprint, **job.params()}
-        return self.backend.save(fingerprint, [result], params,
-                                 attempts=attempts)
+        return self.backend.save(fingerprint, result, params)
 
     def __contains__(self, job: Job) -> bool:
         return self.get(job) is not None
@@ -267,17 +252,13 @@ class ResultCache:
         :meth:`get`)."""
         for fingerprint in self.fingerprints():
             try:
-                results, params = self.backend.load(fingerprint)
+                result, params = self.backend.load(fingerprint)
             except FileNotFoundError:
                 continue
             except (ValueError, KeyError) as exc:
                 self._corrupt(fingerprint, exc)
                 continue
-            if not results:
-                self._corrupt(fingerprint,
-                              ValueError("entry holds no results"))
-                continue
-            yield fingerprint, results[0], params
+            yield fingerprint, result, params
 
     def outcomes(self, where=None):
         """Reconstruct every cached cell as a :class:`JobOutcome`.
@@ -399,16 +380,13 @@ class ResultCache:
         fingerprints = self.fingerprints()
         for fingerprint in fingerprints:
             try:
-                results, params = self.backend.load(fingerprint)
+                _, params = self.backend.load(fingerprint)
             except FileNotFoundError:
                 continue  # raced with eviction
             except (ValueError, KeyError) as exc:
                 self._corrupt(fingerprint, exc)
                 flag(fingerprint, "unreadable",
                      f"{type(exc).__name__}: {exc}")
-                continue
-            if not results:
-                flag(fingerprint, "empty", "entry holds no results")
                 continue
             if params.get("fingerprint") != fingerprint:
                 flag(fingerprint, "mismatch",
@@ -524,16 +502,11 @@ class ResultCache:
         mine = set(self.fingerprints())
         for fingerprint in src.fingerprints():
             try:
-                results, params = src.backend.load(fingerprint)
+                result, params = src.backend.load(fingerprint)
             except (FileNotFoundError, ValueError, KeyError) as exc:
                 src._corrupt(fingerprint, exc)
                 skipped += 1
                 continue
-            attempts = ()
-            if isinstance(src.backend, SqlBackend):
-                attempts = tuple(
-                    _attempt_from_dict(a)
-                    for a in src.backend.load_attempts(fingerprint))
             if fingerprint in mine:
                 try:
                     _, local = self.backend.load(fingerprint)
@@ -546,8 +519,7 @@ class ResultCache:
                 replaced += 1
             else:
                 merged += 1
-            self.backend.save(fingerprint, results, params,
-                              attempts=attempts)
+            self.backend.save(fingerprint, result, params)
             if src.get_artifact(fingerprint) is not None:
                 target = self.backend.artifact_dir(fingerprint)
                 if target.exists():
@@ -573,14 +545,3 @@ class ResultCache:
         if artifact.exists():
             shutil.rmtree(artifact, ignore_errors=True)
 
-
-def _attempt_from_dict(data: dict):
-    """Rehydrate a stored :class:`~repro.engine.resilience.Attempt`
-    (unknown fields from future formats are dropped)."""
-    import dataclasses as _dc
-
-    from .resilience import Attempt
-
-    fields = {f.name for f in _dc.fields(Attempt)}
-    return Attempt(**{k: v for k, v in dict(data).items()
-                      if k in fields})

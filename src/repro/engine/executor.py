@@ -568,8 +568,7 @@ class _SweepState:
                   fragment: dict | None, attempt: int) -> None:
         self.history(index).append(Attempt(kind="ok", seconds=seconds))
         if self.cache is not None:
-            self._cache_put(job, result, attempt,
-                            attempts=tuple(self.history(index)))
+            self._cache_put(job, result, attempt)
         self.record(index, JobOutcome(
             job=job, result=result, seconds=seconds, trace=fragment,
             attempts=tuple(self.history(index))))
@@ -595,15 +594,12 @@ class _SweepState:
                   f"(max_failures={self.policy.max_failures})"))
 
     # ------------------------------------------------------------------
-    def _cache_put(self, job: Job, result, attempt: int,
-                   attempts=()) -> None:
+    def _cache_put(self, job: Job, result, attempt: int) -> None:
         """Write-back that degrades instead of killing the sweep: a
         full disk or permission error on one shard must not discard a
-        computed result, let alone the rest of the grid.  The cell's
-        attempt history rides along as provenance (persisted by
-        backends that keep it)."""
+        computed result, let alone the rest of the grid."""
         try:
-            self.cache.put(job, result, attempts=attempts)
+            self.cache.put(job, result)
         except Exception as exc:
             obs.add("cache.write_failed")
             obs.warning("cache.write_failed", cell=job.label(),

@@ -143,8 +143,10 @@ def pivot(outcomes: Iterable[JobOutcome], index: str, columns: str,
     or any ``result.raw`` key (``"di"``, ``"cf_mean_gap"``,
     ``"ctf_de"``, …); outcomes lacking the raw key
     are skipped, and a ``value`` no outcome carries raises ``KeyError``
-    naming everything available.
+    naming everything available, as does an axis that is not a job
+    axis.
     """
+    check_axes((index, columns))
     from_field = value in _METRIC_FIELDS
     raw_keys: set[str] = set()
     acc: dict[object, dict[object, list[float]]] = {}

@@ -196,10 +196,3 @@ class RetryPolicy:
     def tripped(self, failures: int) -> bool:
         """Has the circuit breaker opened?"""
         return self.max_failures is not None and failures > self.max_failures
-
-    @property
-    def active(self) -> bool:
-        """Whether any knob differs from the no-op default (used to
-        keep the disabled path free of bookkeeping)."""
-        return (self.max_attempts > 1 or self.timeout is not None
-                or self.max_failures is not None)

@@ -212,10 +212,6 @@ class ThomasEO(_ThomasBase):
     def __init__(self, threshold: float = 0.15, **kwargs):
         super().__init__(threshold=threshold, **kwargs)
 
-    @staticmethod
-    def _group_rate(values: np.ndarray, mask: np.ndarray) -> float:
-        return float(np.mean(values[mask])) if mask.any() else 0.0
-
     def _violation(self, y_hat, y, s):
         gaps = []
         offsets = []

@@ -85,9 +85,7 @@ def normalized_euclidean_dense(X: np.ndarray) -> np.ndarray:
 
 def situation_testing_loop(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
                            k: int = 8, threshold: float = 0.2,
-                           audit_group: int = 0,
-                           distances: np.ndarray | None = None,
-                           ) -> SituationTestingResult:
+                           audit_group: int = 0) -> SituationTestingResult:
     """Per-individual neighbour search over a dense distance matrix
     with full-pool stable ``argsort``.
 
@@ -105,7 +103,7 @@ def situation_testing_loop(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
         raise ValueError("X, s, y_hat must be aligned")
     if k < 1:
         raise ValueError("k must be at least 1")
-    d = normalized_euclidean_dense(X) if distances is None else distances
+    d = normalized_euclidean_dense(X)
     idx_priv = np.flatnonzero(s == 1)
     idx_unpriv = np.flatnonzero(s == 0)
     if idx_priv.size == 0 or idx_unpriv.size == 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,35 @@ class EvaluationResult:
     def correctness_scores(self) -> dict[str, float]:
         return {"accuracy": self.accuracy, "precision": self.precision,
                 "recall": self.recall, "f1": self.f1}
+
+
+def result_to_dict(result: EvaluationResult) -> dict:
+    """Serialise an evaluation result to plain JSON-compatible types."""
+    out = dataclasses.asdict(result)
+    out["raw"] = {k: float(v) for k, v in result.raw.items()}
+    return out
+
+
+def result_from_dict(data: Mapping) -> EvaluationResult:
+    """Inverse of :func:`result_to_dict`.
+
+    Raises
+    ------
+    ValueError
+        If ``data`` is not a mapping or required fields are missing
+        (e.g. hand-edited files).
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"result record is a {type(data).__name__}, "
+                         "not a mapping")
+    fields = {f.name for f in dataclasses.fields(EvaluationResult)}
+    missing = fields - set(data)
+    # `raw` and `fit_seconds` have defaults; everything else is required.
+    required_missing = missing - {"raw", "fit_seconds"}
+    if required_missing:
+        raise ValueError(f"result record is missing {sorted(required_missing)}")
+    kwargs = {k: v for k, v in data.items() if k in fields}
+    return EvaluationResult(**kwargs)
 
 
 class FairPipeline:

@@ -18,7 +18,7 @@ SMALL_SWEEP = {
         "rows": [400],
         "causal_samples": 300,
     },
-    "engine": {"jobs": 1, "cache_dir": None, "resume": True},
+    "engine": {"jobs": 1, "store": None, "resume": True},
 }
 
 
@@ -124,7 +124,7 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("metrics", ["accuracy"]), ("chunk_rows", 256),
-        ("block_size", 64)])
+        ("block_size", 64), ("cache_dir", ".sweep-cache")])
     def test_removed_fields_are_gone(self, field, value, tmp_path,
                                      capsys):
         with pytest.raises(ValueError, match=f"'{field}'"):
@@ -134,13 +134,23 @@ class TestSweepSpec:
         config.write_text(json.dumps({"datasets": ["german"],
                                       field: value}))
         assert main(["sweep", "--config", str(config),
-                     "--cache-dir", "none"]) == 2
+                     "--store", "none"]) == 2
         err = capsys.readouterr().err
         assert f"'{field}'" in err and "Traceback" not in err
         single = "metric" if field == "metrics" else field
         with pytest.raises(ValueError, match=f"'{single}'"):
             ExperimentSpec.from_config({"dataset": "german",
                                         single: value})
+
+    def test_cache_dir_flag_is_gone(self, tmp_path, capsys):
+        # --store is the one way to name a result store.
+        for command in (["sweep"], ["report"], ["cache", "verify"],
+                        ["pack", "--out", str(tmp_path / "bundle")]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--cache-dir", str(tmp_path)])
+            assert exc.value.code == 2
+            assert ("unrecognized arguments: --cache-dir"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("field, value", [
         ("rows", 300), ("datasets", "german"), ("approaches", "Hardt-eo")])
@@ -155,7 +165,7 @@ class TestSweepSpec:
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps(fields))
         assert main(["sweep", "--config", str(config),
-                     "--cache-dir", "none"]) == 2
+                     "--store", "none"]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
@@ -214,14 +224,14 @@ class TestConfigEqualsLegacyFlags:
         config_path.write_text(json.dumps(SMALL_SWEEP))
 
         assert main(["sweep", "--config", str(config_path),
-                     "--cache-dir", str(cache)]) == 0
+                     "--store", str(cache)]) == 0
         out = capsys.readouterr().out
         assert "4 cells, 4 computed, 0 cached" in out
 
         assert main(["sweep", "--dataset", "german", "--approach",
                      "Hardt-eo", "--rows", "400", "--seeds", "2",
                      "--causal-samples", "300",
-                     "--cache-dir", str(cache)]) == 0
+                     "--store", str(cache)]) == 0
         out = capsys.readouterr().out
         assert "4 cells, 0 computed, 4 cached" in out
 
@@ -248,7 +258,7 @@ class TestConfigEqualsLegacyFlags:
     def test_config_without_cache_dir_still_caches(self, tmp_path,
                                                    capsys, monkeypatch):
         # The CLI promises a .sweep-cache default; a config omitting
-        # engine.cache_dir must not silently disable caching.
+        # engine.store must not silently disable caching.
         monkeypatch.chdir(tmp_path)
         config_path = tmp_path / "sweep.json"
         config = {"sweep": dict(SMALL_SWEEP["sweep"])}
@@ -293,7 +303,7 @@ class TestAuditThreading:
 
     def test_audit_cell_cached_like_any_other(self, tmp_path):
         spec = SweepSpec.from_config(self.CONFIG)
-        spec.cache_dir = str(tmp_path / "cache")
+        spec.store = str(tmp_path / "cache")
         first = spec.run()
         again = spec.run()
         assert first.computed_count == 1
@@ -329,7 +339,7 @@ class TestAuditThreading:
             {"datasets": ["german"], "audit": "counterfactual",
              "audit_params": params}))
         assert main(["sweep", "--config", str(config),
-                     "--cache-dir", "none"]) == 2
+                     "--store", "none"]) == 2
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
 
@@ -372,7 +382,7 @@ class TestProtocolValues:
         config.write_text(json.dumps({"datasets": ["german"],
                                       field: value}))
         assert main(["sweep", "--config", str(config),
-                     "--cache-dir", "none"]) == 2
+                     "--store", "none"]) == 2
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
         with pytest.raises(ValueError, match=match):
@@ -386,6 +396,32 @@ class TestProtocolValues:
             field, value = single[field], value[0]
         with pytest.raises(ValueError, match=match):
             ExperimentSpec(dataset="german", **{field: value})
+
+    @pytest.mark.parametrize("field, value, least", [
+        ("jobs", 2.9, 1), ("jobs", True, 1), ("jobs", 0, 1),
+        ("retry", 2.5, 1), ("retry", 0, 1),
+        ("max_failures", 1.5, 0), ("max_failures", -1, 0),
+    ], ids=["jobs-fractional", "jobs-bool", "jobs-zero",
+            "retry-fractional", "retry-zero", "max_failures-fractional",
+            "max_failures-negative"])
+    def test_bad_engine_counts_rejected(self, field, value, least,
+                                        tmp_path, capsys):
+        # Each used to be truncated (2.9 workers ran as 2, True as 1)
+        # or, for max_failures, kept as a fraction.
+        match = re.escape(f"{field} must be an integer >= {least}, "
+                          f"got {value!r}")
+        with pytest.raises(ValueError, match=match):
+            SweepSpec(datasets=["german"], **{field: value})
+        with pytest.raises(ValueError, match=match):
+            SweepSpec.from_config({"sweep": {"datasets": ["german"]},
+                                   "engine": {field: value}})
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"datasets": ["german"],
+                                      field: value}))
+        assert main(["sweep", "--config", str(config),
+                     "--store", "none"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(match, err) and "Traceback" not in err
 
     def test_numpy_integers_accepted(self):
         import numpy as np
@@ -434,7 +470,7 @@ class TestParameterizedReporting:
         config_path.write_text(json.dumps(SMALL_SWEEP))
         assert main(["sweep", "--config", str(config_path),
                      "--causal-samples", "200",
-                     "--cache-dir", "none"]) == 0
+                     "--store", "none"]) == 0
         capsys.readouterr()
         # The override must change the cells' fingerprints.
         spec = SweepSpec.from_config(SMALL_SWEEP)

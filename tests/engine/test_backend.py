@@ -12,7 +12,6 @@ from repro.engine import (FileBackend, Job, ResultCache, ScenarioGrid,
                           SqlBackend, execute_job, parse_store,
                           run_sweep)
 from repro.engine.report import _axis_value
-from repro.engine.resilience import Attempt
 from repro.engine.spec import _JOB_AXES
 from repro.pipeline import EvaluationResult, result_to_dict
 
@@ -125,15 +124,13 @@ class TestSqlRoundtrip:
         assert cache.exists()
         assert cache.root.is_file()
 
-    def test_attempts_persisted(self, tmp_path):
+    def test_attempts_column_left_at_default(self, tmp_path):
+        # A cell's attempt history lives on its live outcome; the
+        # column stays for stores that older versions still open.
         cache = self.cache(tmp_path)
-        history = (Attempt(kind="error", seconds=0.3,
-                           error="ValueError: boom", transient=True),
-                   Attempt(kind="ok", seconds=1.2))
-        cache.put(JOB, make_result(), attempts=history)
-        stored = cache.backend.load_attempts(JOB.fingerprint)
-        assert [a["kind"] for a in stored] == ["error", "ok"]
-        assert stored[0]["error"] == "ValueError: boom"
+        cache.put(JOB, make_result())
+        assert cache.backend.connection().execute(
+            "SELECT attempts FROM cells").fetchall() == [("[]",)]
 
     def test_evict(self, tmp_path):
         cache = self.cache(tmp_path)
@@ -170,7 +167,7 @@ class TestSqlRoundtrip:
         cache.put(JOB, make_result())
         params = {"fingerprint": JOB.fingerprint, **JOB.params()}
         params["spec_version"] = 1
-        cache.backend.save(JOB.fingerprint, [make_result()], params)
+        cache.backend.save(JOB.fingerprint, make_result(), params)
         assert [p.kind for p in cache.verify()] == ["stale"]
 
 
@@ -339,7 +336,7 @@ class TestStoreBeforeSpecVersion7:
         if kind == "file":
             backend = FileBackend(path)
             for fingerprint, params, stored in entries:
-                backend.save(fingerprint, [stored], params)
+                backend.save(fingerprint, stored, params)
             return f"file:{path}"
         conn = sqlite3.connect(path)
         conn.executescript(V6_DDL)

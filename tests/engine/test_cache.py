@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.engine import Job, ResultCache
 from repro.pipeline import EvaluationResult, result_to_dict
 
@@ -141,7 +143,27 @@ class TestVerify:
         entry = json.loads(path.read_text())
         entry["results"] = []
         path.write_text(json.dumps(entry))
-        assert [p.kind for p in cache.verify()] == ["empty"]
+        assert cache.get(JOB) is None
+        assert [p.kind for p in cache.verify()] == ["unreadable"]
+
+    @pytest.mark.parametrize("results, detail", [
+        (lambda stored: stored * 2, "exactly one result"),
+        (lambda stored: [5], "not a mapping"),
+    ], ids=["two-results", "non-object-result"])
+    def test_malformed_results_flagged(self, results, detail, tmp_path):
+        # An entry holds the one result object its cell has; anything
+        # else is unreadable and a repair deletes it.  A non-object
+        # result used to escape get() and verify() as a TypeError.
+        cache = ResultCache(tmp_path)
+        path = cache.put(JOB, make_result())
+        entry = json.loads(path.read_text())
+        entry["results"] = results(entry["results"])
+        path.write_text(json.dumps(entry))
+        assert cache.get(JOB) is None
+        problems = cache.verify(repair=True)
+        assert [p.kind for p in problems] == ["unreadable"]
+        assert detail in problems[0].detail
+        assert not path.exists()
 
     def test_orphaned_artifact_flagged_and_repaired(self, tmp_path):
         # A bundle whose metrics entry is gone (e.g. an earlier repair

@@ -16,7 +16,7 @@ def packed_cache(tmp_path_factory):
     spec = SweepSpec(datasets=["german"],
                      approaches=[None, "Hardt-eo"], rows=[400],
                      seeds=[0], causal_samples=300,
-                     cache_dir=str(root), pack_artifacts=True)
+                     store=str(root), pack_artifacts=True)
     report = spec.run()
     assert not report.failures
     return ResultCache(root)
@@ -82,7 +82,7 @@ class TestSweepPacking:
         monkeypatch.setattr(pack_mod, "build_serving_components", boom)
         spec = SweepSpec(datasets=["german"], approaches=[None],
                          rows=[400], seeds=[0], causal_samples=300,
-                         cache_dir=str(tmp_path / "c"),
+                         store=str(tmp_path / "c"),
                          pack_artifacts=True)
         report = spec.run()
         assert not report.failures
@@ -140,7 +140,7 @@ class TestPackFromCache:
     def test_refits_when_no_slot(self, tmp_path):
         spec = SweepSpec(datasets=["german"], approaches=[None],
                          rows=[400], seeds=[0], causal_samples=300,
-                         cache_dir=str(tmp_path / "c"))
+                         store=str(tmp_path / "c"))
         assert not spec.run().failures
         out = pack_from_cache(ResultCache(tmp_path / "c"),
                               tmp_path / "bundle")
@@ -186,7 +186,7 @@ class TestPackFromCache:
         spec = SweepSpec(datasets=["german"],
                          approaches=[None, "Hardt-eo"], rows=[400],
                          seeds=[0], causal_samples=300,
-                         cache_dir=str(root), pack_artifacts=True)
+                         store=str(root), pack_artifacts=True)
         assert not spec.run().failures
         monkeypatch.setattr(spec_mod, "SPEC_VERSION", current)
         cache = ResultCache(root)

@@ -105,7 +105,7 @@ class TestSpecVersionConflicts:
         params = {"fingerprint": self.JOB.fingerprint,
                   **self.JOB.params()}
         params["spec_version"] = version
-        cache.backend.save(self.JOB.fingerprint, [result], params)
+        cache.backend.save(self.JOB.fingerprint, result, params)
 
     def test_newer_source_replaces_local(self, dst, tmp_path):
         src = ResultCache(tmp_path / "src")
@@ -113,9 +113,9 @@ class TestSpecVersionConflicts:
         self.put_with_version(src, 4, accuracy=0.4)
         stats = dst.merge_from(src)
         assert stats.replaced == 1 and stats.merged == 0
-        results, params = dst.backend.load(self.JOB.fingerprint)
+        result, params = dst.backend.load(self.JOB.fingerprint)
         assert params["spec_version"] == 4
-        assert results[0].accuracy == 0.4
+        assert result.accuracy == 0.4
 
     def test_older_source_is_skipped(self, dst, tmp_path):
         src = ResultCache(tmp_path / "src")
@@ -123,9 +123,9 @@ class TestSpecVersionConflicts:
         self.put_with_version(src, 3, accuracy=0.3)
         stats = dst.merge_from(src)
         assert stats.replaced == 0 and stats.skipped == 1
-        results, params = dst.backend.load(self.JOB.fingerprint)
+        result, params = dst.backend.load(self.JOB.fingerprint)
         assert params["spec_version"] == 4
-        assert results[0].accuracy == 0.4
+        assert result.accuracy == 0.4
 
     def test_equal_versions_keep_local(self, dst, tmp_path):
         src = ResultCache(tmp_path / "src")
@@ -133,8 +133,8 @@ class TestSpecVersionConflicts:
         self.put_with_version(src, 4, accuracy=0.9)
         stats = dst.merge_from(src)
         assert stats.skipped == 1
-        results, _ = dst.backend.load(self.JOB.fingerprint)
-        assert results[0].accuracy == 0.4
+        result, _ = dst.backend.load(self.JOB.fingerprint)
+        assert result.accuracy == 0.4
 
 
 class TestArtifactSlots:
@@ -182,12 +182,12 @@ class TestCompact:
         fabricated fingerprint (what a SPEC_VERSION bump leaves
         behind)."""
         fingerprint = cache.fingerprints()[0]
-        results, params = cache.backend.load(fingerprint)
+        result, params = cache.backend.load(fingerprint)
         stale = "f" * 64
         params = dict(params)
         params["fingerprint"] = stale
         params["spec_version"] = int(params["spec_version"]) - 1
-        cache.backend.save(stale, results, params)
+        cache.backend.save(stale, result, params)
         return stale
 
     def test_folds_stale_duplicates(self, dst, tmp_path):

@@ -237,7 +237,7 @@ class TestCli:
     def test_bad_chaos_plan_is_rejected(self, capsys):
         from repro.cli import main
 
-        code = main(["sweep", "--chaos", "explode:x", "--cache-dir",
+        code = main(["sweep", "--chaos", "explode:x", "--store",
                      "none"])
         assert code == 2
         assert "invalid chaos plan" in capsys.readouterr().err
@@ -248,20 +248,20 @@ class TestCli:
 
         cache = ResultCache(tmp_path)
         run_sweep(GRID.expand(), cache=cache)
-        assert main(["cache", "verify", "--cache-dir",
+        assert main(["cache", "verify", "--store",
                      str(tmp_path)]) == 0
         assert "healthy" in capsys.readouterr().out
 
         victim = GRID.expand()[0]
         corrupt_entry(tmp_path / victim.fingerprint[:2]
                       / f"{victim.fingerprint}.json")
-        assert main(["cache", "verify", "--cache-dir",
+        assert main(["cache", "verify", "--store",
                      str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert "unreadable" in captured.err
         assert "1 defective" in captured.out
 
-        assert main(["cache", "verify", "--cache-dir", str(tmp_path),
+        assert main(["cache", "verify", "--store", str(tmp_path),
                      "--repair"]) == 0
         assert "repaired" in capsys.readouterr().out
         assert len(cache) == 1
@@ -269,6 +269,6 @@ class TestCli:
     def test_cache_verify_missing_dir(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["cache", "verify", "--cache-dir",
+        assert main(["cache", "verify", "--store",
                      str(tmp_path / "nope")]) == 2
         assert "no sweep cache" in capsys.readouterr().err

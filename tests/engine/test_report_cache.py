@@ -159,7 +159,7 @@ class TestGridSlices:
 
 class TestCli:
     def test_report_renders_tables_per_slice(self, cache_dir, capsys):
-        assert main(["report", "--cache-dir", str(cache_dir)]) == 0
+        assert main(["report", "--store", str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "8 cached cells" in out
         assert "german" in out and "Hardt" in out
@@ -168,7 +168,7 @@ class TestCli:
 
     def test_report_bad_overhead_axis_fails_cleanly(self, cache_dir,
                                                     capsys):
-        assert main(["report", "--cache-dir", str(cache_dir),
+        assert main(["report", "--store", str(cache_dir),
                      "--overhead", "bogus"]) == 2
         assert "error:" in capsys.readouterr().err
 
@@ -185,14 +185,25 @@ class TestCli:
             "where-n_features"])
     def test_report_bad_axis_is_named_error(self, cache_dir, argv,
                                             message, capsys):
-        assert main(["report", "--cache-dir", str(cache_dir),
+        assert main(["report", "--store", str(cache_dir),
                      "--no-tables", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1  # one line, no traceback
 
+    def test_report_bad_pivot_metric_prints_no_table(self, cache_dir,
+                                                     capsys):
+        # Every pivot resolves before anything renders, so a typo in
+        # the metric costs no report.
+        assert main(["report", "--store", str(cache_dir),
+                     "--pivot", "approach", "seed", "accuracy",
+                     "--pivot", "approach", "seed", "nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown metric 'nosuch'")
+
     def test_report_pivot_and_where(self, cache_dir, capsys):
-        code = main(["report", "--cache-dir", str(cache_dir),
+        code = main(["report", "--store", str(cache_dir),
                      "--where", "imputer=knn",
                      "--pivot", "approach", "imputer", "accuracy"])
         assert code == 0
@@ -203,7 +214,7 @@ class TestCli:
     def test_report_exports(self, cache_dir, tmp_path, capsys):
         json_path = tmp_path / "out" / "report.json"
         csv_path = tmp_path / "out" / "report.csv"
-        code = main(["report", "--cache-dir", str(cache_dir),
+        code = main(["report", "--store", str(cache_dir),
                      "--no-tables",
                      "--export-json", str(json_path),
                      "--export-csv", str(csv_path)])
@@ -218,17 +229,17 @@ class TestCli:
 
     def test_report_empty_cache_fails(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
-        assert main(["report", "--cache-dir",
+        assert main(["report", "--store",
                      str(tmp_path / "empty")]) == 2
         err = capsys.readouterr().err
         assert "is empty" in err and "repro sweep" in err
 
     def test_report_missing_dir_fails(self, tmp_path, capsys):
-        assert main(["report", "--cache-dir",
+        assert main(["report", "--store",
                      str(tmp_path / "nope")]) == 2
 
     def test_report_bad_where_fails(self, cache_dir, capsys):
-        assert main(["report", "--cache-dir", str(cache_dir),
+        assert main(["report", "--store", str(cache_dir),
                      "--where", "bogus=1"]) == 2
-        assert main(["report", "--cache-dir", str(cache_dir),
+        assert main(["report", "--store", str(cache_dir),
                      "--where", "no-equals-sign"]) == 2

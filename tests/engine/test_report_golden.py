@@ -1,11 +1,14 @@
-"""Golden-file regression tests for ``repro report`` exports.
+"""Golden-file regression tests for ``repro report`` exports and the
+``file:`` store's entries.
 
 A small canonical sweep is executed in-process and its CSV/JSON
 exports are compared **byte-for-byte** against committed fixtures in
 ``tests/engine/golden/`` — any change to the export schema (column
 set or order, record layout, value formatting, axis labels) shows up
 as a diff here instead of silently reshaping downstream consumers'
-files.
+files.  One fixed result written through ``ResultCache.put`` is
+compared the same way with ``file_entry.json``, so every existing
+``file:`` store keeps reading and diffing like a freshly written one.
 
 Timing fields (``fit_seconds``) are the one machine-dependent part of
 a result, so they are masked to ``0.0`` on both sides before export.
@@ -24,11 +27,13 @@ import json
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
-from repro.engine import export_csv, export_json, run_sweep
+from repro.engine import Job, ResultCache, export_csv, export_json, run_sweep
 from repro.engine.executor import JobOutcome
 from repro.engine.spec import ScenarioGrid
+from repro.pipeline import EvaluationResult
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
@@ -94,3 +99,22 @@ class TestGoldenExports:
             assert set(record) >= {"approach", "error", "imputer",
                                    "seed", "accuracy", "di_star",
                                    "audit"}
+
+
+class TestGoldenFileEntry:
+    #: A NaN metric (an undefined rate) and raw values of numpy and
+    #: Python float types: everything a cell's entry has to encode.
+    RESULT = EvaluationResult(
+        approach="Hardt-eo", dataset="german", stage="post",
+        accuracy=0.7125, precision=0.6, recall=0.8, f1=0.6857142857142857,
+        di_star=float("nan"), tprb=0.95, tnrb=0.92, id=0.88, te=0.91,
+        nde=0.93, nie=0.97,
+        raw={"di": np.float64(0.9), "te": -0.2, "tprb": float("nan")},
+        fit_seconds=0.5)
+    JOB = Job(dataset="german", approach="Hardt-eo", rows=400,
+              causal_samples=300)
+
+    def test_file_entry_is_byte_stable(self, tmp_path):
+        produced = ResultCache(f"file:{tmp_path}").put(self.JOB,
+                                                       self.RESULT)
+        _check_or_regen(produced, GOLDEN_DIR / "file_entry.json")

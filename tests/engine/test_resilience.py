@@ -44,7 +44,6 @@ class TestClassification:
 class TestRetryPolicy:
     def test_defaults_are_the_historical_behaviour(self):
         policy = RetryPolicy()
-        assert not policy.active
         assert not policy.should_retry_error(True, 1)
         assert not policy.should_retry_timeout(1)
         assert policy.should_retry_crash(1)  # pool rebuild re-queues
@@ -203,7 +202,7 @@ class TestCacheWriteDegradation:
     def test_write_failure_keeps_the_result(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
 
-        def broken_put(job, result, attempts=()):
+        def broken_put(job, result):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(cache, "put", broken_put)
@@ -218,7 +217,7 @@ class TestCacheWriteDegradation:
         cache = ResultCache(tmp_path)
         monkeypatch.setattr(
             cache, "put",
-            lambda job, result, attempts=():
+            lambda job, result:
                 (_ for _ in ()).throw(OSError("full")))
         with obs.recording() as rec:
             run_sweep(GRID.expand(), cache=cache)

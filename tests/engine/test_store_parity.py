@@ -141,10 +141,13 @@ class TestReportParity:
 
     def test_unknown_pivot_axis_raises_identically(self, file_cache,
                                                    sql_cache):
+        messages = []
         for cache in (file_cache, sql_cache):
-            with pytest.raises(AttributeError):
+            with pytest.raises(KeyError, match="'bogus'") as exc:
                 cache.pivot(index="bogus", columns="rows",
                             value="accuracy")
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
     def test_missing_baseline_raises_identically(self, tmp_path):
         grid = ScenarioGrid(datasets=["german"],
@@ -169,12 +172,12 @@ class TestMixedVersionFallback:
         under a fabricated fingerprint (what a cache that survived a
         SPEC_VERSION bump looks like)."""
         fingerprint = cache.fingerprints()[0]
-        results, params = cache.backend.load(fingerprint)
+        result, params = cache.backend.load(fingerprint)
         stale = "f" * 64
         params = dict(params)
         params["fingerprint"] = stale
         params["spec_version"] = int(params["spec_version"]) - 1
-        cache.backend.save(stale, results, params)
+        cache.backend.save(stale, result, params)
 
     def test_falls_back_and_collapses(self, tmp_path, jobs):
         cache = ResultCache(f"sqlite:{tmp_path / 'cells.db'}")
@@ -205,11 +208,8 @@ class TestCliParity:
         argv_tail = ["--pivot", "approach", "rows", "accuracy",
                      "--overhead", "rows"]
         outputs = []
-        for cache, flag in ((file_cache, "--cache-dir"),
-                            (sql_cache, "--store")):
-            target = (str(cache.root) if flag == "--cache-dir"
-                      else cache.uri)
-            assert main(["report", flag, target, *argv_tail]) == 0
+        for target in (str(file_cache.root), sql_cache.uri):
+            assert main(["report", "--store", target, *argv_tail]) == 0
             lines = capsys.readouterr().out.splitlines()
             # The first line names the store; everything after must
             # match byte-for-byte.
@@ -220,7 +220,7 @@ class TestCliParity:
                                          tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["report", "--cache-dir", str(file_cache.root),
+        assert main(["report", "--store", str(file_cache.root),
                      "--no-tables", "--export-csv",
                      str(tmp_path / "f.csv"), "--export-json",
                      str(tmp_path / "f.json")]) == 0

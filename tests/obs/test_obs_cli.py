@@ -13,7 +13,7 @@ SWEEP_ARGS = ["sweep", "--dataset", "compas", "--no-baseline",
 class TestSweepTraceFlag:
     def test_writes_trace_and_summarizes(self, tmp_path, capsys):
         trace_dir = tmp_path / "trace"
-        code = main([*SWEEP_ARGS, "--cache-dir", str(tmp_path / "c"),
+        code = main([*SWEEP_ARGS, "--store", str(tmp_path / "c"),
                      "--trace", str(trace_dir)])
         assert code == 0
         assert (trace_dir / "events.jsonl").exists()
@@ -30,7 +30,7 @@ class TestSweepTraceFlag:
 
     def test_trace_by_axis_and_top(self, tmp_path, capsys):
         trace_dir = tmp_path / "trace"
-        main([*SWEEP_ARGS, "--cache-dir", str(tmp_path / "c"),
+        main([*SWEEP_ARGS, "--store", str(tmp_path / "c"),
               "--trace", str(trace_dir)])
         capsys.readouterr()
         assert main(["trace", str(trace_dir), "--by", "approach",
@@ -58,13 +58,13 @@ class TestSweepTraceFlag:
 class TestProgressVerbosity:
     def test_default_progress_logs_per_cell(self, tmp_path, caplog):
         with caplog.at_level(logging.INFO, logger="repro.sweep"):
-            main([*SWEEP_ARGS, "--cache-dir", str(tmp_path / "c")])
+            main([*SWEEP_ARGS, "--store", str(tmp_path / "c")])
         assert "[1/1]" in caplog.text
 
     def test_quiet_suppresses_progress(self, tmp_path, caplog, capsys):
         with caplog.at_level(logging.INFO, logger="repro.sweep"):
             code = main([*SWEEP_ARGS, "-q",
-                         "--cache-dir", str(tmp_path / "c")])
+                         "--store", str(tmp_path / "c")])
         assert code == 0
         assert "[1/1]" not in caplog.text
         # summary + tables still land on stdout
@@ -74,7 +74,7 @@ class TestProgressVerbosity:
     def test_verbose_appends_phase_breakdown(self, tmp_path, caplog):
         with caplog.at_level(logging.INFO, logger="repro.sweep"):
             main([*SWEEP_ARGS, "-v",
-                  "--cache-dir", str(tmp_path / "c")])
+                  "--store", str(tmp_path / "c")])
         assert "[1/1]" in caplog.text
         assert "fit" in caplog.text and "metrics" in caplog.text
 
@@ -83,7 +83,7 @@ class TestApiTrace:
     def test_sweep_trace_path_writes_files(self, tmp_path):
         config = {"sweep": {"datasets": ["compas"], "rows": [300],
                             "causal_samples": 300},
-                  "engine": {"cache_dir": "none"}}
+                  "engine": {"store": "none"}}
         report = api.sweep(config, trace=tmp_path / "trace")
         assert report.computed_count == 1
         trace = obs.load_trace(tmp_path / "trace")
@@ -93,7 +93,7 @@ class TestApiTrace:
         collector = obs.TraceCollector(env={})
         config = {"sweep": {"datasets": ["compas"], "rows": [300],
                             "causal_samples": 300},
-                  "engine": {"cache_dir": "none"}}
+                  "engine": {"store": "none"}}
         api.sweep(config, trace=collector)
         assert len(collector.cells) == 1
         # caller owns writing

@@ -54,7 +54,7 @@ class TestSweep:
     def test_sweep_cold_then_warm_cache(self, tmp_path, capsys):
         argv = ["sweep", "--dataset", "german", "--approach", "Hardt-eo",
                 "--rows", "400", "--seeds", "2", "--causal-samples",
-                "300", "--cache-dir", str(tmp_path / "cache")]
+                "300", "--store", str(tmp_path / "cache")]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "4 cells, 4 computed, 0 cached" in out
@@ -68,7 +68,7 @@ class TestSweep:
     def test_sweep_parallel_matches_serial(self, tmp_path, capsys):
         argv = ["sweep", "--dataset", "german", "--approach",
                 "KamCal-dp", "--rows", "400", "--causal-samples", "300",
-                "--cache-dir", "none"]
+                "--store", "none"]
         assert main(argv + ["--jobs", "1"]) == 0
         serial = capsys.readouterr().out
         assert main(argv + ["--jobs", "2"]) == 0
@@ -80,7 +80,7 @@ class TestSweep:
         code = main(["sweep", "--dataset", "german", "--no-baseline",
                      "--approach", "Hardt-eo", "--error", "t1",
                      "--rows", "300", "--causal-samples", "200",
-                     "--cache-dir", "none"])
+                     "--store", "none"])
         assert code == 0
         captured = capsys.readouterr()
         assert "2 cells" in captured.out  # clean + t1, no baseline rows
@@ -93,7 +93,7 @@ class TestSweep:
         # the baseline row themselves.
         code = main(["sweep", "--dataset", "german", "--no-baseline",
                      "--approach", "baseline", "--rows", "300",
-                     "--causal-samples", "200", "--cache-dir", "none"])
+                     "--causal-samples", "200", "--store", "none"])
         assert code == 0
         out = capsys.readouterr().out
         assert "1 cells" in out and "LR" in out
@@ -123,7 +123,7 @@ class TestSweep:
     def test_removed_sweep_flags_are_gone(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--dataset", "german", flag, value,
-                  "--cache-dir", "none"])
+                  "--store", "none"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 

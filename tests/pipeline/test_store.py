@@ -1,11 +1,15 @@
-"""Tests for JSON persistence of evaluation results."""
+"""Tests for the JSON serialisation of evaluation results, the
+``file:`` result store's entries, and CLI smoke tests."""
 
 import json
 
 import pytest
 
-from repro.pipeline import (EvaluationResult, ResultStore, result_from_dict,
-                            result_to_dict)
+from repro.engine import FileBackend
+from repro.pipeline import EvaluationResult, result_from_dict, result_to_dict
+
+#: Entries are addressed by a job's 64-hex-digit fingerprint.
+FP = "3f" * 32
 
 
 def make_result(approach="LR", accuracy=0.8):
@@ -42,78 +46,69 @@ class TestSerialisation:
 
 
 class TestResultStore:
-    def test_save_and_load(self, tmp_path):
-        store = ResultStore(tmp_path / "runs")
-        results = [make_result("LR"), make_result("Hardt-eo", 0.75)]
-        store.save("fig7-compas", results, params={"rows": 4000})
-        loaded, params = store.load("fig7-compas")
-        assert loaded == results
-        assert params == {"rows": 4000}
+    """``FileBackend`` keeps one JSON entry per fingerprint in the
+    ``<fp[:2]>`` shard directory."""
 
-    def test_runs_listing(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert store.runs() == []
-        store.save("b", [make_result()])
-        store.save("a", [make_result()])
-        assert store.runs() == ["a", "b"]
+    def test_save_and_load(self, tmp_path):
+        store = FileBackend(tmp_path / "store")
+        path = store.save(FP, make_result(), {"rows": 4000})
+        assert path == tmp_path / "store" / FP[:2] / f"{FP}.json"
+        assert store.load(FP) == (make_result(), {"rows": 4000})
+
+    def test_fingerprints_listing(self, tmp_path):
+        store = FileBackend(tmp_path)
+        assert store.fingerprints() == []
+        store.save("b" * 64, make_result(), {})
+        store.save("a" * 64, make_result(), {})
+        assert store.fingerprints() == ["a" * 64, "b" * 64]
 
     def test_overwrite_refreshes(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.save("x", [make_result(accuracy=0.1)])
-        store.save("x", [make_result(accuracy=0.9)])
-        loaded, _ = store.load("x")
-        assert loaded[0].accuracy == 0.9
+        store = FileBackend(tmp_path)
+        store.save(FP, make_result(accuracy=0.1), {})
+        store.save(FP, make_result(accuracy=0.9), {})
+        assert store.load(FP)[0].accuracy == 0.9
 
-    def test_missing_run_raises_with_available(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.save("present", [make_result()])
-        with pytest.raises(FileNotFoundError, match="present"):
-            store.load("absent")
+    def test_missing_entry_raises(self, tmp_path):
+        store = FileBackend(tmp_path)
+        store.save(FP, make_result(), {})
+        with pytest.raises(FileNotFoundError):
+            store.load("a" * 64)
 
     def test_delete(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.save("x", [make_result()])
-        store.delete("x")
-        assert store.runs() == []
-        store.delete("x")  # idempotent
-
-    def test_invalid_run_name(self, tmp_path):
-        store = ResultStore(tmp_path)
-        with pytest.raises(ValueError, match="invalid run name"):
-            store.save("a/b", [make_result()])
+        store = FileBackend(tmp_path)
+        store.save(FP, make_result(), {})
+        store.delete(FP)
+        assert store.fingerprints() == []
+        store.delete(FP)  # idempotent
 
     def test_version_mismatch_rejected(self, tmp_path):
-        store = ResultStore(tmp_path)
-        path = store.save("x", [make_result()])
+        store = FileBackend(tmp_path)
+        path = store.save(FP, make_result(), {})
         payload = json.loads(path.read_text())
         payload["version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="format version"):
-            store.load("x")
+            store.load(FP)
 
 
 class TestAtomicSave:
     def test_no_temp_files_left_behind(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.save("run", [make_result()])
-        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
-        assert store.runs() == ["run"]
+        path = FileBackend(tmp_path).save(FP, make_result(), {})
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
-        # A crash mid-save (simulated by an unserialisable result) must
-        # leave the existing complete run file untouched — never a
+        # A crash mid-save (simulated by unserialisable params) must
+        # leave the existing complete entry untouched — never a
         # truncated JSON that load() chokes on.
-        store = ResultStore(tmp_path)
-        store.save("run", [make_result(accuracy=0.8)])
+        store = FileBackend(tmp_path)
+        path = store.save(FP, make_result(accuracy=0.8), {})
 
         with pytest.raises(TypeError):
             # json serialisation fails after the temp file is opened
-            store.save("run", [make_result()],
-                       params={"callback": object()})
+            store.save(FP, make_result(), {"callback": object()})
 
-        loaded, _ = store.load("run")
-        assert loaded[0].accuracy == 0.8
-        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+        assert store.load(FP)[0].accuracy == 0.8
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
 class TestCli:
