@@ -67,7 +67,8 @@ from .engine import (Job, ResultCache, RetryPolicy, ScenarioGrid,
                      SweepReport, execute_job, run_sweep)
 from .engine.spec import (_normalise_approach, check_audit_params,
                           check_count, check_fingerprintable_params,
-                          check_reserved_params, check_test_fraction)
+                          check_reserved_params, check_seconds,
+                          check_test_fraction)
 from .pipeline.experiment import EvaluationResult
 from .registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS, MODELS,
                        parse_spec)
@@ -300,7 +301,10 @@ class SweepSpec:
         if self.max_failures is not None:
             self.max_failures = check_count("max_failures",
                                             self.max_failures, least=0)
-        self.to_policy()  # validates timeout/backoff
+        if self.timeout is not None:
+            self.timeout = check_seconds("timeout", self.timeout,
+                                         positive=True)
+        self.backoff = check_seconds("backoff", self.backoff)
 
     # ------------------------------------------------------------------
     @classmethod

