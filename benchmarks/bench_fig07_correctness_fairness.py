@@ -27,7 +27,7 @@ def run_dataset(dataset_name: str) -> str:
         causal_samples=CAUSAL_SAMPLES,
         seeds=[0],
     )
-    report = run_grid(spec.to_grid())
+    report = run_grid(spec)
     return grid_table(
         report.outcomes, dataset=dataset_name,
         title=f"Figure 7 ({dataset_name}): correctness & "

@@ -56,7 +56,7 @@ def sweep_rows() -> dict[str, dict[int, float]]:
         test_fraction=TEST_FRACTION,
         seeds=[0],
     )
-    series = overhead_series(run_grid(spec.to_grid()).outcomes,
+    series = overhead_series(run_grid(spec).outcomes,
                              sweep="rows")
     return {approach: {loaded[rows]: seconds
                        for rows, seconds in points.items()}
@@ -73,7 +73,7 @@ def sweep_attributes() -> dict[str, dict[int, float]]:
         test_fraction=TEST_FRACTION,
         seeds=[0],
     )
-    return overhead_series(run_grid(spec.to_grid()).outcomes,
+    return overhead_series(run_grid(spec).outcomes,
                            sweep="n_features")
 
 

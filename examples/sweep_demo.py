@@ -28,8 +28,8 @@ def main() -> None:
         },
         "engine": {"jobs": 2},
     })
-    jobs = spec.to_grid().expand()
-    print(f"declared {spec.to_grid().describe()}")
+    jobs = spec.expand()
+    print(f"declared {spec.describe()}")
     print(f"first cell fingerprint: {jobs[0].fingerprint[:16]}…")
 
     with tempfile.TemporaryDirectory() as store:

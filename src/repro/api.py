@@ -2,8 +2,10 @@
 
 This is the public facade over the registry + engine stack.  A single
 experiment is an :class:`ExperimentSpec`, a whole grid is a
-:class:`SweepSpec`; both load from / dump to plain mappings, so JSON
-and YAML scenario files fully describe a run::
+:class:`SweepSpec` (a :class:`~repro.engine.ScenarioGrid` plus engine
+fields, run with ``spec.run(progress=, trace=, chaos=)``); both load
+from / dump to plain mappings, so JSON and YAML scenario files fully
+describe a run::
 
     from repro import api
 
@@ -65,13 +67,9 @@ from pathlib import Path
 
 from .engine import (Job, ResultCache, RetryPolicy, ScenarioGrid,
                      SweepReport, execute_job, run_sweep)
-from .engine.spec import (_normalise_approach, check_audit_params,
-                          check_count, check_fingerprintable_params,
-                          check_reserved_params, check_seconds,
-                          check_test_fraction)
+from .engine.backend import parse_store
+from .engine.spec import check_count, check_seconds
 from .pipeline.experiment import EvaluationResult
-from .registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS, MODELS,
-                       parse_spec)
 
 __all__ = ["ExperimentSpec", "SweepSpec", "load_config", "report",
            "run_spec", "sweep"]
@@ -155,7 +153,9 @@ class ExperimentSpec:
     ``imputer``) are registry specs and are canonicalised (and
     validated) at construction; ``approach`` accepts the baseline
     aliases (``None``/``"baseline"``/``"LR"``).  ``rows`` must be an
-    integer >= 1 and ``seed`` an integer >= 0.
+    integer >= 1 and ``seed`` an integer >= 0; every other value is
+    checked by the one-cell :class:`~repro.engine.ScenarioGrid` the
+    spec describes.
     """
 
     dataset: str = "compas"
@@ -172,34 +172,15 @@ class ExperimentSpec:
     audit_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.dataset = DATASETS.canonical(self.dataset)
-        approach = _normalise_approach(self.approach)
-        self.approach = (None if approach is None
-                         else APPROACHES.canonical(approach))
-        self.model = MODELS.canonical(self.model)
-        self.error = (None if self.error is None
-                      else ERRORS.canonical(self.error))
-        self.imputer = (None if self.imputer is None
-                        else IMPUTERS.canonical(self.imputer))
-        check_reserved_params(self.dataset, {
-            "n": "the rows field", "seed": "the seed field"})
-        check_reserved_params(self.approach,
-                              {"seed": "the seed field"})
-        for what, spec in (("dataset", self.dataset),
-                           ("approach", self.approach),
-                           ("model", self.model),
-                           ("error", self.error),
-                           ("imputer", self.imputer)):
-            if spec is not None:
-                check_fingerprintable_params(spec, what)
         self.seed = check_count("seed", self.seed, least=0)
         self.rows = check_count("rows", self.rows)
-        self.audit_params = check_audit_params(self.audit,
-                                               self.audit_params)
         if self.n_features is not None:
             check_count("n_features", self.n_features)
-        check_count("causal_samples", self.causal_samples)
-        check_test_fraction(self.test_fraction)
+        grid = self._grid()  # checks and canonicalises everything else
+        ((self.dataset,), (self.approach,), (self.model,), (self.error,),
+         (self.imputer,)) = (grid.datasets, grid.approaches, grid.models,
+                             grid.errors, grid.imputers)
+        self.audit_params = grid.audit_params
 
     # ------------------------------------------------------------------
     @classmethod
@@ -217,28 +198,22 @@ class ExperimentSpec:
         return dataclasses.asdict(self)
 
     # ------------------------------------------------------------------
+    def _grid(self) -> ScenarioGrid:
+        """The one-cell grid this spec describes."""
+        return ScenarioGrid(
+            datasets=[self.dataset], approaches=[self.approach],
+            models=[self.model], errors=[self.error],
+            imputers=[self.imputer], seeds=[self.seed], rows=[self.rows],
+            feature_counts=[self.n_features],
+            causal_samples=self.causal_samples,
+            test_fraction=self.test_fraction, audit=self.audit,
+            audit_params=self.audit_params)
+
     def to_job(self) -> Job:
         """The engine job this spec describes (same fingerprinting as
         a sweep cell, so single runs share the sweep cache)."""
-        dataset, dataset_params = parse_spec(self.dataset)
-        model, model_params = parse_spec(self.model)
-        approach, approach_params = (
-            (None, {}) if self.approach is None
-            else parse_spec(self.approach))
-        error, error_params = ((None, {}) if self.error is None
-                               else parse_spec(self.error))
-        imputer, imputer_params = ((None, {}) if self.imputer is None
-                                   else parse_spec(self.imputer))
-        return Job(dataset=dataset, approach=approach, model=model,
-                   error=error, imputer=imputer, seed=self.seed,
-                   rows=self.rows, n_features=self.n_features,
-                   causal_samples=self.causal_samples,
-                   test_fraction=self.test_fraction,
-                   dataset_params=dataset_params,
-                   approach_params=approach_params,
-                   model_params=model_params, error_params=error_params,
-                   imputer_params=imputer_params, audit=self.audit,
-                   audit_params=dict(self.audit_params))
+        (job,) = self._grid().expand()
+        return job
 
     def run(self) -> EvaluationResult:
         """Execute the experiment (load → split → corrupt → fit →
@@ -249,33 +224,18 @@ class ExperimentSpec:
 # ----------------------------------------------------------------------
 # Sweeps
 # ----------------------------------------------------------------------
-_ENGINE_FIELDS = ("jobs", "store", "resume", "retry", "timeout",
-                  "backoff", "max_failures", "pack_artifacts")
-
-
 @dataclass
-class SweepSpec:
-    """A declarative scenario grid plus engine options.
+class SweepSpec(ScenarioGrid):
+    """A :class:`~repro.engine.ScenarioGrid` plus engine options.
 
-    The grid fields mirror :class:`~repro.engine.ScenarioGrid` (every
-    dimension entry is a registry spec); ``jobs``/``store``/
-    ``resume`` configure execution.  Construction validates everything
-    against the live registries, so a typo in a key or parameter fails
-    before any cell is scheduled.
+    The grid fields, their checks and :meth:`expand` are the grid's
+    own (every dimension entry is a registry spec); the fields below
+    configure execution.  Construction validates everything against
+    the live registries, so a typo in a key or parameter fails before
+    any cell is scheduled, and ``dataclasses.replace`` re-runs every
+    check.
     """
 
-    datasets: tuple
-    approaches: tuple = (None,)
-    models: tuple = ("lr",)
-    errors: tuple = (None,)
-    imputers: tuple = (None,)
-    seeds: tuple = (0,)
-    rows: tuple = (4000,)
-    feature_counts: tuple = (None,)
-    causal_samples: int = 5000
-    test_fraction: float = 0.3
-    audit: str | None = None
-    audit_params: dict = field(default_factory=dict)
     jobs: int = 1
     store: str | None = None
     resume: bool = True
@@ -286,16 +246,7 @@ class SweepSpec:
     pack_artifacts: bool = False
 
     def __post_init__(self) -> None:
-        grid = self.to_grid()  # validates + canonicalises
-        self.datasets = grid.datasets
-        self.approaches = grid.approaches
-        self.models = grid.models
-        self.errors = grid.errors
-        self.imputers = grid.imputers
-        self.seeds = grid.seeds
-        self.rows = grid.rows
-        self.feature_counts = grid.feature_counts
-        self.audit_params = dict(grid.audit_params)
+        super().__post_init__()
         self.jobs = check_count("jobs", self.jobs)
         self.retry = check_count("retry", self.retry)
         if self.max_failures is not None:
@@ -305,6 +256,13 @@ class SweepSpec:
             self.timeout = check_seconds("timeout", self.timeout,
                                          positive=True)
         self.backoff = check_seconds("backoff", self.backoff)
+        if self.store == "none":
+            if self.pack_artifacts:
+                raise ValueError(
+                    "pack_artifacts stores fitted components in the "
+                    "result store; it cannot be combined with store none")
+        elif self.store is not None:
+            parse_store(self.store)  # a bad URI fails before any cell
 
     # ------------------------------------------------------------------
     @classmethod
@@ -326,24 +284,17 @@ class SweepSpec:
     def to_config(self) -> dict:
         """``{"sweep": {...}, "engine": {...}}`` mapping (full round
         trip: ``SweepSpec.from_config(spec.to_config()) == spec``)."""
-        config = dataclasses.asdict(self)
-        engine = {name: config.pop(name) for name in _ENGINE_FIELDS}
-        config = {name: (list(value) if isinstance(value, tuple)
-                         else value)
-                  for name, value in config.items()}
-        return {"sweep": config, "engine": engine}
+        grid = {f.name for f in dataclasses.fields(ScenarioGrid)}
+        config = {"sweep": {}, "engine": {}}
+        for name, value in dataclasses.asdict(self).items():
+            config["sweep" if name in grid else "engine"][name] = (
+                list(value) if isinstance(value, tuple) else value)
+        return config
 
     # ------------------------------------------------------------------
     def to_grid(self) -> ScenarioGrid:
-        """The :class:`ScenarioGrid` this spec declares."""
-        return ScenarioGrid(
-            datasets=self.datasets, approaches=self.approaches,
-            models=self.models, errors=self.errors,
-            imputers=self.imputers, seeds=self.seeds,
-            rows=self.rows, feature_counts=self.feature_counts,
-            causal_samples=self.causal_samples,
-            test_fraction=self.test_fraction, audit=self.audit,
-            audit_params=dict(self.audit_params))
+        """The grid this spec declares: the spec itself."""
+        return self
 
     def to_policy(self) -> RetryPolicy:
         """The :class:`~repro.engine.RetryPolicy` the engine fields
@@ -352,12 +303,11 @@ class SweepSpec:
                            timeout=self.timeout, backoff=self.backoff,
                            max_failures=self.max_failures)
 
-    def run(self, progress=None, max_workers: int | None = None,
-            cache: ResultCache | None = None,
-            resume: bool | None = None, trace=None,
-            chaos=None) -> SweepReport:
-        """Expand and execute the grid with the spec's engine options
-        (each keyword argument overrides its spec field).
+    def run(self, progress=None, trace=None, chaos=None) -> SweepReport:
+        """Expand and execute the grid with the spec's engine options.
+
+        ``progress`` is called with a
+        :class:`~repro.engine.SweepProgress` after every finished cell.
 
         ``trace`` turns on telemetry: pass a directory path to record
         the sweep and write ``events.jsonl`` + ``trace.json`` there, or
@@ -368,21 +318,22 @@ class SweepSpec:
         a :class:`~repro.engine.FaultPlan`, an inline spec string, or
         a plan file path (see :mod:`repro.engine.chaos`).
 
-        With ``pack_artifacts: true`` (engine section) each computed
-        cell's fitted components are packed into its cache artifact
-        slot, so ``repro pack`` later builds serving bundles without
-        re-fitting (requires ``store``).
+        ``store`` names the result store (``None`` or ``"none"``: no
+        caching).  With ``pack_artifacts`` each computed cell's fitted
+        components are packed into its store artifact slot, so ``repro
+        pack`` later builds serving bundles without re-fitting
+        (requires ``store``).
         """
-        if cache is None and self.store not in (None, "none"):
-            cache = ResultCache(self.store)
+        # A field assigned since construction is checked here.
+        spec = dataclasses.replace(self)
+        cache = (None if spec.store in (None, "none")
+                 else ResultCache(spec.store))
         trace_dir, collector = _resolve_trace(trace)
         report = run_sweep(
-            self.to_grid().expand(), cache=cache,
-            max_workers=self.jobs if max_workers is None else max_workers,
-            resume=self.resume if resume is None else resume,
-            progress=progress, trace=collector,
-            policy=self.to_policy(), chaos=chaos,
-            pack=self.pack_artifacts)
+            spec.expand(), cache=cache, max_workers=spec.jobs,
+            resume=spec.resume, progress=progress, trace=collector,
+            policy=spec.to_policy(), chaos=chaos,
+            pack=spec.pack_artifacts)
         if trace_dir is not None:
             collector.write(trace_dir)
         return report

@@ -84,12 +84,14 @@ Get a stage recommendation for a deployment profile (Section 5)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
 from collections.abc import Sequence
 
-from .engine import ResultCache, ScenarioGrid, grid_table, run_sweep
+from .api import SweepSpec
+from .engine import ResultCache, grid_table
 from .engine.spec import check_count
 from .fairness import Stage
 from .metrics.notions import (Association, CausalHierarchy, Granularity,
@@ -234,6 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "once more than N cells have "
                                 "terminally failed")
     sweep_cmd.add_argument("--pack-artifacts", action="store_true",
+                           default=None,
                            help="also store each computed cell's "
                                 "fitted components (model, SCM, "
                                 "encoding, reference) in the cache, "
@@ -471,19 +474,15 @@ def _evaluate(args: argparse.Namespace,
     through the engine (``--store`` keeps the cells for ``repro
     report``)."""
     try:
-        jobs = ScenarioGrid(datasets=[args.dataset], approaches=approaches,
-                            models=[args.model], seeds=[args.seed],
-                            rows=[args.rows],
-                            causal_samples=args.causal_samples).expand()
+        spec = SweepSpec(datasets=[args.dataset], approaches=approaches,
+                         models=[args.model], seeds=[args.seed],
+                         rows=[args.rows],
+                         causal_samples=args.causal_samples,
+                         store=args.store)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    try:
-        cache = None if args.store is None else ResultCache(args.store)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_sweep(jobs, cache=cache)
+    report = spec.run()
     for failure in report.failures:
         print(f"\nFAILED {failure.job.label()}:\n{failure.error}",
               file=sys.stderr)
@@ -492,35 +491,36 @@ def _evaluate(args: argparse.Namespace,
     print(format_results_table(
         report.results,
         title=f"{args.dataset} (n={args.rows}, seed={args.seed})"))
-    if cache is not None:
-        print(f"cells stored in {cache.location}")
+    if spec.store not in (None, "none"):
+        print(f"cells stored in {ResultCache(spec.store).location}")
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from .api import SweepSpec
+def _grid_flags(args: argparse.Namespace) -> dict:
+    """The sweep config ``repro sweep``'s grid flags spell."""
+    approaches = args.approach or ["KamCal-dp", "Zafar-dp-fair",
+                                   "Hardt-eo"]
+    return {"datasets": args.dataset or ["compas"],
+            "approaches": (approaches if args.no_baseline
+                           else [None, *approaches]),
+            "models": args.model or ["lr"],
+            "errors": [None, *args.error],
+            "imputers": args.imputer or [None],
+            "seeds": 1 if args.seeds is None else args.seeds,
+            "rows": args.rows or [4000]}
 
+
+#: ``repro sweep`` flags that, when given, override the spec field of
+#: the same name (over a config file, or over the grid flags' spec).
+_OVERRIDE_FLAGS = ("causal_samples", "audit", "jobs", "store", "resume",
+                   "retry", "timeout", "backoff", "max_failures",
+                   "pack_artifacts")
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
     grid_flags_used = bool(args.dataset or args.approach or args.model
                            or args.error or args.imputer or args.rows
                            or args.seeds is not None or args.no_baseline)
-    if args.seeds is not None and args.seeds < 1:
-        print("error: --seeds must be at least 1", file=sys.stderr)
-        return 2
-    if args.jobs is not None and args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    if args.retry is not None and args.retry < 1:
-        print("error: --retry must be at least 1", file=sys.stderr)
-        return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print("error: --timeout must be positive", file=sys.stderr)
-        return 2
-    if args.backoff is not None and args.backoff < 0:
-        print("error: --backoff must be >= 0", file=sys.stderr)
-        return 2
-    if args.max_failures is not None and args.max_failures < 0:
-        print("error: --max-failures must be >= 0", file=sys.stderr)
-        return 2
     chaos = None
     if args.chaos is not None:
         from .engine import FaultPlan
@@ -548,78 +548,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"error: invalid config {args.config!r}: {exc}",
                   file=sys.stderr)
             return 2
-    else:
-        approaches = args.approach or ["KamCal-dp", "Zafar-dp-fair",
-                                       "Hardt-eo"]
-        if not args.no_baseline:
-            approaches = [None, *approaches]
-        try:
-            spec = SweepSpec(
-                datasets=args.dataset or ["compas"],
-                approaches=approaches,
-                models=args.model or ["lr"],
-                errors=[None, *args.error] if args.error else [None],
-                imputers=args.imputer or [None],
-                seeds=range(args.seeds if args.seeds is not None else 1),
-                rows=args.rows or [4000],
-                causal_samples=(args.causal_samples
-                                if args.causal_samples is not None
-                                else 5000),
-            )
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0] if exc.args else exc}",
-                  file=sys.stderr)
-            return 2
-
-    # CLI engine/audit flags override the config (or fill defaults).
-    if args.jobs is not None:
-        spec.jobs = args.jobs
-    if args.store is not None:
-        spec.store = args.store
-    elif spec.store is None:
-        # The CLI always caches by default (configs disable it
-        # explicitly with store: none).
-        spec.store = ".sweep-cache"
-    if args.resume is not None:
-        spec.resume = args.resume
-    if args.audit is not None:
-        spec.audit = args.audit
-    if args.config is not None and args.causal_samples is not None:
-        spec.causal_samples = args.causal_samples
-    if args.retry is not None:
-        spec.retry = args.retry
-    if args.timeout is not None:
-        spec.timeout = args.timeout
-    if args.backoff is not None:
-        spec.backoff = args.backoff
-    if args.max_failures is not None:
-        spec.max_failures = args.max_failures
-    if args.pack_artifacts:
-        spec.pack_artifacts = True
-
+    overrides = {name: getattr(args, name) for name in _OVERRIDE_FLAGS
+                 if getattr(args, name) is not None}
     try:
-        # The flags above were set after the spec validated itself
-        # (e.g. --causal-samples 0 over a config).
-        grid = spec.to_grid()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    caching = spec.store != "none"
-    if spec.pack_artifacts and not caching:
-        print("error: --pack-artifacts stores bundles in the result "
-              "cache; it cannot be combined with --store none",
+        if args.config is None:
+            spec = SweepSpec.from_config(_grid_flags(args))
+        # The CLI caches by default; a config turns caching off with
+        # store: none.
+        overrides.setdefault("store", spec.store or ".sweep-cache")
+        spec = dataclasses.replace(spec, **overrides)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0] if exc.args else exc}",
               file=sys.stderr)
         return 2
-    if caching:
-        try:
-            cache = ResultCache(spec.store)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        cache = None
-    print(grid.describe() + (f", cache at {cache.location}" if caching
-                             else ", caching disabled"))
+    description = spec.describe()
+    print(description + (
+        ", caching disabled" if spec.store == "none"
+        else f", cache at {ResultCache(spec.store).location}"))
 
     from . import obs
 
@@ -637,29 +582,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # -v needs per-cell fragments for its phase breakdowns, so it
     # collects a trace even when none is written to disk.
     collector = (obs.TraceCollector(env=obs.environment_info(),
-                                    meta={"grid": grid.describe()},
+                                    meta={"grid": description},
                                     trace_memory=args.trace_memory)
                  if args.trace is not None or args.verbose else None)
     if chaos is not None:
         print(f"chaos plan active: {chaos.describe()}")
     try:
-        report = run_sweep(grid.expand(), cache=cache,
-                           max_workers=spec.jobs, resume=spec.resume,
-                           progress=progress, trace=collector,
-                           policy=spec.to_policy(), chaos=chaos,
-                           pack=spec.pack_artifacts)
+        report = spec.run(progress=progress, trace=collector, chaos=chaos)
     finally:
         logger.removeHandler(handler)
     if args.trace is not None:
         collector.write(args.trace)
         print(f"trace written to {args.trace} "
               f"(inspect with `repro trace {args.trace}`)")
-    for dataset_spec in grid.datasets:
+    for dataset_spec in spec.datasets:
         dataset = parse_spec(dataset_spec)[0]
         print()
         print(grid_table(report.outcomes, dataset=dataset,
                          title=f"{dataset} (seed-averaged over "
-                               f"{len(grid.seeds)} seeds)"))
+                               f"{len(spec.seeds)} seeds)"))
     print()
     print(f"sweep finished: {report.summary()}")
     for failure in report.failures:
@@ -888,6 +829,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .artifacts import BundleError
     from .serve import AuditHTTPServer, AuditService
 
+    try:
+        if not 0 <= args.port <= 65535:
+            raise ValueError("--port must be an integer in 0..65535, "
+                             f"got {args.port}")
+        if args.max_requests is not None:
+            check_count("--max-requests", args.max_requests)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         service = AuditService.from_bundle(args.bundle)
     except BundleError as exc:

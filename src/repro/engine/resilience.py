@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .spec import check_count, check_seconds
+
 __all__ = ["Attempt", "RetryPolicy", "TransientError",
            "classify_exception"]
 
@@ -96,13 +98,28 @@ class Attempt:
         return f"{self.kind} after {self.seconds:.2f}s{detail}"
 
 
+#: Exponential growth of the retry backoff schedule.
+BACKOFF_FACTOR = 2
+
+#: Pool crashes a single cell may be involved in before it is
+#: quarantined (marked failed, never re-queued).  Crash retries are
+#: governed by this bound — not ``max_attempts`` — because a pool
+#: rebuild must re-queue in-flight victims even when retries are
+#: disabled.  After a crash, previously-crashed cells are re-run one at
+#: a time (at most one suspect in flight), so a repeat offender is
+#: identified and quarantined instead of taking innocent neighbours
+#: down with it.
+QUARANTINE = 2
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How a sweep responds to failing, hanging, and crashing cells.
 
     The default policy is the engine's historical behaviour — one
     attempt, no deadline, never give up on the sweep — so existing
-    callers pay nothing; every knob is opt-in.
+    callers pay nothing; every knob is opt-in.  Every value is checked
+    at construction.
 
     Parameters
     ----------
@@ -112,10 +129,8 @@ class RetryPolicy:
         disables retries.
     backoff:
         Base seconds slept before retry *k* (1-indexed):
-        ``backoff * backoff_factor ** (k - 1)``.  Deterministic — no
+        ``backoff * BACKOFF_FACTOR ** (k - 1)``.  Deterministic — no
         jitter — so fault-plan replays are reproducible.
-    backoff_factor:
-        Exponential growth of the backoff schedule.
     timeout:
         Per-cell deadline in seconds, enforced by the parent: a cell
         running past it has its worker pool killed and is re-queued
@@ -128,41 +143,20 @@ class RetryPolicy:
         everything unfinished as aborted — graceful degradation
         instead of burning hours on a broken grid.  ``None`` never
         trips; ``0`` aborts on the first failure.
-    quarantine:
-        Pool crashes a single cell may be involved in before it is
-        quarantined (marked failed, never re-queued).  Crash retries
-        are governed by this bound — not ``max_attempts`` — because a
-        pool rebuild must re-queue in-flight victims even when
-        retries are disabled.  After a crash, previously-crashed cells
-        are re-run one at a time (at most one suspect in flight), so a
-        repeat offender is identified and quarantined instead of
-        taking innocent neighbours down with it.
     """
 
     max_attempts: int = 1
     backoff: float = 0.0
-    backoff_factor: float = 2.0
     timeout: float | None = None
     max_failures: int | None = None
-    quarantine: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
-        if self.backoff_factor <= 0:
-            raise ValueError(f"backoff_factor must be > 0, "
-                             f"got {self.backoff_factor}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.max_failures is not None and self.max_failures < 0:
-            raise ValueError(
-                f"max_failures must be >= 0, got {self.max_failures}")
-        if self.quarantine < 1:
-            raise ValueError(
-                f"quarantine must be >= 1, got {self.quarantine}")
+        check_count("max_attempts", self.max_attempts)
+        check_seconds("backoff", self.backoff)
+        if self.timeout is not None:
+            check_seconds("timeout", self.timeout, positive=True)
+        if self.max_failures is not None:
+            check_count("max_failures", self.max_failures, least=0)
 
     # ------------------------------------------------------------------
     def backoff_seconds(self, retry: int) -> float:
@@ -173,7 +167,7 @@ class RetryPolicy:
         """
         if retry < 1 or self.backoff == 0.0:
             return 0.0
-        return self.backoff * self.backoff_factor ** (retry - 1)
+        return self.backoff * BACKOFF_FACTOR ** (retry - 1)
 
     def should_retry_error(self, transient: bool, attempts_used: int
                            ) -> bool:
@@ -191,7 +185,7 @@ class RetryPolicy:
         independent of ``max_attempts``, because rebuilding the pool
         must not strand innocent in-flight cells even with retries
         disabled."""
-        return crashes < self.quarantine
+        return crashes < QUARANTINE
 
     def tripped(self, failures: int) -> bool:
         """Has the circuit breaker opened?"""

@@ -19,7 +19,9 @@ those parameters are part of the cell's fingerprint — a changed
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -271,13 +273,19 @@ def _normalise_approach(name):
 
 def _as_tuple(name: str, values: Iterable | None, default: tuple) -> tuple:
     """Grid dimension ``name`` as a tuple (``None`` is ``default``); a
-    scalar, a bare string included, fails naming the dimension."""
+    scalar, a bare string included, or an empty dimension (which would
+    expand to no cells) fails naming the dimension."""
     if values is None:
-        return default
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        values = default
+    elif isinstance(values, (str, bytes)) or not isinstance(values,
+                                                            Iterable):
         raise ValueError(
             f"{name} must be a list of values, got {values!r}")
-    return tuple(values)
+    dimension = tuple(values)
+    if not dimension:
+        raise ValueError(
+            f"{name} must list at least one value, got {values!r}")
+    return dimension
 
 
 def _check_json_params(params: dict, what: str) -> dict:
@@ -302,10 +310,11 @@ def check_count(name: str, value, least: int = 1) -> int:
 
 
 def check_seconds(name: str, value, positive: bool = False) -> float:
-    """Reject a duration that is not a real number of seconds (bools
-    included), is negative or NaN, or is zero when ``positive``; returns
+    """Reject a duration that is not a finite real number of seconds
+    (bools included), is negative, or is zero when ``positive``; returns
     it as a ``float``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
             or not (value > 0 if positive else value >= 0)):
         raise ValueError(f"{name} must be a number of seconds "
                          f"{'> 0' if positive else '>= 0'}, got {value!r}")
@@ -424,8 +433,6 @@ class ScenarioGrid:
         self.audit_params = check_audit_params(self.audit,
                                                self.audit_params)
 
-        if not self.datasets:
-            raise ValueError("a ScenarioGrid needs at least one dataset")
         for dataset_spec in self.datasets:
             check_reserved_params(dataset_spec, {
                 "n": "the rows dimension", "seed": "the seeds dimension"})
@@ -455,57 +462,29 @@ class ScenarioGrid:
     def expand(self) -> list[Job]:
         """The grid's deterministic, duplicate-free job list.
 
-        Nesting order is the declaration order of the dimensions, so
-        the list is reproducible across processes and sessions; cells
+        The nesting order, outermost first, is datasets, rows,
+        feature_counts, errors, imputers, models, approaches, seeds,
+        so the list is reproducible across processes and sessions; cells
         that collapse to the same parameterization (e.g. a repeated
-        approach name) appear once, at their first position.  The
-        expansion is computed once per grid (dimensions are fixed
-        after construction).
+        approach name) appear once, at their first position.  Each
+        call expands the grid's current fields, so a field assigned
+        after construction (``grid.seeds = ...``) is never served a
+        stale job list.
         """
-        cached = getattr(self, "_jobs", None)
-        if cached is not None:
-            return list(cached)
         from ..registry import parse_spec
 
-        jobs: list[Job] = []
-        seen: set[str] = set()
-        for dataset_spec in self.datasets:
-            dataset, dataset_params = parse_spec(dataset_spec)
-            for n_rows in self.rows:
-                for n_features in self.feature_counts:
-                    for error_spec in self.errors:
-                        error, error_params = (
-                            (None, {}) if error_spec is None
-                            else parse_spec(error_spec))
-                        for imputer_spec in self.imputers:
-                            imputer, imputer_params = (
-                                (None, {}) if imputer_spec is None
-                                else parse_spec(imputer_spec))
-                            for model_spec in self.models:
-                                model, model_params = parse_spec(
-                                    model_spec)
-                                for approach_spec in self.approaches:
-                                    approach, approach_params = (
-                                        (None, {})
-                                        if approach_spec is None
-                                        else parse_spec(approach_spec))
-                                    self._expand_cell(
-                                        jobs, seen,
-                                        dataset, dataset_params,
-                                        n_rows, n_features,
-                                        error, error_params,
-                                        imputer, imputer_params,
-                                        model, model_params,
-                                        approach, approach_params)
-        self._jobs = jobs
-        return list(jobs)
+        def parsed(specs):
+            return [(None, {}) if spec is None else parse_spec(spec)
+                    for spec in specs]
 
-    def _expand_cell(self, jobs, seen, dataset, dataset_params, n_rows,
-                     n_features, error, error_params, imputer,
-                     imputer_params, model, model_params, approach,
-                     approach_params) -> None:
-        """Innermost expansion: the seeds of one grid point."""
-        for seed in self.seeds:
+        jobs: dict[str, Job] = {}
+        for ((dataset, dataset_params), n_rows, n_features,
+             (error, error_params), (imputer, imputer_params),
+             (model, model_params), (approach, approach_params),
+             seed) in itertools.product(
+                parsed(self.datasets), self.rows, self.feature_counts,
+                parsed(self.errors), parsed(self.imputers),
+                parsed(self.models), parsed(self.approaches), self.seeds):
             job = Job(
                 dataset=dataset, approach=approach, model=model,
                 error=error, imputer=imputer, seed=seed, rows=n_rows,
@@ -518,10 +497,8 @@ class ScenarioGrid:
                 imputer_params=imputer_params, audit=self.audit,
                 audit_params=dict(self.audit_params),
             )
-            fingerprint = job.fingerprint
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                jobs.append(job)
+            jobs.setdefault(job.fingerprint, job)
+        return list(jobs.values())
 
     def describe(self) -> str:
         """One-line summary for logs and CLI output."""

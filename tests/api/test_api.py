@@ -169,13 +169,25 @@ class TestSweepSpec:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_fields_assigned_after_construction_checked_at_run(self):
+        spec = SweepSpec(datasets=["german"])
+        spec.rows = [0]
+        with pytest.raises(ValueError, match="rows entries must be an "
+                                             "integer >= 1, got 0"):
+            spec.run()
+        spec = SweepSpec(datasets=["german"])
+        spec.jobs = 0
+        with pytest.raises(ValueError, match="jobs must be an integer "
+                                             ">= 1, got 0"):
+            spec.run()
+
     def test_grid_matches_direct_scenario_grid(self):
         spec = SweepSpec.from_config(SMALL_SWEEP)
         direct = ScenarioGrid(datasets=["german"],
                               approaches=[None, "Hardt-eo"],
                               seeds=[0, 1], rows=[400],
                               causal_samples=300)
-        assert ([j.fingerprint for j in spec.to_grid().expand()]
+        assert ([j.fingerprint for j in spec.expand()]
                 == [j.fingerprint for j in direct.expand()])
 
     def test_param_override_changes_fingerprints(self):
@@ -184,8 +196,8 @@ class TestSweepSpec:
         tuned = SweepSpec.from_config(
             {"datasets": ["german"],
              "approaches": ["Celis-pp(tau=0.9)"]})
-        assert (base.to_grid().expand()[0].fingerprint
-                != tuned.to_grid().expand()[0].fingerprint)
+        assert (base.expand()[0].fingerprint
+                != tuned.expand()[0].fingerprint)
 
     def test_json_and_yaml_configs_load(self, tmp_path):
         json_path = tmp_path / "sweep.json"
@@ -205,7 +217,7 @@ class TestSweepSpec:
                 / "sweep.yaml")
         spec = SweepSpec.from_config(path)
         # (baseline + 2) × 2 errors × 1 imputer × 2 seeds
-        assert spec.to_grid().size == 12
+        assert spec.size == 12
         assert spec.imputers == ("knn",)
         assert spec.jobs == 2
 
@@ -298,8 +310,8 @@ class TestAuditThreading:
         plain = SweepSpec.from_config(
             {"datasets": ["german"], "approaches": ["baseline"],
              "rows": [300], "causal_samples": 200})
-        assert (spec.to_grid().expand()[0].fingerprint
-                != plain.to_grid().expand()[0].fingerprint)
+        assert (spec.expand()[0].fingerprint
+                != plain.expand()[0].fingerprint)
 
     def test_audit_cell_cached_like_any_other(self, tmp_path):
         spec = SweepSpec.from_config(self.CONFIG)
@@ -426,12 +438,16 @@ class TestProtocolValues:
     @pytest.mark.parametrize("field, bound", [("timeout", "> 0"),
                                               ("backoff", ">= 0")],
                              ids=["timeout", "backoff"])
-    @pytest.mark.parametrize("value", ["5", True, -1],
-                             ids=["string", "bool", "negative"])
+    @pytest.mark.parametrize("value", ["5", True, -1, float("inf"),
+                                       float("nan")],
+                             ids=["string", "bool", "negative", "inf",
+                                  "nan"])
     def test_bad_retry_seconds_rejected(self, field, bound, value,
                                         tmp_path, capsys):
         # A string used to fail later with a TypeError naming no field,
-        # and True was accepted as one second.
+        # True was accepted as one second, an infinite backoff crashed
+        # or hung the first retry, and --timeout nan ran with no
+        # deadline.
         match = re.escape(f"{field} must be a number of seconds {bound}, "
                           f"got {value!r}")
         with pytest.raises(ValueError, match=match):
@@ -444,6 +460,13 @@ class TestProtocolValues:
                      "--store", "none"]) == 2
         err = capsys.readouterr().err
         assert re.search(match, err) and "Traceback" not in err
+        if isinstance(value, float):
+            assert main(["sweep", "--dataset", "german", "--no-baseline",
+                         "--approach", "baseline", "--rows", "300",
+                         "--store", "none", f"--{field}", str(value)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {field} must be a number of seconds {bound}, "
+                f"got {value!r}\n")
 
     def test_numpy_integers_accepted(self):
         import numpy as np
@@ -498,5 +521,5 @@ class TestParameterizedReporting:
         spec = SweepSpec.from_config(SMALL_SWEEP)
         spec.causal_samples = 200
         base = SweepSpec.from_config(SMALL_SWEEP)
-        assert (spec.to_grid().expand()[0].fingerprint
-                != base.to_grid().expand()[0].fingerprint)
+        assert (spec.expand()[0].fingerprint
+                != base.expand()[0].fingerprint)

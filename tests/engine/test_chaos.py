@@ -182,7 +182,6 @@ class TestInjectedFaults:
         with obs.recording() as rec:
             report = run_sweep(
                 GRID.expand(), max_workers=2,
-                policy=RetryPolicy(quarantine=2),
                 chaos="kill:Hardt@0;kill:Hardt@1")
         assert len(report.failures) == 1
         failed = report.failures[0]

@@ -50,12 +50,11 @@ class TestRetryPolicy:
         assert not policy.tripped(10 ** 6)
 
     def test_backoff_schedule_is_deterministic(self):
-        policy = RetryPolicy(max_attempts=4, backoff=0.5,
-                             backoff_factor=3.0)
+        policy = RetryPolicy(max_attempts=4, backoff=0.5)
         assert policy.backoff_seconds(0) == 0.0
         assert policy.backoff_seconds(1) == 0.5
-        assert policy.backoff_seconds(2) == 1.5
-        assert policy.backoff_seconds(3) == 4.5
+        assert policy.backoff_seconds(2) == 1.0
+        assert policy.backoff_seconds(3) == 2.0
         assert RetryPolicy(max_attempts=4).backoff_seconds(3) == 0.0
 
     def test_transient_retries_deterministic_fails_fast(self):
@@ -71,11 +70,17 @@ class TestRetryPolicy:
         assert RetryPolicy(max_failures=2).tripped(3)
 
     @pytest.mark.parametrize("fields", [
-        {"max_attempts": 0}, {"backoff": -1.0}, {"backoff_factor": 0},
-        {"timeout": 0}, {"timeout": -5}, {"max_failures": -1},
-        {"quarantine": 0}])
+        {"max_attempts": 0}, {"backoff": -1.0}, {"timeout": 0},
+        {"timeout": -5}, {"max_failures": -1},
+        {"timeout": float("nan")}, {"backoff": float("inf")},
+        {"timeout": float("inf")}, {"backoff": float("nan")},
+        {"max_attempts": 2.5}, {"max_attempts": True},
+        {"max_failures": 1.5}, {"timeout": "5"}])
     def test_validation(self, fields):
-        with pytest.raises(ValueError):
+        # A run_sweep(policy=...) caller gets the spec's checks, and
+        # its messages, at construction.
+        ((name, value),) = fields.items()
+        with pytest.raises(ValueError, match=f"^{name} must be "):
             RetryPolicy(**fields)
 
     def test_attempt_describe(self):
@@ -159,7 +164,7 @@ class TestRetries:
             flaky_execute(executor_module.execute_job, {victim: 2},
                           TransientError))
         report = run_sweep(GRID.expand(), policy=RetryPolicy(
-            max_attempts=3, backoff=0.004, backoff_factor=2.0))
+            max_attempts=3, backoff=0.004))
         assert not report.failures
         waits = [s for s in sleeps if s > 0]
         assert len(waits) == 2

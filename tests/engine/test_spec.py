@@ -1,6 +1,8 @@
 """Grid expansion and job fingerprinting."""
 
 import dataclasses
+import json
+import re
 import subprocess
 import sys
 
@@ -30,6 +32,29 @@ class TestExpansion:
         jobs = small_grid().expand()
         assert [(j.approach, j.seed) for j in jobs] == [
             (None, 0), (None, 1), ("Hardt-eo", 0), ("Hardt-eo", 1)]
+        # Every dimension varies: the nesting, outermost first, is
+        # datasets, rows, feature_counts, errors, imputers, models,
+        # approaches, seeds.
+        dims = {"datasets": ["german", "compas"], "rows": [400, 300],
+                "feature_counts": [None, 3], "errors": [None, "t1"],
+                "imputers": [None, "knn(k=7)"], "models": ["lr", "nb"],
+                "approaches": [None, "Celis-pp(tau=0.9)"],
+                "seeds": [1, 0]}
+        jobs = ScenarioGrid(causal_samples=300, **dims).expand()
+        assert len(jobs) == 2 ** 8
+        assert [(j.dataset, j.rows, j.n_features, j.error, j.imputer,
+                 j.imputer_params, j.model, j.approach, j.approach_params,
+                 j.seed) for j in jobs] == [
+            (dataset, rows, n_features, error, *imputer, model,
+             *approach, seed)
+            for dataset in ["german", "compas"]
+            for rows in [400, 300]
+            for n_features in [None, 3]
+            for error in [None, "t1"]
+            for imputer in [(None, {}), ("knn", {"k": 7})]
+            for model in ["lr", "nb"]
+            for approach in [(None, {}), ("Celis-pp", {"tau": 0.9})]
+            for seed in [1, 0]]
 
     def test_duplicates_collapse_to_first_position(self):
         grid = small_grid(
@@ -55,9 +80,26 @@ class TestValidation:
         with pytest.raises(KeyError):
             small_grid(**kwargs)
 
-    def test_empty_datasets_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioGrid(datasets=[])
+    def test_empty_datasets_rejected(self, tmp_path, capsys):
+        # An empty dimension used to expand to 0 cells and exit 0; every
+        # route now names it.
+        from repro.api import SweepSpec
+        from repro.cli import main
+
+        for name in ("datasets", "approaches", "models", "errors",
+                     "imputers", "seeds", "rows", "feature_counts"):
+            fields = {"datasets": ["german"], name: []}
+            message = f"{name} must list at least one value, got []"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ScenarioGrid(**fields)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SweepSpec.from_config({"sweep": fields})
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(fields))
+            assert main(["sweep", "--config", str(config),
+                         "--store", "none"]) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("kwargs", [{"seeds": [-1]}, {"rows": [0]}])
     def test_bad_numbers_rejected(self, kwargs):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.engine import ResultCache
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -135,11 +137,13 @@ class TestSweep:
 
     def test_sweep_bad_seeds_rejected(self, capsys):
         assert main(["sweep", "--seeds", "0"]) == 2
-        assert "--seeds" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: seeds count must be an integer >= 1, got 0\n")
 
     def test_sweep_bad_jobs_rejected(self, capsys):
         assert main(["sweep", "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: jobs must be an integer >= 1, got 0\n")
 
     def test_sweep_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -156,6 +160,47 @@ class TestSweep:
                   "--store", "none"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestSweepFlagsOverConfig:
+    """Engine flags apply to the config's spec through its own checks."""
+
+    def test_bad_engine_flag_names_the_field(self, tmp_path, capsys):
+        # --timeout nan used to pass the CLI's own `<= 0` check, skip
+        # the spec's, and run with no deadline.
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"datasets": ["german"]}))
+        assert main(["sweep", "--config", str(config), "--store", "none",
+                     "--timeout", "nan"]) == 2
+        assert capsys.readouterr().err == (
+            "error: timeout must be a number of seconds > 0, got nan\n")
+
+    def test_pack_artifacts_needs_a_store(self, tmp_path, capsys):
+        message = ("pack_artifacts stores fitted components in the result "
+                   "store; it cannot be combined with store none")
+        assert main(["sweep", "--dataset", "german", "--pack-artifacts",
+                     "--store", "none"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"datasets": ["german"],
+                                      "pack_artifacts": True,
+                                      "store": "none"}))
+        assert main(["sweep", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_pack_artifacts_config_caches_by_default(self, tmp_path,
+                                                     capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "datasets": ["german"], "rows": [300], "causal_samples": 200,
+            "pack_artifacts": True}))
+        assert main(["sweep", "--config", str(config), "-q"]) == 0
+        assert "cache at .sweep-cache" in capsys.readouterr().out
+        cache = ResultCache(tmp_path / ".sweep-cache")
+        assert [cache.has_artifact(fp) for fp in cache.fingerprints()] == [
+            True]
 
 
 class TestErrorMessages:
@@ -178,6 +223,22 @@ class TestDescribe:
     def test_degenerate_sample_is_named_error(self, flag, value, message,
                                               capsys):
         assert main(["describe", "--dataset", "german", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestServe:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--port", "99999", "--port must be an integer in 0..65535, "
+                            "got 99999"),
+        ("--port", "-1", "--port must be an integer in 0..65535, got -1"),
+        ("--max-requests", "0", "--max-requests must be an integer >= 1, "
+                                "got 0"),
+    ], ids=["port-above-range", "port-negative", "max-requests-zero"])
+    def test_bad_flag_is_named_error(self, flag, value, message,
+                                     tmp_path, capsys):
+        # A bad port used to end in an OverflowError traceback from
+        # bind, and --max-requests 0 served until the first request.
+        assert main(["serve", str(tmp_path / "bundle"), flag, value]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
