@@ -11,6 +11,7 @@ pipeline refits.
 Run:  python examples/sweep_demo.py
 """
 
+import dataclasses
 import tempfile
 
 from repro.api import SweepSpec
@@ -33,7 +34,7 @@ def main() -> None:
     print(f"first cell fingerprint: {jobs[0].fingerprint[:16]}…")
 
     with tempfile.TemporaryDirectory() as store:
-        spec.store = store
+        spec = dataclasses.replace(spec, store=store)
 
         print("\ncold cache, 2 workers:")
         report = spec.run(progress=lambda p: print(f"  {p.line()}"))

@@ -59,6 +59,7 @@ pick one at report time (``pivot``, ``repro report --pivot``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import numbers
 from collections.abc import Mapping
@@ -224,7 +225,7 @@ class ExperimentSpec:
 # ----------------------------------------------------------------------
 # Sweeps
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec(ScenarioGrid):
     """A :class:`~repro.engine.ScenarioGrid` plus engine options.
 
@@ -232,7 +233,8 @@ class SweepSpec(ScenarioGrid):
     own (every dimension entry is a registry spec); the fields below
     configure execution.  Construction validates everything against
     the live registries, so a typo in a key or parameter fails before
-    any cell is scheduled, and ``dataclasses.replace`` re-runs every
+    any cell is scheduled.  A spec is frozen like its grid:
+    ``dataclasses.replace`` derives a changed one and re-runs every
     check.
     """
 
@@ -247,15 +249,16 @@ class SweepSpec(ScenarioGrid):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self.jobs = check_count("jobs", self.jobs)
-        self.retry = check_count("retry", self.retry)
+        assign = functools.partial(object.__setattr__, self)  # frozen
+        assign("jobs", check_count("jobs", self.jobs))
+        assign("retry", check_count("retry", self.retry))
         if self.max_failures is not None:
-            self.max_failures = check_count("max_failures",
-                                            self.max_failures, least=0)
+            assign("max_failures", check_count("max_failures",
+                                               self.max_failures, least=0))
         if self.timeout is not None:
-            self.timeout = check_seconds("timeout", self.timeout,
-                                         positive=True)
-        self.backoff = check_seconds("backoff", self.backoff)
+            assign("timeout", check_seconds("timeout", self.timeout,
+                                            positive=True))
+        assign("backoff", check_seconds("backoff", self.backoff))
         if self.store == "none":
             if self.pack_artifacts:
                 raise ValueError(
@@ -324,16 +327,14 @@ class SweepSpec(ScenarioGrid):
         pack`` later builds serving bundles without re-fitting
         (requires ``store``).
         """
-        # A field assigned since construction is checked here.
-        spec = dataclasses.replace(self)
-        cache = (None if spec.store in (None, "none")
-                 else ResultCache(spec.store))
+        cache = (None if self.store in (None, "none")
+                 else ResultCache(self.store))
         trace_dir, collector = _resolve_trace(trace)
         report = run_sweep(
-            spec.expand(), cache=cache, max_workers=spec.jobs,
-            resume=spec.resume, progress=progress, trace=collector,
-            policy=spec.to_policy(), chaos=chaos,
-            pack=spec.pack_artifacts)
+            self.expand(), cache=cache, max_workers=self.jobs,
+            resume=self.resume, progress=progress, trace=collector,
+            policy=self.to_policy(), chaos=chaos,
+            pack=self.pack_artifacts)
         if trace_dir is not None:
             collector.write(trace_dir)
         return report

@@ -89,9 +89,11 @@ import logging
 import os
 import sys
 from collections.abc import Sequence
+from pathlib import Path
 
 from .api import SweepSpec
 from .engine import ResultCache, grid_table
+from .engine.executor import CELL_AXES
 from .engine.spec import check_count
 from .fairness import Stage
 from .metrics.notions import (Association, CausalHierarchy, Granularity,
@@ -251,9 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="record telemetry and write "
                                 "events.jsonl + trace.json (Chrome "
                                 "trace-event) into DIR")
-    sweep_cmd.add_argument("--trace-memory", action="store_true",
-                           help="also track per-span peak allocation "
-                                "via tracemalloc (slower)")
     sweep_cmd.add_argument("-v", "--verbose", action="count", default=0,
                            help="per-phase timings in each progress "
                                 "line (implies trace collection)")
@@ -301,8 +300,9 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--top", type=int, default=10, metavar="N",
                            help="slowest spans to list (default: 10)")
     trace_cmd.add_argument("--by", default=None, metavar="AXIS",
+                           choices=CELL_AXES,
                            help="per-phase totals grouped by a grid "
-                                "axis (e.g. dataset, error, imputer)")
+                                f"axis: {', '.join(CELL_AXES)}")
     trace_cmd.add_argument("--check", action="store_true",
                            help="verify every computed cell recorded "
                                 "its expected phase spans and the "
@@ -468,6 +468,27 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_output(flag: str, path: str | None, directory: bool) -> None:
+    """Fail by ``flag``, before any work, for an output path that
+    cannot be written: a ``directory`` output must be a directory or
+    absent, a file output must not be a directory, and the closest
+    existing ancestor of an absent path must be a directory."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.exists():
+        if target.is_dir() != directory:
+            wanted, found = (("a directory", "a file") if directory
+                             else ("a file", "a directory"))
+            raise ValueError(
+                f"{flag} must name {wanted}, but {path!r} is {found}")
+        return
+    ancestor = next(p for p in target.parents if p.exists())
+    if not ancestor.is_dir():
+        raise ValueError(f"{flag} {path!r} cannot be created: "
+                         f"{str(ancestor)!r} is a file")
+
+
 def _evaluate(args: argparse.Namespace,
               approaches: Sequence[str | None]) -> int:
     """``repro run``/``repro audit``: one sweep cell per approach,
@@ -526,6 +547,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         from .engine import FaultPlan
         try:
             chaos = FaultPlan.load(args.chaos)
+        except FileNotFoundError:
+            print(f"error: chaos plan file {args.chaos!r} not found",
+                  file=sys.stderr)
+            return 2
         except (ValueError, KeyError, TypeError, RuntimeError) as exc:
             print(f"error: invalid chaos plan {args.chaos!r}: {exc}",
                   file=sys.stderr)
@@ -551,6 +576,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     overrides = {name: getattr(args, name) for name in _OVERRIDE_FLAGS
                  if getattr(args, name) is not None}
     try:
+        _check_output("--trace", args.trace, directory=True)
         if args.config is None:
             spec = SweepSpec.from_config(_grid_flags(args))
         # The CLI caches by default; a config turns caching off with
@@ -582,8 +608,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # -v needs per-cell fragments for its phase breakdowns, so it
     # collects a trace even when none is written to disk.
     collector = (obs.TraceCollector(env=obs.environment_info(),
-                                    meta={"grid": description},
-                                    trace_memory=args.trace_memory)
+                                    meta={"grid": description})
                  if args.trace is not None or args.verbose else None)
     if chaos is not None:
         print(f"chaos plan active: {chaos.describe()}")
@@ -636,7 +661,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         axes.append(args.overhead)
     try:
         check_axes(axes)
-    except KeyError as exc:
+        _check_output("--export-json", args.export_json, directory=False)
+        _check_output("--export-csv", args.export_csv, directory=False)
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     try:
@@ -835,6 +862,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                              f"got {args.port}")
         if args.max_requests is not None:
             check_count("--max-requests", args.max_requests)
+        _check_output("--trace", args.trace, directory=True)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -890,11 +918,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from . import obs
 
     try:
+        check_count("--top", args.top)
         trace = obs.load_trace(args.trace_dir)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(obs.format_summary(trace, top=args.top, by=args.by))

@@ -26,11 +26,11 @@ Faults model the failure classes a real hours-long sweep hits:
     corrupt the shard file on disk (exercises the ``cache.corrupt``
     detection and ``repro cache verify``).
 
-Delivery: the parent serialises the plan into the ``REPRO_CHAOS``
-environment variable before creating the worker pool, and
-:func:`maybe_fault` (called at the top of every guarded cell
-execution) reads it back — so faults reach pool workers, rebuilt
-pools, and inline execution through one mechanism.
+Delivery: the sweep hands its loaded plan to every cell execution as
+an argument, and :func:`maybe_fault` (called at the top of every
+guarded cell execution) consults it — so faults reach inline cells,
+pool workers and rebuilt pools by one route.  The environment plays
+no part: a sweep without a plan injects nothing.
 
 The invariant the chaos test suite proves: because every retry
 re-derives the cell from the job's own seed, a faulted sweep's final
@@ -48,21 +48,16 @@ rules::
 
 from __future__ import annotations
 
-import json
 import os
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from .resilience import TransientError
+from .spec import check_count, check_seconds
 
-__all__ = ["ChaosDeterministicError", "ChaosTransientError", "ENV_VAR",
-           "Fault", "FaultPlan", "activate", "active_plan",
-           "corrupt_entry", "maybe_fault"]
-
-#: Environment variable carrying the active plan to worker processes.
-ENV_VAR = "REPRO_CHAOS"
+__all__ = ["ChaosDeterministicError", "ChaosTransientError", "Fault",
+           "FaultPlan", "corrupt_entry", "maybe_fault"]
 
 #: Recognised fault kinds (see module docstring).
 FAULT_KINDS = ("transient", "error", "hang", "kill", "corrupt")
@@ -95,12 +90,11 @@ class Fault:
         if self.fault not in FAULT_KINDS:
             raise ValueError(f"unknown fault {self.fault!r}; choose "
                              f"from {list(FAULT_KINDS)}")
-        if self.attempt < 0:
+        if not isinstance(self.match, str):
             raise ValueError(
-                f"fault attempt must be >= 0, got {self.attempt}")
-        if self.seconds <= 0:
-            raise ValueError(
-                f"fault seconds must be > 0, got {self.seconds}")
+                f"fault match must be a string, got {self.match!r}")
+        check_count("fault attempt", self.attempt, least=0)
+        check_seconds("fault seconds", self.seconds, positive=True)
 
     def applies(self, label: str, fingerprint: str, attempt: int) -> bool:
         if attempt != self.attempt:
@@ -217,65 +211,15 @@ class FaultPlan:
     def describe(self) -> str:
         return "; ".join(f.describe() for f in self.faults)
 
-    # ------------------------------------------------------------------
-    # Env-var delivery
-    # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps([{"fault": f.fault, "match": f.match,
-                            "attempt": f.attempt, "seconds": f.seconds}
-                           for f in self.faults], sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_config(json.loads(text))
-
-
-@contextmanager
-def activate(plan: FaultPlan | None):
-    """Expose ``plan`` through :data:`ENV_VAR` for the duration of the
-    block (workers inherit the environment at pool creation, so this
-    must wrap the pool's lifetime; rebuilt pools inherit it too).
-    ``None`` passes through without touching the environment."""
-    if plan is None:
-        yield
-        return
-    previous = os.environ.get(ENV_VAR)
-    os.environ[ENV_VAR] = plan.to_json()
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = previous
-
-
-_cache: tuple[str, FaultPlan] | None = None
-
-
-def active_plan() -> FaultPlan | None:
-    """The plan delivered through the environment, or ``None``.
-
-    Parsed once per distinct env-var value per process (the common
-    case — no chaos — is a single ``os.environ`` probe).
-    """
-    global _cache
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return None
-    if _cache is None or _cache[0] != raw:
-        _cache = (raw, FaultPlan.from_json(raw))
-    return _cache[1]
-
-
-def maybe_fault(label: str, fingerprint: str, attempt: int) -> None:
+def maybe_fault(plan: FaultPlan | None, label: str, fingerprint: str,
+                attempt: int) -> None:
     """Worker-side injection point, called before a cell executes.
 
-    No-op without an active plan or a matching in-cell fault.
-    ``corrupt`` faults are parent-side (see :func:`corrupt_entry`) and
-    ignored here.
+    No-op without a plan or a matching in-cell fault.  ``corrupt``
+    faults are parent-side (see :func:`corrupt_entry`) and ignored
+    here.
     """
-    plan = active_plan()
     if plan is None:
         return
     fault = plan.find(label, fingerprint, attempt,

@@ -48,10 +48,11 @@ then fresh cells through a ``ProcessPoolExecutor`` (or inline when
   a no-op.
 
 Fault injection for all of the above is deterministic and built in:
-pass a :class:`~repro.engine.chaos.FaultPlan` as ``chaos`` (delivered
-to workers through the environment) to raise errors, hang cells, kill
-workers, or corrupt cache shards at exact ``(cell, attempt)`` points —
-see :mod:`repro.engine.chaos`.
+pass a :class:`~repro.engine.chaos.FaultPlan` as ``chaos`` (handed to
+every cell execution as an argument, so a sweep without one injects
+nothing) to raise errors, hang cells, kill workers, or corrupt cache
+shards at exact ``(cell, attempt)`` points — see
+:mod:`repro.engine.chaos`.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ from dataclasses import dataclass, field
 
 from .. import blas, obs
 from ..pipeline.experiment import EvaluationResult
-from . import chaos as chaos_module
 from .cache import ResultCache
+from .chaos import FaultPlan, maybe_fault
 from .resilience import Attempt, RetryPolicy, classify_exception
 from .spec import Job
 
@@ -202,15 +203,20 @@ def execute_job(job: Job) -> EvaluationResult:
     return result
 
 
+#: The grid axes :func:`cell_attrs` stamps (``repro trace --by``
+#: groups by one of them).
+CELL_AXES = ("dataset", "approach", "model", "rows", "seed", "error",
+             "imputer", "audit")
+
+
 def cell_attrs(job: Job) -> dict:
     """Grid-axis attributes stamped on a cell's root span and its
     trace record (``None`` axes omitted, so presence of a key tells
     the trace checker which conditional phases to expect)."""
-    attrs = {"label": job.label(), "fingerprint": job.fingerprint,
-             "dataset": job.dataset, "approach": job.approach_label,
-             "model": job.model, "rows": job.rows, "seed": job.seed}
-    for axis in ("error", "imputer", "audit"):
-        value = getattr(job, axis)
+    attrs = {"label": job.label(), "fingerprint": job.fingerprint}
+    for axis in CELL_AXES:
+        value = (job.approach_label if axis == "approach"
+                 else getattr(job, axis))
         if value is not None:
             attrs[axis] = value
     return attrs
@@ -237,20 +243,20 @@ def _pack_artifact(job: Job, pack_dir: str, components) -> None:
                     reason=f"{type(exc).__name__}: {exc}")
 
 
-def _guarded_execute(indexed_job: tuple[int, Job], collect: bool = False,
-                     trace_memory: bool = False, attempt: int = 0,
-                     pack_dir: str | None = None,
-                     ) -> tuple[int, EvaluationResult | None, str | None,
+def _guarded_execute(job: Job, attempt: int, plan: FaultPlan | None,
+                     collect: bool, pack_dir: str | None,
+                     ) -> tuple[EvaluationResult | None, str | None,
                                 bool | None, float, dict | None]:
     """Pool worker: never raises, so one bad cell can't kill the sweep.
 
-    Returns ``(index, result, error, transient, seconds, fragment)``;
+    Returns ``(result, error, transient, seconds, fragment)``;
     ``transient`` is the worker-side classification of a failure
     (:func:`~repro.engine.resilience.classify_exception` sees the live
     exception object, which the traceback text can't preserve across
     the pool pickle) and ``None`` on success.  ``attempt`` keys the
-    deterministic chaos harness: an active fault plan may raise, hang,
-    or kill this execution at exactly this ``(cell, attempt)`` point.
+    deterministic chaos harness: the sweep's fault ``plan`` may raise,
+    hang, or kill this execution at exactly this ``(cell, attempt)``
+    point.
 
     With ``collect=True`` the cell executes under a fresh recorder
     whose snapshot (spans, counters, events — plain picklable dicts)
@@ -264,18 +270,16 @@ def _guarded_execute(indexed_job: tuple[int, Job], collect: bool = False,
     cell's reported seconds, and pack spans stay out of the cell's
     trace fragment (the trace checker budgets the cell phase set).
     """
-    index, job = indexed_job
     start = time.perf_counter()
     error, transient, result = None, None, None
     kept = {} if pack_dir is not None else None
     token = _kept_components.set(kept)
-    with (obs.recording(trace_memory=trace_memory) if collect
+    with (obs.recording() if collect
           else contextlib.nullcontext()) as rec:
         try:
             with (obs.span("cell", **cell_attrs(job)) if collect
                   else contextlib.nullcontext()):
-                chaos_module.maybe_fault(job.label(), job.fingerprint,
-                                         attempt)
+                maybe_fault(plan, job.label(), job.fingerprint, attempt)
                 result = execute_job(job)
         except Exception as exc:
             error = traceback.format_exc()
@@ -285,7 +289,7 @@ def _guarded_execute(indexed_job: tuple[int, Job], collect: bool = False,
     seconds = time.perf_counter() - start
     if result is not None and pack_dir is not None:
         _pack_artifact(job, pack_dir, kept.get(job.fingerprint))
-    return (index, result, error, transient, seconds,
+    return (result, error, transient, seconds,
             rec.snapshot() if collect else None)
 
 
@@ -474,8 +478,8 @@ def run_sweep(jobs: Sequence[Job], *, cache: ResultCache | None = None,
     chaos:
         Optional :class:`~repro.engine.chaos.FaultPlan` (or anything
         ``FaultPlan.load`` accepts): deterministic fault injection for
-        resilience testing and soak runs.  Delivered to workers via
-        the environment for the duration of the sweep.
+        resilience testing and soak runs.  Handed to every cell
+        execution, inline or in a worker, as an argument.
     pack:
         With ``True`` (requires ``cache``), every freshly computed
         cell also packs its fitted serving components into the cache's
@@ -487,25 +491,19 @@ def run_sweep(jobs: Sequence[Job], *, cache: ResultCache | None = None,
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     if pack and cache is None:
         raise ValueError("pack=True needs a cache to store artifacts in")
-    pack_dir = cache.uri if pack else None
-    policy = RetryPolicy() if policy is None else policy
-    if chaos is not None:
-        chaos = chaos_module.FaultPlan.load(chaos)
-    with chaos_module.activate(chaos):
-        if trace is None:
-            return _run_sweep(jobs, cache=cache, max_workers=max_workers,
-                              resume=resume, progress=progress,
-                              policy=policy, chaos_plan=chaos,
-                              pack_dir=pack_dir)
-        with obs.recording(trace_memory=trace.trace_memory) as rec:
-            with obs.span("sweep", cells=len(jobs)) as sweep_span:
-                report = _run_sweep(jobs, cache=cache,
-                                    max_workers=max_workers,
-                                    resume=resume, progress=progress,
-                                    collect=True,
-                                    trace_memory=trace.trace_memory,
-                                    policy=policy, chaos_plan=chaos,
-                                    pack_dir=pack_dir, span=sweep_span)
+    state = _SweepState(
+        jobs, cache, progress, RetryPolicy() if policy is None else policy,
+        plan=None if chaos is None else FaultPlan.load(chaos),
+        collect=trace is not None, pack_dir=cache.uri if pack else None)
+    # Only a traced sweep records its scope, so an untraced one adds
+    # no span to a caller's recorder.
+    with (obs.recording() if state.collect
+          else contextlib.nullcontext()) as rec:
+        with (obs.span("sweep", cells=len(jobs)) if state.collect
+              else contextlib.nullcontext()) as sweep_span:
+            report = _run_sweep(state, max_workers, resume, sweep_span)
+    if trace is None:
+        return report
     trace.add_scope("sweep", rec.snapshot())
     for outcome in report.outcomes:
         trace.add_cell(outcome.job.label(), fragment=outcome.trace,
@@ -526,14 +524,20 @@ class _Cell:
 
 
 class _SweepState:
-    """Mutable driver state shared by the inline and pool paths."""
+    """Mutable driver state shared by the inline and pool paths, and
+    the sweep's settings every cell execution gets: its fault
+    ``plan``, whether to ``collect`` a trace fragment, and the
+    ``pack_dir`` artifacts go to."""
 
-    def __init__(self, jobs, cache, progress, policy, chaos_plan):
+    def __init__(self, jobs, cache, progress, policy, plan, collect,
+                 pack_dir):
         self.jobs = jobs
         self.cache = cache
         self.progress = progress
         self.policy = policy
-        self.chaos_plan = chaos_plan
+        self.plan = plan
+        self.collect = collect
+        self.pack_dir = pack_dir
         self.start = time.perf_counter()
         self.slots: list[JobOutcome | None] = [None] * len(jobs)
         self.done = self.cached = self.failed_cells = 0
@@ -551,6 +555,12 @@ class _SweepState:
         are governed by the quarantine bound instead)."""
         return sum(1 for a in self.history(index) if a.kind != "crash")
 
+    def execution(self, cell: _Cell) -> tuple:
+        """:func:`_guarded_execute`'s arguments for the cell's next
+        attempt (picklable, so a pool ships them to its worker)."""
+        return (cell.job, len(self.history(cell.index)), self.plan,
+                self.collect, self.pack_dir)
+
     # ------------------------------------------------------------------
     def record(self, index: int, outcome: JobOutcome) -> None:
         self.slots[index] = outcome
@@ -564,14 +574,16 @@ class _SweepState:
                 elapsed=time.perf_counter() - self.start,
                 outcome=outcome))
 
-    def finish_ok(self, index: int, job: Job, result, seconds: float,
-                  fragment: dict | None, attempt: int) -> None:
-        self.history(index).append(Attempt(kind="ok", seconds=seconds))
+    def finish_ok(self, cell: _Cell, result, seconds: float,
+                  fragment: dict | None) -> None:
+        history = self.history(cell.index)
+        attempt = len(history)
+        history.append(Attempt(kind="ok", seconds=seconds))
         if self.cache is not None:
-            self._cache_put(job, result, attempt)
-        self.record(index, JobOutcome(
-            job=job, result=result, seconds=seconds, trace=fragment,
-            attempts=tuple(self.history(index))))
+            self._cache_put(cell.job, result, attempt)
+        self.record(cell.index, JobOutcome(
+            job=cell.job, result=result, seconds=seconds, trace=fragment,
+            attempts=tuple(history)))
 
     def fail(self, index: int, job: Job, error: str, seconds: float = 0.0,
              fragment: dict | None = None) -> None:
@@ -605,9 +617,9 @@ class _SweepState:
             obs.warning("cache.write_failed", cell=job.label(),
                         reason=f"{type(exc).__name__}: {exc}")
             return
-        if self.chaos_plan is not None:
-            fault = self.chaos_plan.find(job.label(), job.fingerprint,
-                                         attempt, kinds=("corrupt",))
+        if self.plan is not None:
+            fault = self.plan.find(job.label(), job.fingerprint,
+                                   attempt, kinds=("corrupt",))
             if fault is not None:
                 obs.warning("chaos.fault", fault="corrupt",
                             cell=job.label(), attempt=attempt)
@@ -678,18 +690,11 @@ class _SweepState:
             interrupted=self.interrupted)
 
 
-def _run_sweep(jobs: Sequence[Job], *, cache: ResultCache | None,
-               max_workers: int, resume: bool,
-               progress: ProgressCallback | None,
-               collect: bool = False, trace_memory: bool = False,
-               policy: RetryPolicy | None = None,
-               chaos_plan=None, pack_dir: str | None = None,
-               span=None) -> SweepReport:
-    policy = RetryPolicy() if policy is None else policy
-    state = _SweepState(jobs, cache, progress, policy, chaos_plan)
-
+def _run_sweep(state: _SweepState, max_workers: int, resume: bool,
+               span) -> SweepReport:
+    cache, policy, plan = state.cache, state.policy, state.plan
     pending: list[_Cell] = []
-    for index, job in enumerate(jobs):
+    for index, job in enumerate(state.jobs):
         hit = cache.get(job) if (cache is not None and resume) else None
         if hit is not None:
             state.record(index,
@@ -700,7 +705,7 @@ def _run_sweep(jobs: Sequence[Job], *, cache: ResultCache | None,
     # Deadlines and process-level chaos faults need a killable worker,
     # so they force the pool path even for serial/single-cell runs.
     needs_pool = (policy.timeout is not None
-                  or (chaos_plan is not None and chaos_plan.needs_pool))
+                  or (plan is not None and plan.needs_pool))
     if not pending:  # every cell was a cache hit
         if span is not None:
             span.set(workers=0)
@@ -715,16 +720,13 @@ def _run_sweep(jobs: Sequence[Job], *, cache: ResultCache | None,
     if inline:
         with (contextlib.nullcontext() if budget is None
               else blas.limited(budget)):
-            _run_inline(state, pending, collect, trace_memory, pack_dir)
+            _run_inline(state, pending)
     else:
-        _run_pool(state, pending, workers, collect, trace_memory,
-                  pack_dir, budget)
+        _run_pool(state, pending, workers, budget)
     return state.report()
 
 
-def _run_inline(state: _SweepState, pending: list[_Cell],
-                collect: bool, trace_memory: bool,
-                pack_dir: str | None = None) -> None:
+def _run_inline(state: _SweepState, pending: list[_Cell]) -> None:
     """Serial path: execute cells in-process, with retries/backoff."""
     for position, cell in enumerate(pending):
         if state.tripped:
@@ -732,17 +734,14 @@ def _run_inline(state: _SweepState, pending: list[_Cell],
                 state.abort(remaining)
             return
         while True:
-            attempt = len(state.history(cell.index))
             try:
-                _, result, error, transient, seconds, fragment = \
-                    _guarded_execute((cell.index, cell.job), collect,
-                                     trace_memory, attempt, pack_dir)
+                result, error, transient, seconds, fragment = \
+                    _guarded_execute(*state.execution(cell))
             except KeyboardInterrupt:
                 state.interrupted = True
                 return
             if error is None:
-                state.finish_ok(cell.index, cell.job, result, seconds,
-                                fragment, attempt)
+                state.finish_ok(cell, result, seconds, fragment)
                 break
             if not state.on_error(cell, error, bool(transient), seconds,
                                   fragment):
@@ -756,10 +755,8 @@ def _run_inline(state: _SweepState, pending: list[_Cell],
                     return
 
 
-def _run_pool(state: _SweepState, pending: list[_Cell],
-              workers: int, collect: bool,
-              trace_memory: bool, pack_dir: str | None = None,
-              budget: int | None = None) -> None:
+def _run_pool(state: _SweepState, pending: list[_Cell], workers: int,
+              budget: int | None) -> None:
     """Pool path: slot-limited scheduling with deadline enforcement,
     broken-pool recovery, and crash-suspect serialization.
 
@@ -822,11 +819,9 @@ def _run_pool(state: _SweepState, pending: list[_Cell],
                 position += 1
                 continue
             queue.pop(position)
-            attempt = len(state.history(cell.index))
             try:
                 future = pool.submit(_guarded_execute,
-                                     (cell.index, cell.job), collect,
-                                     trace_memory, attempt, pack_dir)
+                                     *state.execution(cell))
             except BrokenProcessPool:
                 queue.insert(0, cell)
                 return False
@@ -882,12 +877,10 @@ def _run_pool(state: _SweepState, pending: list[_Cell],
                     broken = exc
                     running[future] = (cell, submitted)
                     continue
-                _, result, error, transient, seconds, fragment = \
+                result, error, transient, seconds, fragment = \
                     future.result()
-                attempt = len(state.history(cell.index))
                 if error is None:
-                    state.finish_ok(cell.index, cell.job, result,
-                                    seconds, fragment, attempt)
+                    state.finish_ok(cell, result, seconds, fragment)
                 elif state.on_error(cell, error, bool(transient),
                                     seconds, fragment):
                     queue.append(cell)

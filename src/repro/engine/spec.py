@@ -18,6 +18,7 @@ those parameters are part of the cell's fingerprint — a changed
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -361,7 +362,7 @@ def check_reserved_params(spec: str | None, reserved: dict[str, str]
                 f"by {owner}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioGrid:
     """Declarative cross-product of experimental dimensions.
 
@@ -389,7 +390,9 @@ class ScenarioGrid:
 
     ``rows``, ``feature_counts`` (``None`` = every feature) and
     ``causal_samples`` must be integers >= 1, ``seeds`` integers >= 0,
-    and ``test_fraction`` must lie strictly between 0 and 1.
+    and ``test_fraction`` must lie strictly between 0 and 1.  A grid
+    is frozen, so it is the grid these checks passed:
+    ``dataclasses.replace`` derives a changed one, checked anew.
     """
 
     datasets: Sequence[str]
@@ -408,30 +411,31 @@ class ScenarioGrid:
     def __post_init__(self) -> None:
         from ..registry import APPROACHES, DATASETS, ERRORS, IMPUTERS, MODELS
 
-        self.datasets = tuple(
+        assign = functools.partial(object.__setattr__, self)  # frozen
+        assign("datasets", tuple(
             DATASETS.canonical(d)
-            for d in _as_tuple("datasets", self.datasets, ()))
-        self.approaches = tuple(
+            for d in _as_tuple("datasets", self.datasets, ())))
+        assign("approaches", tuple(
             None if _normalise_approach(a) is None
             else APPROACHES.canonical(a)
-            for a in _as_tuple("approaches", self.approaches, (None,)))
-        self.models = tuple(
+            for a in _as_tuple("approaches", self.approaches, (None,))))
+        assign("models", tuple(
             MODELS.canonical(m)
-            for m in _as_tuple("models", self.models, ("lr",)))
-        self.errors = tuple(
+            for m in _as_tuple("models", self.models, ("lr",))))
+        assign("errors", tuple(
             None if e is None else ERRORS.canonical(e)
-            for e in _as_tuple("errors", self.errors, (None,)))
-        self.imputers = tuple(
+            for e in _as_tuple("errors", self.errors, (None,))))
+        assign("imputers", tuple(
             None if i is None else IMPUTERS.canonical(i)
-            for i in _as_tuple("imputers", self.imputers, (None,)))
-        self.seeds = tuple(check_count("seeds entries", s, least=0)
-                           for s in _as_tuple("seeds", self.seeds, (0,)))
-        self.rows = tuple(check_count("rows entries", r)
-                          for r in _as_tuple("rows", self.rows, (4000,)))
-        self.feature_counts = _as_tuple("feature_counts",
-                                        self.feature_counts, (None,))
-        self.audit_params = check_audit_params(self.audit,
-                                               self.audit_params)
+            for i in _as_tuple("imputers", self.imputers, (None,))))
+        assign("seeds", tuple(check_count("seeds entries", s, least=0)
+                              for s in _as_tuple("seeds", self.seeds, (0,))))
+        assign("rows", tuple(check_count("rows entries", r)
+                             for r in _as_tuple("rows", self.rows, (4000,))))
+        assign("feature_counts", _as_tuple("feature_counts",
+                                           self.feature_counts, (None,)))
+        assign("audit_params", check_audit_params(self.audit,
+                                                  self.audit_params))
 
         for dataset_spec in self.datasets:
             check_reserved_params(dataset_spec, {
@@ -466,10 +470,7 @@ class ScenarioGrid:
         feature_counts, errors, imputers, models, approaches, seeds,
         so the list is reproducible across processes and sessions; cells
         that collapse to the same parameterization (e.g. a repeated
-        approach name) appear once, at their first position.  Each
-        call expands the grid's current fields, so a field assigned
-        after construction (``grid.seeds = ...``) is never served a
-        stale job list.
+        approach name) appear once, at their first position.
         """
         from ..registry import parse_spec
 

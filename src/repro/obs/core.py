@@ -23,9 +23,7 @@ Usage::
 Span records carry wall-clock timestamps (the recorder anchors a
 ``perf_counter`` offset to ``time.time()`` once, so spans from
 different processes merge onto one timeline), durations, nesting depth
-and parent ids, arbitrary JSON-safe attributes, and — when the
-recorder was created with ``trace_memory=True`` — the ``tracemalloc``
-peak observed while the span was open.
+and parent ids, and arbitrary JSON-safe attributes.
 
 :func:`warning` is the structured-warning channel: it always emits
 through :mod:`logging` (logger ``repro.obs``) so problems surface even
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 import logging
 import time
-import tracemalloc
 from contextlib import contextmanager
 
 __all__ = ["Recorder", "add", "enabled", "recorder", "recording",
@@ -84,13 +81,12 @@ class _Span:
     """A live span bound to one recorder.  Use via :func:`span`."""
 
     __slots__ = ("_rec", "name", "attrs", "id", "parent", "depth",
-                 "_start", "_wall", "_peak")
+                 "_start", "_wall")
 
     def __init__(self, rec: "Recorder", name: str, attrs: dict):
         self._rec = rec
         self.name = name
         self.attrs = attrs
-        self._peak = 0
 
     def set(self, **attrs) -> "_Span":
         """Attach attributes after entry (e.g. values known only once
@@ -104,8 +100,6 @@ class _Span:
         self.parent = stack[-1].id if stack else None
         self.depth = len(stack)
         self.id = rec._take_id()
-        if rec.trace_memory:
-            rec._flush_peak()
         stack.append(self)
         self._wall = rec.now()
         self._start = time.perf_counter()
@@ -114,8 +108,6 @@ class _Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         duration = time.perf_counter() - self._start
         rec = self._rec
-        if rec.trace_memory:
-            rec._flush_peak()
         stack = rec._stack
         # Normal unwinding pops exactly this span; mispaired exits
         # (a span closed out of order) unwind defensively rather than
@@ -129,8 +121,6 @@ class _Span:
                   "parent": self.parent, "attrs": self.attrs}
         if exc_type is not None:
             record["error"] = exc_type.__name__
-        if rec.trace_memory:
-            record["mem_peak"] = int(self._peak)
         rec.spans.append(record)
         return False
 
@@ -189,8 +179,7 @@ class Recorder:
     recording back through a ``ProcessPoolExecutor`` result pickle.
     """
 
-    def __init__(self, trace_memory: bool = False):
-        self.trace_memory = bool(trace_memory)
+    def __init__(self):
         self.epoch_wall = time.time()
         self.epoch_perf = time.perf_counter()
         self.spans: list[dict] = []
@@ -208,18 +197,6 @@ class Recorder:
         """Wall-clock seconds, monotonic within this recorder."""
         return self.epoch_wall + (time.perf_counter() - self.epoch_perf)
 
-    def _flush_peak(self) -> None:
-        """Fold the tracemalloc peak since the last flush into every
-        open span, then reset it (so siblings don't inherit each
-        other's peaks)."""
-        if not tracemalloc.is_tracing():
-            return
-        _, peak = tracemalloc.get_traced_memory()
-        for open_span in self._stack:
-            if peak > open_span._peak:
-                open_span._peak = peak
-        tracemalloc.reset_peak()
-
     def snapshot(self) -> dict:
         """The recording as picklable plain data (a *trace fragment*)."""
         return {"spans": list(self.spans),
@@ -228,26 +205,18 @@ class Recorder:
 
 
 @contextmanager
-def recording(trace_memory: bool = False):
+def recording():
     """Install a fresh :class:`Recorder` for the duration of the block.
 
     Nests: the previous recorder (if any) is restored on exit, so a
     serial sweep can record per-cell fragments inside a parent
     sweep-scope recording exactly like isolated worker processes do.
-    ``trace_memory=True`` starts :mod:`tracemalloc` if it is not
-    already tracing (and stops it again on exit if it started it).
     """
     global _active
-    rec = Recorder(trace_memory=trace_memory)
-    started_tracemalloc = False
-    if trace_memory and not tracemalloc.is_tracing():
-        tracemalloc.start()
-        started_tracemalloc = True
+    rec = Recorder()
     previous = _active
     _active = rec
     try:
         yield rec
     finally:
         _active = previous
-        if started_tracemalloc:
-            tracemalloc.stop()

@@ -48,18 +48,14 @@ class TraceCollector:
     meta:
         Free-form sweep metadata stamped into the header (grid
         description, worker count, ...).
-    trace_memory:
-        Ask the engine to record per-span ``tracemalloc`` peaks.
     """
 
-    def __init__(self, env: dict | None = None, meta: dict | None = None,
-                 trace_memory: bool = False):
+    def __init__(self, env: dict | None = None, meta: dict | None = None):
         if env is None:
             from .doctor import environment_info
             env = environment_info()
         self.env = env
         self.meta = dict(meta or {})
-        self.trace_memory = bool(trace_memory)
         self.created = time.time()
         self.cells: list[dict] = []
         self.scopes: list[dict] = []
@@ -148,8 +144,6 @@ class TraceCollector:
                 "args": {"name": name}})
             for span in fragment["spans"]:
                 args = dict(span["attrs"])
-                if "mem_peak" in span:
-                    args["mem_peak"] = span["mem_peak"]
                 if "error" in span:
                     args["error"] = span["error"]
                 trace_events.append({

@@ -1,5 +1,6 @@
 """The declarative experiment API: specs, configs, and round trips."""
 
+import dataclasses
 import json
 import re
 
@@ -170,16 +171,24 @@ class TestSweepSpec:
         assert message in err and "Traceback" not in err
 
     def test_fields_assigned_after_construction_checked_at_run(self):
+        # A spec and its grid are frozen: a field cannot be assigned
+        # past the checks, and a replaced field is checked anew.
         spec = SweepSpec(datasets=["german"])
-        spec.rows = [0]
+        grid = ScenarioGrid(datasets=["german"])
+        for target, name, value in ((spec, "rows", [0]),
+                                    (spec, "jobs", 0),
+                                    (grid, "rows", [0]),
+                                    (grid, "approaches",
+                                     ["NoSuchApproach"])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, name, value)
+        assert spec.rows == grid.rows == (4000,) and spec.jobs == 1
         with pytest.raises(ValueError, match="rows entries must be an "
                                              "integer >= 1, got 0"):
-            spec.run()
-        spec = SweepSpec(datasets=["german"])
-        spec.jobs = 0
+            dataclasses.replace(spec, rows=[0])
         with pytest.raises(ValueError, match="jobs must be an integer "
                                              ">= 1, got 0"):
-            spec.run()
+            dataclasses.replace(spec, jobs=0)
 
     def test_grid_matches_direct_scenario_grid(self):
         spec = SweepSpec.from_config(SMALL_SWEEP)
@@ -314,8 +323,8 @@ class TestAuditThreading:
                 != plain.expand()[0].fingerprint)
 
     def test_audit_cell_cached_like_any_other(self, tmp_path):
-        spec = SweepSpec.from_config(self.CONFIG)
-        spec.store = str(tmp_path / "cache")
+        spec = dataclasses.replace(SweepSpec.from_config(self.CONFIG),
+                                   store=str(tmp_path / "cache"))
         first = spec.run()
         again = spec.run()
         assert first.computed_count == 1
@@ -518,8 +527,8 @@ class TestParameterizedReporting:
                      "--store", "none"]) == 0
         capsys.readouterr()
         # The override must change the cells' fingerprints.
-        spec = SweepSpec.from_config(SMALL_SWEEP)
-        spec.causal_samples = 200
+        spec = dataclasses.replace(SweepSpec.from_config(SMALL_SWEEP),
+                                   causal_samples=200)
         base = SweepSpec.from_config(SMALL_SWEEP)
         assert (spec.expand()[0].fingerprint
                 != base.expand()[0].fingerprint)

@@ -8,19 +8,36 @@ grid (2 cells, 300 rows).
 """
 
 import json
+import re
 
 import pytest
 
 from repro import obs
 from repro.engine import (ResultCache, RetryPolicy, ScenarioGrid,
                           run_sweep)
-from repro.engine.chaos import (ENV_VAR, ChaosDeterministicError,
+from repro.engine.chaos import (ChaosDeterministicError,
                                 ChaosTransientError, Fault, FaultPlan,
-                                activate, active_plan, maybe_fault)
+                                maybe_fault)
 from repro.pipeline import result_to_dict
 
 GRID = ScenarioGrid(datasets=["german"], approaches=[None, "Hardt-eo"],
                     seeds=[0], rows=[300], causal_samples=200)
+
+#: A fault field with a bad value (as JSON text) and the error naming it.
+BAD_FAULT_FIELDS = [
+    ('"seconds": 1e400',
+     "fault seconds must be a number of seconds > 0, got inf"),
+    ('"seconds": NaN',
+     "fault seconds must be a number of seconds > 0, got nan"),
+    ('"attempt": 1.5', "fault attempt must be an integer >= 0, got 1.5"),
+    ('"attempt": true',
+     "fault attempt must be an integer >= 0, got True"),
+    ('"match": 5', "fault match must be a string, got 5"),
+]
+
+
+def bad_plan_text(field: str) -> str:
+    return '{"faults": [{"fault": "hang", %s}]}' % field
 
 
 def metric_dicts(results):
@@ -51,10 +68,6 @@ class TestFaultPlanParsing:
         assert plan.faults[3].match == "" and plan.faults[3].attempt == 0
         assert FaultPlan.parse(plan.describe()) == plan
 
-    def test_json_roundtrip(self):
-        plan = FaultPlan.parse("kill:a@0;corrupt:b@1")
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
     def test_from_config_mapping_and_strings(self):
         plan = FaultPlan.from_config({"faults": [
             {"fault": "kill", "match": "seed=0", "attempt": 0},
@@ -79,6 +92,11 @@ class TestFaultPlanParsing:
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
 
+    @pytest.mark.parametrize("field, message", BAD_FAULT_FIELDS)
+    def test_bad_field_values_rejected(self, field, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FaultPlan.from_config(json.loads(bad_plan_text(field)))
+
     def test_unknown_config_field_rejected(self):
         with pytest.raises(ValueError, match="unknown fault field"):
             FaultPlan.from_config([{"fault": "kill", "when": "later"}])
@@ -99,22 +117,25 @@ class TestFaultPlanParsing:
 
 
 class TestDelivery:
-    def test_activate_exposes_and_restores_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        plan = FaultPlan.parse("transient:x@2")
-        assert active_plan() is None
-        with activate(plan):
-            assert active_plan() == plan
-        assert active_plan() is None
-
     def test_maybe_fault_raises_classified_errors(self):
-        with activate(FaultPlan.parse("transient:aaa;error:bbb")):
-            with pytest.raises(ChaosTransientError):
-                maybe_fault("cell aaa", "ffff", 0)
-            with pytest.raises(ChaosDeterministicError):
-                maybe_fault("cell bbb", "ffff", 0)
-            maybe_fault("cell ccc", "ffff", 0)  # no match: no-op
-            maybe_fault("cell aaa", "ffff", 1)  # wrong attempt
+        plan = FaultPlan.parse("transient:aaa;error:bbb")
+        with pytest.raises(ChaosTransientError):
+            maybe_fault(plan, "cell aaa", "ffff", 0)
+        with pytest.raises(ChaosDeterministicError):
+            maybe_fault(plan, "cell bbb", "ffff", 0)
+        maybe_fault(plan, "cell ccc", "ffff", 0)  # no match: no-op
+        maybe_fault(plan, "cell aaa", "ffff", 1)  # wrong attempt
+
+    def test_environment_injects_nothing(self, monkeypatch, clean_report):
+        # A plan reaches cells only as run_sweep's `chaos` argument:
+        # an exported REPRO_CHAOS that fails every cell is ignored.
+        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
+            [{"fault": "error", "match": "", "attempt": 0,
+              "seconds": 30.0}]))
+        report = run_sweep(GRID.expand())
+        assert not report.failures
+        assert metric_dicts(report.results) == metric_dicts(
+            clean_report.results)
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +261,28 @@ class TestCli:
                      "none"])
         assert code == 2
         assert "invalid chaos plan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, message", BAD_FAULT_FIELDS)
+    def test_bad_plan_file_values_rejected(self, tmp_path, capsys, field,
+                                           message):
+        from repro.cli import main
+
+        path = tmp_path / "plan.json"
+        path.write_text(bad_plan_text(field))
+        assert main(["sweep", "--chaos", str(path), "--store",
+                     "none"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_missing_plan_file_rejected(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "missing.json"
+        assert main(["sweep", "--chaos", str(path), "--store",
+                     "none"]) == 2
+        err = capsys.readouterr().err
+        assert f"chaos plan file {str(path)!r} not found" in err
+        assert "Traceback" not in err
 
     def test_cache_verify_reports_and_repairs(self, tmp_path, capsys):
         from repro.cli import main

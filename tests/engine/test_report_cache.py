@@ -227,6 +227,19 @@ class TestCli:
         assert len(rows) == 8
         assert {row["error"] for row in rows} == {"missing"}
 
+    @pytest.mark.parametrize("flag", ["--export-json", "--export-csv"])
+    def test_report_export_to_directory_is_named_error(self, cache_dir,
+                                                       tmp_path, flag,
+                                                       capsys):
+        # Writing the export used to end in an IsADirectoryError
+        # traceback after the tables had printed.
+        assert main(["report", "--store", str(cache_dir),
+                     flag, str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {flag} must name a file, but "
+                                f"{str(tmp_path)!r} is a directory\n")
+
     def test_report_empty_cache_fails(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert main(["report", "--store",

@@ -2,6 +2,8 @@
 
 import logging
 
+import pytest
+
 from repro import api, obs
 from repro.cli import main
 
@@ -38,6 +40,22 @@ class TestSweepTraceFlag:
         out = capsys.readouterr().out
         assert "phase totals by approach:" in out
         assert "Hardt-eo" in out
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_trace_top_below_one_is_named_error(self, tmp_path, value,
+                                                capsys):
+        # --top -1 used to list every span but one.
+        assert main(["trace", str(tmp_path), "--top", value]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --top must be an integer >= 1, got {value}\n")
+
+    def test_trace_by_unknown_axis_is_named_error(self, tmp_path, capsys):
+        # --by bogus used to file every cell under "-".
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", str(tmp_path), "--by", "bogus"])
+        assert exit_info.value.code == 2
+        assert "argument --by: invalid choice: 'bogus'" in \
+            capsys.readouterr().err
 
     def test_trace_missing_dir_errors(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "nope")]) == 2

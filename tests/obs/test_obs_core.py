@@ -136,26 +136,6 @@ class TestDisabledMode:
         assert not obs.enabled()
 
 
-class TestMemoryTracking:
-    def test_mem_peak_recorded_and_attributed(self):
-        with obs.recording(trace_memory=True) as rec:
-            with obs.span("alloc"):
-                blob = bytearray(4 << 20)
-                del blob
-            with obs.span("idle"):
-                pass
-        spans = {s["name"]: s for s in rec.spans}
-        assert spans["alloc"]["mem_peak"] >= 4 << 20
-        # sibling after the flush must not inherit the peak
-        assert spans["idle"]["mem_peak"] < 4 << 20
-
-    def test_no_mem_peak_without_trace_memory(self):
-        with obs.recording() as rec:
-            with obs.span("x"):
-                pass
-        assert "mem_peak" not in rec.spans[0]
-
-
 class TestSnapshot:
     def test_snapshot_is_plain_picklable_data(self):
         import pickle

@@ -145,6 +145,25 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "error: jobs must be an integer >= 1, got 0\n")
 
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["file", "path-under-file"])
+    def test_sweep_trace_file_rejected_before_any_cell(self, tmp_path,
+                                                       under, capsys):
+        # The whole sweep used to run, then the trace was lost in a
+        # FileExistsError (or NotADirectoryError) traceback.
+        blocker = tmp_path / "trace"
+        blocker.write_text("")
+        trace = blocker / "sub" if under else blocker
+        assert main(["sweep", "--dataset", "german", "--rows", "300",
+                     "--store", str(tmp_path / "store"),
+                     "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --trace {str(trace)!r} cannot be created: "
+            f"{str(blocker)!r} is a file\n" if under else
+            f"error: --trace must name a directory, but {str(trace)!r} "
+            "is a file\n")
+        assert not (tmp_path / "store").exists()
+
     def test_sweep_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--threads", "2"])
@@ -240,6 +259,17 @@ class TestServe:
         # bind, and --max-requests 0 served until the first request.
         assert main(["serve", str(tmp_path / "bundle"), flag, value]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+    def test_trace_file_is_named_error(self, tmp_path, capsys):
+        # The trace used to be lost at shutdown in a FileExistsError.
+        trace = tmp_path / "trace"
+        trace.write_text("")
+        assert main(["serve", str(tmp_path / "bundle"),
+                     "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --trace must name a directory, but {str(trace)!r} "
+            "is a file\n")
 
 
 class TestAudit:
