@@ -343,16 +343,39 @@ class SweepSpec(ScenarioGrid):
 # ----------------------------------------------------------------------
 # One-call conveniences
 # ----------------------------------------------------------------------
+def check_output(name: str, path, directory: bool) -> None:
+    """Fail by ``name``, before any work, for an output path that
+    cannot be written: a ``directory`` output must be a directory or
+    absent, a file output must not be a directory, and the closest
+    existing ancestor of an absent path must be a directory."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.exists():
+        if target.is_dir() != directory:
+            wanted, found = (("a directory", "a file") if directory
+                             else ("a file", "a directory"))
+            raise ValueError(
+                f"{name} must name {wanted}, but {str(path)!r} is {found}")
+        return
+    ancestor = next(p for p in target.parents if p.exists())
+    if not ancestor.is_dir():
+        raise ValueError(f"{name} {str(path)!r} cannot be created: "
+                         f"{str(ancestor)!r} is a file")
+
+
 def _resolve_trace(trace):
     """Normalise a ``trace`` argument: ``None`` → no telemetry, a
-    path → fresh collector written there after the run, a
-    :class:`~repro.obs.TraceCollector` → used as-is (caller writes)."""
+    path → checked now (:func:`check_output`) and a fresh collector
+    written there after the run, a :class:`~repro.obs.TraceCollector`
+    → used as-is (caller writes)."""
     if trace is None:
         return None, None
     from . import obs
 
     if isinstance(trace, obs.TraceCollector):
         return None, trace
+    check_output("trace", trace, directory=True)
     return Path(trace), obs.TraceCollector(env=obs.environment_info())
 
 

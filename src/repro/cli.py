@@ -89,9 +89,8 @@ import logging
 import os
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
-from .api import SweepSpec
+from .api import SweepSpec, check_output
 from .engine import ResultCache, grid_table
 from .engine.executor import CELL_AXES
 from .engine.spec import check_count
@@ -468,27 +467,6 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_output(flag: str, path: str | None, directory: bool) -> None:
-    """Fail by ``flag``, before any work, for an output path that
-    cannot be written: a ``directory`` output must be a directory or
-    absent, a file output must not be a directory, and the closest
-    existing ancestor of an absent path must be a directory."""
-    if path is None:
-        return
-    target = Path(path)
-    if target.exists():
-        if target.is_dir() != directory:
-            wanted, found = (("a directory", "a file") if directory
-                             else ("a file", "a directory"))
-            raise ValueError(
-                f"{flag} must name {wanted}, but {path!r} is {found}")
-        return
-    ancestor = next(p for p in target.parents if p.exists())
-    if not ancestor.is_dir():
-        raise ValueError(f"{flag} {path!r} cannot be created: "
-                         f"{str(ancestor)!r} is a file")
-
-
 def _evaluate(args: argparse.Namespace,
               approaches: Sequence[str | None]) -> int:
     """``repro run``/``repro audit``: one sweep cell per approach,
@@ -551,6 +529,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"error: chaos plan file {args.chaos!r} not found",
                   file=sys.stderr)
             return 2
+        except IsADirectoryError:
+            print(f"error: --chaos must name a file, but {args.chaos!r} "
+                  "is a directory", file=sys.stderr)
+            return 2
         except (ValueError, KeyError, TypeError, RuntimeError) as exc:
             print(f"error: invalid chaos plan {args.chaos!r}: {exc}",
                   file=sys.stderr)
@@ -569,6 +551,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"error: config file {args.config!r} not found",
                   file=sys.stderr)
             return 2
+        except IsADirectoryError:
+            print(f"error: --config must name a file, but {args.config!r} "
+                  "is a directory", file=sys.stderr)
+            return 2
         except (KeyError, ValueError, TypeError, RuntimeError) as exc:
             print(f"error: invalid config {args.config!r}: {exc}",
                   file=sys.stderr)
@@ -576,7 +562,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     overrides = {name: getattr(args, name) for name in _OVERRIDE_FLAGS
                  if getattr(args, name) is not None}
     try:
-        _check_output("--trace", args.trace, directory=True)
+        check_output("--trace", args.trace, directory=True)
         if args.config is None:
             spec = SweepSpec.from_config(_grid_flags(args))
         # The CLI caches by default; a config turns caching off with
@@ -661,8 +647,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         axes.append(args.overhead)
     try:
         check_axes(axes)
-        _check_output("--export-json", args.export_json, directory=False)
-        _check_output("--export-csv", args.export_csv, directory=False)
+        check_output("--export-json", args.export_json, directory=False)
+        check_output("--export-csv", args.export_csv, directory=False)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -862,7 +848,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                              f"got {args.port}")
         if args.max_requests is not None:
             check_count("--max-requests", args.max_requests)
-        _check_output("--trace", args.trace, directory=True)
+        check_output("--trace", args.trace, directory=True)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

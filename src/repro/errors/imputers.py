@@ -62,7 +62,12 @@ def impute_knn(X: np.ndarray, k: int = 5,
     Donor distances come from the shared masked block-matmul kernel
     (:func:`repro.metrics.pairwise.masked_sq_blocks`): rows needing
     repair are processed ``block_size`` at a time against the whole
-    matrix, instead of one Python-level row at a time.  Row pairs with
+    matrix, instead of one Python-level row at a time, and each
+    distinct row (the same observed values and the same holes) is
+    searched and repaired once, its repair copied to its duplicates.
+    That is only a change of tiling, so the kernel's caveat is
+    unchanged: BLAS may sum a block differently under another tiling,
+    which could break an exact distance tie differently.  Row pairs with
     fully disjoint observation patterns are *incomparable* — they get
     an explicit infinite distance
     (:func:`repro.metrics.pairwise.masked_mean_distances`) and are
@@ -108,9 +113,15 @@ def impute_knn(X: np.ndarray, k: int = 5,
     out = X.copy()
     observed = ~missing
     needs = np.flatnonzero(missing.any(axis=1))
+    # One search per distinct row (values and holes; the NaNs are in
+    # the bytes): duplicates lack the same columns, so none is ever a
+    # donor for another and excluding one's own row cannot set them
+    # apart.
+    first, inverse = pairwise.distinct_rows(X[needs])
+    distinct = needs[first]
     for start, stop, d2, counts in pairwise.masked_sq_blocks(
-            Z, observed, needs, block_size=block_size):
-        rows = needs[start:stop]
+            Z, observed, distinct, block_size=block_size):
+        rows = distinct[start:stop]
         dist = pairwise.masked_mean_distances(d2, counts)
         dist[np.arange(rows.size), rows] = np.inf  # never one's own row
         order = np.argsort(dist, axis=1, kind="stable")
@@ -121,6 +132,7 @@ def impute_knn(X: np.ndarray, k: int = 5,
                 donors = order[local, eligible][:k]
                 out[i, j] = (float(np.mean(X[donors, j])) if donors.size
                              else col_mean[j])
+    out[needs] = out[distinct[inverse]]
     return out
 
 

@@ -89,7 +89,13 @@ class Hardt(PostProcessor):
         if self.mix_ is None:
             raise RuntimeError("post-processor not fitted")
         s = np.asarray(s).astype(int)
+        stray = (s != 0) & (s != 1)
+        if stray.any():
+            raise ValueError(
+                "Hardt.adjust: the sensitive attribute must be 0 or 1, "
+                f"got {np.unique(s[stray]).tolist()}")
         y_hat = (np.asarray(scores, float) >= 0.5).astype(int)
-        p = np.array([self.mix_[(int(sv), int(hv))]
-                      for sv, hv in zip(s, y_hat)])
+        table = np.array([[self.mix_[(sv, hv)] for hv in (0, 1)]
+                          for sv in (0, 1)])
+        p = table[s, y_hat]
         return (rng.random(len(p)) < p).astype(int)

@@ -30,6 +30,15 @@ distances to be missed); on heavily tied data the stable re-rank
 picks the lowest reference indices among the ties the screen
 surfaced, mirroring the loop references' stable ``argsort``.
 
+Query rows repeat in practice (encoded categorical data: a 6,000-row
+compas test split holds under a thousand distinct rows), so
+:func:`topk` searches each distinct query row once and copies its
+answer to the row's duplicates (:func:`distinct_rows`; byte-equal rows
+are one row), and :func:`repro.errors.impute_knn` does the same for
+its rows needing repair.  To a duplicate this is only a change of
+tiling, so results stay the same under the caveat below, which is
+unchanged.
+
 ``block_size`` is a performance keyword: each query row always sees
 every reference row whatever the tiling, so selection is
 tiling-independent wherever distances are distinct (the property
@@ -61,6 +70,7 @@ __all__ = [
     "pair_distances",
     "PreparedReference",
     "prepare_reference",
+    "distinct_rows",
     "topk",
     "masked_sq_blocks",
     "masked_mean_distances",
@@ -132,6 +142,32 @@ def pair_distances(Z: np.ndarray, a: np.ndarray,
 # ----------------------------------------------------------------------
 # Blockwise top-k
 # ----------------------------------------------------------------------
+def distinct_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Byte-equal rows of ``A`` as one: ``(first, inverse)``.
+
+    ``first`` holds the index of each distinct row's first occurrence,
+    ascending, and ``inverse`` maps every row to its position in
+    ``first``, so ``A[first][inverse]`` equals ``A``.  Rows compare by
+    their bytes (each row viewed as one ``np.void``), so ``-0.0`` and
+    ``0.0`` stay apart and NaNs in the same places with the same bits
+    match.  When every row is distinct, ``first`` is ``arange(len(A))``;
+    so it is, at once, for fewer than two rows or rows of no width.
+    """
+    A = np.ascontiguousarray(A)
+    n = A.shape[0]
+    if n < 2 or A.size == 0:
+        return np.arange(n), np.arange(n)
+    keys = A.reshape(n, -1).view(np.dtype((np.void, A[0].nbytes)))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True,
+                                  return_inverse=True)
+    # np.unique orders by key bytes; renumber by first occurrence, so
+    # an input without repeats keeps its own order (and tiling).
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.ravel()]
+
+
 def _stable_smallest(cand: np.ndarray, d2: np.ndarray, kk: int
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the ``kk`` candidates with smallest exact distance,
@@ -190,7 +226,9 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
     ``kk`` nearest reference rows in ascending ``(distance, index)``
     order, and their exact float64 squared distances.  The dense
     ``len(A) × len(B)`` matrix is only ever held one float32 screen
-    block at a time.
+    block at a time.  Each distinct query row (with its ``exclude``
+    entry, when given; see :func:`distinct_rows`) is searched once and
+    its answer copied to its duplicates.
 
     Parameters
     ----------
@@ -232,6 +270,12 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
             raise ValueError(
                 f"exclude must have one entry per query row, got shape "
                 f"{exclude.shape} for {n_q} rows")
+    first, inverse = distinct_rows(
+        A if exclude is None else np.column_stack([A, exclude]))
+    A = A[first]
+    if exclude is not None:
+        exclude = exclude[first]
+    n_q = first.size
 
     # float32 screen operands on centred coordinates (see
     # PreparedReference); ‖a‖² is a per-row constant under
@@ -264,7 +308,7 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
         idx[rows], d2[rows] = _stable_smallest(cand, exact, kk)
         obs.add("pairwise.blocks")
     obs.add("pairwise.candidates", n_q * n_cand)
-    return idx, d2
+    return idx[inverse], d2[inverse]
 
 
 # ----------------------------------------------------------------------

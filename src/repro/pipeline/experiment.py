@@ -294,17 +294,22 @@ class FairPipeline:
 # End-to-end evaluation
 # ----------------------------------------------------------------------
 def _individual_discrimination(pipeline: FairPipeline, test: Dataset,
+                               y_hat: np.ndarray,
                                confidence: float = 0.99,
                                error_bound: float = 0.01,
                                seed: int = 0) -> float:
+    """Share of rows whose prediction flips with ``S``; ``y_hat`` is
+    the pipeline's prediction of ``test``, reused unless rows are
+    sampled (``predict`` reseeds per call, so it is what a second call
+    would return)."""
     from ..metrics.fairness import id_sample_size
 
     needed = id_sample_size(confidence, error_bound)
-    dataset = test
+    dataset, original = test, y_hat
     if test.n_rows > needed:
         rng = np.random.default_rng(seed)
         dataset = test.take(rng.choice(test.n_rows, needed, replace=False))
-    original = pipeline.predict(dataset)
+        original = pipeline.predict(dataset)
     flipped = pipeline.predict(dataset, s_override=1 - dataset.s)
     return float(np.mean(original != flipped))
 
@@ -321,7 +326,7 @@ def evaluate_pipeline(pipeline: FairPipeline, test: Dataset,
     di = disparate_impact(y_hat, s)
     tprb = true_positive_rate_balance(y, y_hat, s)
     tnrb = true_negative_rate_balance(y, y_hat, s)
-    id_value = _individual_discrimination(pipeline, test, seed=seed)
+    id_value = _individual_discrimination(pipeline, test, y_hat, seed=seed)
     effects = causal_effects_of_predictions(
         test, y_hat, predict=pipeline.predict_columns,
         n_samples=causal_samples, seed=seed)

@@ -235,6 +235,23 @@ class TestSweepSpec:
         assert len(report.outcomes) == 4
         assert not report.failures
 
+    @pytest.mark.parametrize("entry", ["run", "sweep"])
+    def test_trace_file_rejected_before_any_cell(self, entry, tmp_path):
+        # The whole sweep used to run, then the trace was lost in a
+        # FileExistsError.
+        trace = tmp_path / "trace"
+        trace.write_text("")
+        spec = SweepSpec(datasets=["german"], rows=[300],
+                         causal_samples=200, store=str(tmp_path / "store"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace must name a directory, but {str(trace)!r} is "
+                "a file")):
+            if entry == "run":
+                spec.run(trace=trace)
+            else:
+                sweep(spec, trace=str(trace))
+        assert not (tmp_path / "store").exists()
+
 
 class TestConfigEqualsLegacyFlags:
     def test_config_sweep_hits_legacy_flag_cache(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Mechanism-level tests for the post-processing approaches."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,27 @@ class TestHardt:
         y, scores, s = scored
         with pytest.raises(RuntimeError):
             Hardt().adjust(scores, s, rng)
+
+    def test_table_lookup_matches_per_row_mapping(self, scored):
+        y, scores, s = scored
+        hardt = Hardt().fit(y, scores, s)
+        y_hat = (scores >= 0.5).astype(int)
+        p = np.array([hardt.mix_[(int(sv), int(hv))]
+                      for sv, hv in zip(s, y_hat)])
+        expected = (np.random.default_rng(3).random(len(p)) < p).astype(int)
+        np.testing.assert_array_equal(
+            hardt.adjust(scores, s, np.random.default_rng(3)), expected)
+
+    @pytest.mark.parametrize("stray", [2, -1])
+    def test_non_binary_sensitive_refused(self, scored, stray):
+        # A table index would wrap -1 to group 1 without a word.
+        y, scores, s = scored
+        hardt = Hardt().fit(y, scores, s)
+        s = s.copy()
+        s[7] = stray
+        with pytest.raises(ValueError, match=re.escape(
+                f"must be 0 or 1, got [{stray}]")):
+            hardt.adjust(scores, s, np.random.default_rng(0))
 
     def test_depends_on_sensitive(self, scored):
         """The derived predictor keys on S (the source of its ID

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.errors import impute_knn
 from repro.metrics import pairwise
 
@@ -173,6 +174,72 @@ class TestTopK:
             pairwise.topk(A, RNG(1).normal(size=(4, 3)), 2)
         with pytest.raises(ValueError, match="exclude"):
             pairwise.topk(A, A, 2, exclude=np.arange(3))
+
+
+class TestDistinctRows:
+    """Each distinct query row is searched once: byte-equal rows must
+    get identical answers, and the search must stay the reference's."""
+
+    @given(st.integers(2, 60), st.integers(1, 30), st.integers(1, 4),
+           blocks, seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_byte_equal_rows_get_identical_answers(self, n, m, d, block,
+                                                   seed):
+        # Integer coordinates: repeated queries and tied distances.
+        rng = RNG(seed)
+        A = rng.integers(0, 3, (n, d)).astype(float)
+        B = rng.integers(0, 3, (m, d)).astype(float)
+        idx, d2 = pairwise.topk(A, B, 5, block_size=block)
+        first, inverse = pairwise.distinct_rows(A)
+        assert np.array_equal(idx, idx[first][inverse])
+        assert np.array_equal(d2, d2[first][inverse])
+
+    @given(st.integers(3, 20), blocks, seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_rows_match_reference(self, n, block, seed):
+        """Repeated rows, queried against themselves with and without
+        self-exclusion: the ``exclude`` entry is part of a row's key,
+        so no row gets its duplicate's mask."""
+        rng = RNG(seed)
+        Z = rng.normal(size=(n, 3))[rng.integers(0, n, 2 * n)]
+        for exclude in (None, np.arange(2 * n)):
+            idx, d2 = pairwise.topk(Z, Z, 3, block_size=block,
+                                    exclude=exclude)
+            ref_idx, ref_d2 = topk_reference(Z, Z, 3, exclude=exclude)
+            assert np.array_equal(idx, ref_idx)
+            assert np.allclose(d2, ref_d2, atol=1e-9)
+
+    @given(st.integers(0, 40), st.integers(1, 4), seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_first_and_inverse_rebuild_input(self, n, d, seed):
+        A = RNG(seed).integers(0, 2, (n, d)).astype(float)
+        first, inverse = pairwise.distinct_rows(A)
+        assert np.array_equal(A[first][inverse], A)
+        assert np.array_equal(first, np.sort(first))
+        assert len({row.tobytes() for row in A}) == first.size
+        for position, row in enumerate(first):
+            assert not (A[:row] == A[row]).all(axis=1).any()
+            assert inverse[row] == position
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows(self, n):
+        first, inverse = pairwise.distinct_rows(np.ones((n, 3)))
+        assert np.array_equal(first, np.arange(n))
+        assert np.array_equal(inverse, np.arange(n))
+
+    def test_signed_zeros_stay_apart(self):
+        A = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        first, inverse = pairwise.distinct_rows(A)
+        assert np.array_equal(first, [0, 1])
+        assert np.array_equal(inverse, [0, 1, 0])
+
+    def test_blocks_count_distinct_rows(self):
+        A = RNG(0).normal(size=(10, 3))[np.arange(300) % 10]
+        with obs.recording() as rec:
+            pairwise.topk(A, RNG(1).normal(size=(50, 3)), 4, block_size=8)
+        counters = rec.snapshot()["counters"]
+        assert counters["pairwise.blocks"] == 2
+        assert counters["pairwise.candidates"] == 10 * 12
 
 
 class TestMaskedBlocks:

@@ -7,7 +7,8 @@ result is RNG-independent (deterministic predictors, tie-free
 neighbourhoods) and to statistical tolerance where it is not.  Every consumer of the shared pairwise kernel — situation
 testing, awareness, multifairness, the k-NN classifier, and k-NN
 donor imputation — is checked here against its retained loop
-reference, across odd kernel block boundaries.
+reference, across odd kernel block boundaries; the k-NN classifier and
+imputer also on repeated rows, which the kernel searches once.
 """
 
 import numpy as np
@@ -249,6 +250,17 @@ class TestKnnModelParity:
         ref = knn_predict_proba_loop(X, y, np.ones(len(y)), queries, 7)
         np.testing.assert_allclose(model.predict_proba(queries), ref)
 
+    @pytest.mark.parametrize("block_size", [1, 7, None])
+    def test_duplicated_queries_match_loop(self, block_size):
+        """Each distinct query row is searched once and its votes
+        copied to its repeats; the repeats must still get the loop's
+        answer."""
+        X, y = self.make_data()
+        model = KNearestNeighbors(k=7, block_size=block_size).fit(X, y)
+        queries = X[RNG(4).integers(0, 30, 200)]
+        ref = knn_predict_proba_loop(X, y, np.ones(len(y)), queries, 7)
+        np.testing.assert_allclose(model.predict_proba(queries), ref)
+
 
 class TestImputeKnnParity:
     """k-NN donor imputation rides the masked kernel; donors must
@@ -273,3 +285,18 @@ class TestImputeKnnParity:
         X = self.make_data(seed=1, hole_rate=0.45)
         np.testing.assert_allclose(impute_knn(X, k=4),
                                    impute_knn_loop(X, k=4), atol=1e-9)
+
+    @pytest.mark.parametrize("block_size", [1, 5, None])
+    def test_duplicated_rows_match_loop(self, block_size):
+        """Rows repeated with their holes are repaired once per
+        distinct row; every repeat must get the loop's repair, and the
+        repeats of one row the same bytes."""
+        base = self.make_data(n=40, hole_rate=0.3)
+        pick = RNG(5).integers(0, 40, 150)
+        X = base[pick]
+        out = impute_knn(X, k=3, block_size=block_size)
+        np.testing.assert_allclose(out, impute_knn_loop(X, k=3), atol=1e-9)
+        first = {}
+        for row, source in enumerate(pick):
+            np.testing.assert_array_equal(out[row],
+                                          out[first.setdefault(source, row)])

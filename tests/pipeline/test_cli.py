@@ -164,6 +164,17 @@ class TestSweep:
             "is a file\n")
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize("flag", ["--chaos", "--config"])
+    def test_sweep_directory_input_is_named_error(self, flag, tmp_path,
+                                                  capsys):
+        # A directory used to end in an IsADirectoryError traceback.
+        assert main(["sweep", flag, str(tmp_path), "--store",
+                     str(tmp_path / "store")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} must name a file, but {str(tmp_path)!r} is a "
+            "directory\n")
+        assert not (tmp_path / "store").exists()
+
     def test_sweep_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--threads", "2"])
