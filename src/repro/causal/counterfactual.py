@@ -140,7 +140,32 @@ class DiscreteCPT:
         cdf = np.cumsum(probs, axis=1)
         # Guard against floating error leaving the last cdf below 1.
         cdf[:, -1] = 1.0
+        # Lookup tables for _rows.  Per parent: the sorted values its
+        # keys take.  A key's code is mixed-radix over the ranks of its
+        # values; after the last parent, and wherever the next parent
+        # could take it past 2**62, it is renumbered by its rank among
+        # the table's sorted codes so far (kept too), so no table
+        # overflows int64.
+        keys = np.array(list(self.table), dtype=float).reshape(
+            len(self.table), len(self.parents))
+        ranked = [np.unique(column, return_inverse=True)
+                  for column in keys.T]
+        levels = []
+        code = np.zeros(len(self.table), dtype=np.int64)
+        bound = 1
+        for i, (values, rank) in enumerate(ranked):
+            code = code * values.size + rank
+            bound *= values.size
+            codes = None
+            if i + 1 == len(ranked) or bound * ranked[i + 1][0].size > 2**62:
+                codes, code = np.unique(code, return_inverse=True)
+                bound = codes.size
+            levels.append((values, codes))
+        key_rows = np.empty(len(self.table), dtype=np.intp)
+        key_rows[code] = np.arange(len(self.table))
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_key_rows", key_rows)
         object.__setattr__(self, "_probs", probs)
         object.__setattr__(self, "_cdf", cdf)
 
@@ -173,17 +198,17 @@ class DiscreteCPT:
               n: int) -> np.ndarray:
         """Map each row's parent combination to its compiled-matrix row.
 
-        Each distinct combination is resolved exactly once: the parent
-        columns are integer-coded per column, combined into a single
-        mixed-radix code, and deduplicated with :func:`np.unique` — so
-        the dict is consulted per *unique* combination, not per row.
+        Rows are looked up in the tables :meth:`_compile` built: per
+        parent, a :func:`np.searchsorted` into the values its keys take,
+        then one into the sorted key codes (more only for tables whose
+        codes would overflow), so no call sorts.  A value or a
+        combination no key has sends the row to the fallback row.
         Small batches (the per-request serving path, where ``n`` is a
         particle count) skip the array machinery entirely: at that size
-        the fixed cost of a few :func:`np.unique` calls dwarfs a memoised
-        dict walk.
+        a memoised dict walk is cheaper.
         """
         fallback_row = len(self._index)
-        if not self.parents:
+        if not self.parents or not self.table:
             return np.full(n, self._index.get((), fallback_row),
                            dtype=np.intp)
         columns = [np.asarray(parent_values[p], dtype=float)
@@ -206,18 +231,19 @@ class DiscreteCPT:
                     memo[key] = row
                 rows[i] = row
             return rows
-        codes = np.zeros(n, dtype=np.int64)
-        for col in columns:
-            uniq, inv = np.unique(col, return_inverse=True)
-            codes = codes * (uniq.size + 1) + inv
-        first, inverse = np.unique(codes, return_index=True,
-                                   return_inverse=True)[1:]
-        rows = np.fromiter(
-            (self._index.get(_as_key(col[i] for col in columns),
-                             fallback_row)
-             for i in first),
-            dtype=np.intp, count=first.size)
-        return rows[inverse]
+        code = np.zeros(n, dtype=np.int64)
+        found = np.ones(n, dtype=bool)
+        for col, (values, codes) in zip(columns, self._levels):
+            rank = np.searchsorted(values, col)
+            np.minimum(rank, values.size - 1, out=rank)
+            found &= values[rank] == col
+            code = code * values.size + rank
+            if codes is not None:
+                at = np.searchsorted(codes, code)
+                np.minimum(at, codes.size - 1, out=at)
+                found &= codes[at] == code
+                code = at
+        return np.where(found, self._key_rows[code], fallback_row)
 
     def probabilities(self, parent_values: Mapping[str, np.ndarray],
                       n: int) -> np.ndarray:

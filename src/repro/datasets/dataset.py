@@ -67,9 +67,10 @@ class Dataset:
         if missing:
             raise ValueError(f"schema columns missing from table: {missing}")
         for col in (self.sensitive, self.label):
-            values = np.unique(self.table[col])
-            if not np.all(np.isin(values, (0, 1))):
-                raise ValueError(f"column {col!r} must be binary 0/1, got {values}")
+            values = self.table[col]
+            if not ((values == 0) | (values == 1)).all():
+                raise ValueError(f"column {col!r} must be binary 0/1, "
+                                 f"got {np.unique(values)}")
 
     # ------------------------------------------------------------------
     # Convenience accessors

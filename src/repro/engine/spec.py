@@ -48,7 +48,10 @@ __all__ = ["AUDITS", "BASELINE_ALIASES", "Job", "ScenarioGrid",
 #: parameterization; no stored value moved, only the fingerprints.
 #: Version 8: Thomas (Seldonian) candidate selection descends on the
 #: exact gradient, not finite differences, so Thomas cells move.
-SPEC_VERSION = 8
+#: Version 9: the k-NN top-k screens distinct reference rows and takes
+#: tied repeats by lowest index, so k-NN model cells and situation
+#: testing move where reference rows repeat (large compas/adult splits).
+SPEC_VERSION = 9
 
 #: Spellings accepted for the fairness-unaware baseline pipeline.
 BASELINE_ALIASES = {None, "", "baseline", "none", "LR"}

@@ -119,21 +119,38 @@ def impute_knn(X: np.ndarray, k: int = 5,
     # apart.
     first, inverse = pairwise.distinct_rows(X[needs])
     distinct = needs[first]
+    unobserved = np.ascontiguousarray(missing.T)
     for start, stop, d2, counts in pairwise.masked_sq_blocks(
             Z, observed, distinct, block_size=block_size):
         rows = distinct[start:stop]
         dist = pairwise.masked_mean_distances(d2, counts)
         dist[np.arange(rows.size), rows] = np.inf  # never one's own row
-        order = np.argsort(dist, axis=1, kind="stable")
-        finite = np.take_along_axis(np.isfinite(dist), order, axis=1)
         for local, i in enumerate(rows):
             for j in np.flatnonzero(missing[i]):
-                eligible = finite[local] & observed[order[local], j]
-                donors = order[local, eligible][:k]
+                donors = _nearest_donors(dist[local], unobserved[j], k)
                 out[i, j] = (float(np.mean(X[donors, j])) if donors.size
                              else col_mean[j])
     out[needs] = out[distinct[inverse]]
     return out
+
+
+def _nearest_donors(dist: np.ndarray, unobserved: np.ndarray,
+                    k: int) -> np.ndarray:
+    """The first ``k`` eligible donors of one distance row, in the
+    order of a stable argsort of ``dist``: ascending distance, ties to
+    the lowest index.
+
+    A donor is eligible if its distance is finite and it observes the
+    column being filled.  Only the donors at or below the ``k``-th
+    eligible distance are sorted.
+    """
+    eligible = np.where(unobserved, np.inf, dist)
+    cut = np.inf
+    if k < eligible.size:
+        cut = np.partition(eligible, k - 1)[k - 1]
+    near = np.flatnonzero(eligible <= cut if cut < np.inf
+                          else eligible < np.inf)
+    return near[np.argsort(eligible[near], kind="stable")[:k]]
 
 
 def impute_iterative(X: np.ndarray, n_iter: int = 5,

@@ -15,9 +15,9 @@ def _check_binary_pair(y: np.ndarray, y_hat: np.ndarray
         raise ValueError(f"label arrays must be aligned 1-D, got {y.shape} "
                          f"vs {y_hat.shape}")
     for name, arr in (("y", y), ("y_hat", y_hat)):
-        bad = np.setdiff1d(np.unique(arr), (0, 1))
-        if bad.size:
-            raise ValueError(f"{name} must be binary 0/1, found {bad}")
+        if not ((arr == 0) | (arr == 1)).all():
+            raise ValueError(f"{name} must be binary 0/1, found "
+                             f"{np.setdiff1d(np.unique(arr), (0, 1))}")
     return y, y_hat
 
 

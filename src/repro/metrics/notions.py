@@ -243,9 +243,9 @@ def notion_by_name(name: str) -> Notion:
 # ----------------------------------------------------------------------
 def _as_binary(name: str, arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr).astype(int)
-    bad = np.setdiff1d(np.unique(arr), (0, 1))
-    if bad.size:
-        raise ValueError(f"{name} must be binary 0/1, found {bad}")
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError(f"{name} must be binary 0/1, found "
+                         f"{np.setdiff1d(np.unique(arr), (0, 1))}")
     return arr
 
 

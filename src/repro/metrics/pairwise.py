@@ -17,27 +17,30 @@ are tiled in blocks of ``block_size``, and neighbour selection uses
 never materialised.  Pair distances come from the coordinate
 differences of the requested pairs alone.
 
-Top-k selection runs a two-stage **screen / re-rank** scheme: the
-screening pass evaluates the Gram blocks in float32 (on memory-bound
-hardware this roughly halves the time of the dominant matmul +
-selection sweep) and keeps a candidate margin beyond ``k``; the exact
-float64 distances of the surviving candidates are then recomputed
-directly from the coordinate differences and re-ranked with a stable
-``(distance, index)`` order.  On tie-free data the result is exactly
-the float64 top-k (the true k-th neighbour would have to be buried
-behind a full candidate margin of float32-indistinguishable
-distances to be missed); on heavily tied data the stable re-rank
-picks the lowest reference indices among the ties the screen
-surfaced, mirroring the loop references' stable ``argsort``.
+Top-k selection runs a two-stage **screen / re-rank** scheme over the
+*distinct* reference rows (:func:`distinct_rows`; byte-equal rows are
+one row): the screening pass evaluates the Gram blocks in float32 (on
+memory-bound hardware this roughly halves the time of the dominant
+matmul + selection sweep) and keeps a candidate margin beyond ``k``;
+the exact float64 distances of the surviving candidates are then
+recomputed directly from the coordinate differences and re-ranked
+with a stable ``(distance, index)`` order.  A query row whose ``k``
+nearest distinct rows include a repeated one then takes the members
+of its candidates, again in ``(distance, index)`` order.  The result
+is the float64 top-k with ties to the lowest index, as the loop
+references' stable ``argsort`` has it, on every host: repeats cannot
+use up the margin, so the tie order of numpy's SIMD-dispatched
+``argpartition`` never picks a neighbour.  A true neighbour could
+only be missed behind a full candidate margin of *distinct* rows
+within float32 resolution of the k-th distance.
 
 Query rows repeat in practice (encoded categorical data: a 6,000-row
-compas test split holds under a thousand distinct rows), so
-:func:`topk` searches each distinct query row once and copies its
-answer to the row's duplicates (:func:`distinct_rows`; byte-equal rows
-are one row), and :func:`repro.errors.impute_knn` does the same for
-its rows needing repair.  To a duplicate this is only a change of
-tiling, so results stay the same under the caveat below, which is
-unchanged.
+compas test split holds under a thousand distinct rows, its 14,000
+training rows about 1,200), so :func:`topk` also searches each
+distinct query row once and copies its answer to the row's
+duplicates, and :func:`repro.errors.impute_knn` does the same for its
+rows needing repair.  To a duplicate this is only a change of tiling,
+so results stay the same under the caveat below, which is unchanged.
 
 ``block_size`` is a performance keyword: each query row always sees
 every reference row whatever the tiling, so selection is
@@ -168,13 +171,13 @@ def distinct_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse.ravel()]
 
 
-def _stable_smallest(cand: np.ndarray, d2: np.ndarray, kk: int
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the ``kk`` candidates with smallest exact distance,
-    stable on ties by reference index (mirroring the loop references'
-    stable ``argsort``)."""
+def _stable_order(cand: np.ndarray, d2: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the candidates in ascending ``(distance, index)``
+    order, with their exact distances (the loop references' stable
+    ``argsort``)."""
     rows = np.arange(cand.shape[0])[:, None]
-    order = np.lexsort((cand, d2), axis=1)[:, :kk]
+    order = np.lexsort((cand, d2), axis=1)
     return cand[rows, order], d2[rows, order]
 
 
@@ -187,18 +190,38 @@ class PreparedReference:
     this at fit time via :func:`prepare_reference` and pass it in
     place of ``B``, skipping the per-call cast/transpose/norm sweep.
 
+    Byte-equal reference rows are one *distinct row*
+    (:func:`distinct_rows`): distinct row ``g`` is ``B[first[g]]``, and
+    its members, the indices of ``B`` holding it, are
+    ``members[offsets[g]:offsets[g + 1]]`` in ascending order.  The
+    screen operands cover the distinct rows only.
+
     ``mu`` is the reference column mean: the float32 screen runs on
     *centred* coordinates, because squared distances are
     translation-invariant but the Gram expansion is not — on data
     with a large common offset (raw timestamps, IDs) the uncentred
     ``‖b‖² − 2·a@bᵀ`` cancels catastrophically in float32 and would
     misrank neighbours beyond the re-rank margin.
+
+    Everything derives from ``B``, so the state a bundle keeps is ``B``
+    alone, and a state that carries more fields (older bundles) still
+    restores.
     """
 
     B: np.ndarray        # original float64 points, for the exact re-rank
     mu: np.ndarray       # column means used to centre the screen
-    BT_32: np.ndarray    # centred float32 reference, transposed
-    b_sq_32: np.ndarray  # centred float32 squared norms
+    first: np.ndarray    # first index of each distinct row, ascending
+    members: np.ndarray  # indices of B by distinct row, ascending in each
+    offsets: np.ndarray  # distinct row g's members start at offsets[g]
+    BT_32: np.ndarray    # centred float32 distinct rows, transposed
+    b_sq_32: np.ndarray  # their centred float32 squared norms
+
+    def get_state(self) -> dict:
+        return {"B": self.B}
+
+    def set_state(self, state: dict) -> None:
+        for name, value in vars(prepare_reference(state["B"])).items():
+            object.__setattr__(self, name, value)
 
 
 def prepare_reference(B: np.ndarray) -> PreparedReference:
@@ -209,10 +232,53 @@ def prepare_reference(B: np.ndarray) -> PreparedReference:
         raise ValueError(f"B must be 2-D, got shape {B.shape}")
     mu = (B.mean(axis=0) if B.shape[0]
           else np.zeros(B.shape[1]))
-    BT_32 = np.ascontiguousarray((B - mu).T, dtype=np.float32)
+    first, group = distinct_rows(B)
+    offsets = np.zeros(first.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(group, minlength=first.size), out=offsets[1:])
+    BT_32 = np.ascontiguousarray((B[first] - mu).T, dtype=np.float32)
     b_sq_32 = np.einsum("ij,ij->i", BT_32.T, BT_32.T,
                         dtype=np.float32)
-    return PreparedReference(B=B, mu=mu, BT_32=BT_32, b_sq_32=b_sq_32)
+    return PreparedReference(B=B, mu=mu, first=first,
+                             members=np.argsort(group, kind="stable"),
+                             offsets=offsets, BT_32=BT_32,
+                             b_sq_32=b_sq_32)
+
+
+def _expand(ref: PreparedReference, sizes: np.ndarray, gs: np.ndarray,
+            d2s: np.ndarray, kk: int, exclude: np.ndarray | None,
+            own: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``kk`` nearest reference *indices* of query rows whose
+    nearest distinct rows include a shared one.
+
+    ``gs``/``d2s`` are each row's candidate distinct rows in ascending
+    ``(distance, index)`` order.  Members of distinct rows nearer than
+    the ``kk``-th member all come first; at its distance, members
+    compete by index, so every candidate there is expanded.  No
+    distinct row gives more than ``kk`` members, plus one when a row's
+    excluded member (``exclude``, in distinct row ``own``) is among
+    them.
+    """
+    eff = sizes[gs]
+    if own is not None:
+        eff -= gs == own[:, None]
+    reached = eff.cumsum(axis=1) >= kk
+    bound = np.where(reached, d2s, np.inf).min(axis=1, keepdims=True)
+    # A NaN distance (from a NaN coordinate) sorts last and makes the
+    # bound NaN: such a row keeps every candidate.
+    rr, cc = (~(d2s > bound)).nonzero()
+    g = gs[rr, cc]
+    count = np.minimum(sizes[g], kk + 1)
+    end = count.cumsum()
+    member = ref.members[np.arange(end[-1])
+                         + (ref.offsets[g] - end + count).repeat(count)]
+    row = rr.repeat(count)
+    dist = d2s[rr, cc].repeat(count)
+    if exclude is not None:
+        dist[member == exclude[row]] = np.inf
+    order = np.lexsort((member, dist, row))
+    per_row = np.bincount(row, minlength=gs.shape[0])
+    pick = order[(per_row.cumsum() - per_row)[:, None] + np.arange(kk)]
+    return member[pick], dist[pick]
 
 
 def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
@@ -224,11 +290,16 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
     Returns ``(idx, d2)`` of shape ``(len(A), kk)`` with
     ``kk = min(k, len(B))``: for each query row, the indices of its
     ``kk`` nearest reference rows in ascending ``(distance, index)``
-    order, and their exact float64 squared distances.  The dense
-    ``len(A) × len(B)`` matrix is only ever held one float32 screen
-    block at a time.  Each distinct query row (with its ``exclude``
-    entry, when given; see :func:`distinct_rows`) is searched once and
-    its answer copied to its duplicates.
+    order — ties go to the lowest index — and their exact float64
+    squared distances.  The dense ``len(A) × len(B)`` matrix is only
+    ever held one float32 screen block at a time.  Each distinct query
+    row (with its ``exclude`` entry, when given; see
+    :func:`distinct_rows`) is searched once and its answer copied to
+    its duplicates.  The screen and the re-rank run over the distinct
+    reference rows; a query row whose ``kk`` nearest distinct rows
+    include a shared one then gets the members of its candidates in
+    ``(distance, index)`` order, and every other row gets its distinct
+    rows' indices directly.
 
     Parameters
     ----------
@@ -264,6 +335,7 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
     if m == 0 or n_q == 0:
         return (np.empty((n_q, kk), dtype=np.intp),
                 np.empty((n_q, kk)))
+    own = None
     if exclude is not None:
         exclude = np.asarray(exclude)
         if exclude.shape != (n_q,):
@@ -273,15 +345,24 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
     first, inverse = distinct_rows(
         A if exclude is None else np.column_stack([A, exclude]))
     A = A[first]
+    sizes = ref.offsets[1:] - ref.offsets[:-1]
+    shared = sizes > 1
     if exclude is not None:
         exclude = exclude[first]
+        # The distinct row holding each excluded index: a singleton is
+        # masked out of the screen, a shared row keeps its twins.
+        group = np.empty(m, dtype=np.intp)
+        group[ref.members] = np.repeat(np.arange(sizes.size), sizes)
+        own = np.where(exclude >= 0, group[exclude], -1)
+        lone = np.where(shared[own], -1, own)
     n_q = first.size
 
     # float32 screen operands on centred coordinates (see
     # PreparedReference); ‖a‖² is a per-row constant under
     # argpartition, so the screen key is just ‖b‖² − 2·a@bᵀ.
     A2_32 = np.ascontiguousarray((A - ref.mu) * -2.0, dtype=np.float32)
-    n_cand = min(m, kk + max(_SCREEN_MARGIN, kk))
+    n_d = sizes.size
+    n_cand = min(n_d, kk + max(_SCREEN_MARGIN, kk))
 
     idx = np.empty((n_q, kk), dtype=np.intp)
     d2 = np.empty((n_q, kk))
@@ -290,22 +371,32 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
         rows = slice(start, stop)
         G = A2_32[rows] @ ref.BT_32
         G += ref.b_sq_32
-        excl = None
         if exclude is not None:
-            excl = exclude[rows]
-            member = excl >= 0
-            G[np.flatnonzero(member), excl[member]] = np.inf
-        if n_cand < m:
+            masked = lone[rows]
+            hit = masked >= 0
+            G[np.flatnonzero(hit), masked[hit]] = np.inf
+        if n_cand < n_d:
             cand = np.argpartition(G, n_cand - 1, axis=1)[:, :n_cand]
         else:
-            cand = np.broadcast_to(np.arange(m), (stop - start, m))
+            cand = np.broadcast_to(np.arange(n_d), (stop - start, n_d))
         # Exact float64 re-rank of the surviving candidates, from the
         # coordinate differences directly (no Gram cancellation).
-        diff = A[rows][:, None, :] - B[cand]
+        diff = A[rows][:, None, :] - B[ref.first[cand]]
         exact = np.einsum("rcd,rcd->rc", diff, diff)
-        if excl is not None:
-            exact[cand == excl[:, None]] = np.inf
-        idx[rows], d2[rows] = _stable_smallest(cand, exact, kk)
+        if exclude is not None:
+            exact[cand == masked[:, None]] = np.inf
+        gs, d2s = _stable_order(cand, exact)
+        if n_cand < kk:  # fewer distinct rows than kk: all expand
+            wide = np.arange(stop - start)
+        else:
+            top = gs[:, :kk]
+            idx[rows], d2[rows] = ref.first[top], d2s[:, :kk]
+            wide = np.logical_or.reduce(shared[top], axis=1).nonzero()[0]
+        if wide.size:
+            idx[start + wide], d2[start + wide] = _expand(
+                ref, sizes, gs[wide], d2s[wide], kk,
+                None if exclude is None else exclude[rows][wide],
+                None if own is None else own[rows][wide])
         obs.add("pairwise.blocks")
     obs.add("pairwise.candidates", n_q * n_cand)
     return idx[inverse], d2[inverse]

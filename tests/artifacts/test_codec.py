@@ -7,6 +7,7 @@ from repro.artifacts import StateCodecError, decode, encode
 from repro.causal import CausalGraph
 from repro.causal.counterfactual import DiscreteCPT
 from repro.datasets.encoding import StandardScaler
+from repro.metrics.individual import prepare_situation_reference
 
 
 def roundtrip(value):
@@ -93,6 +94,44 @@ class TestObjects:
         back = roundtrip(graph)
         assert back.edges == graph.edges
         assert back.nodes == graph.nodes
+
+
+class TestSituationReferenceState:
+    """A prepared reference's state is its points, ``B``; bundles packed
+    while it also kept ``mu``, ``BT_32`` and ``b_sq_32`` must load and
+    serve the same verdicts."""
+
+    def make_reference(self):
+        rng = np.random.default_rng(0)
+        pool = rng.integers(0, 3, (30, 4)).astype(float)
+        X = pool[rng.integers(0, 30, 400)]
+        s = (rng.random(400) < 0.5).astype(int)
+        y_hat = (rng.random(400) < 0.5).astype(float)
+        return (prepare_situation_reference(X, s, y_hat, k=6),
+                rng.integers(0, 3, (50, 4)).astype(float))
+
+    def test_older_field_set_serves_same_verdicts(self):
+        reference, queries = self.make_reference()
+        arrays = {}
+        tree = encode(reference, arrays)
+        for pool in ("priv", "unpriv"):
+            state = tree["state"][pool]["state"]
+            assert set(state) == {"B"}
+            B = arrays[state["B"]["__ndarray__"]]
+            mu = B.mean(axis=0)
+            BT_32 = np.ascontiguousarray((B - mu).T, dtype=np.float32)
+            for name, value in (("mu", mu), ("BT_32", BT_32),
+                                ("b_sq_32", np.einsum(
+                                    "ij,ij->i", BT_32.T, BT_32.T,
+                                    dtype=np.float32))):
+                key = f"{pool}_{name}"
+                arrays[key] = value
+                state[name] = {"__ndarray__": key}
+        restored = decode(tree, arrays)
+        want = reference.audit_rows(queries)
+        got = restored.audit_rows(queries)
+        for name, values in want.items():
+            np.testing.assert_array_equal(got[name], values)
 
 
 class TestRejections:

@@ -352,6 +352,75 @@ class TestCompiledCptParity:
                     node, key)
 
 
+class TestRowLookup:
+    """Batches above 128 rows look parent combinations up in the
+    compiled tables; every row must get the matrix row the memoised
+    dict walk of small batches gives it."""
+
+    @staticmethod
+    def memo_rows(cpt, queries, n):
+        return np.concatenate([
+            cpt._rows({p: col[i:i + 100] for p, col in queries.items()},
+                      min(100, n - i))
+            for i in range(0, n, 100)])
+
+    def make_cpt(self, n_parents, n_keys, n_values, seed=0):
+        rng = RNG(seed)
+        domain = np.array([0.0, 1.0, 2.0])
+        parents = tuple(f"P{i}" for i in range(n_parents))
+        keys = rng.integers(0, n_values, (n_keys, n_parents)) * 1.5
+        table = {tuple(key): rng.dirichlet(np.ones(3)) for key in keys}
+        return DiscreteCPT(parents, domain, table), keys
+
+    @pytest.mark.parametrize("n_parents,n_keys,n_values",
+                             [(1, 4, 6), (2, 9, 4), (3, 30, 5),
+                              (20, 60, 12)])
+    def test_large_batches_match_memo_path(self, n_parents, n_keys,
+                                           n_values):
+        cpt, keys = self.make_cpt(n_parents, n_keys, n_values)
+        rng = RNG(1)
+        n = 600
+        present = keys[rng.integers(0, len(keys), n)]
+        # Per parent, values its keys take, recombined: mostly absent
+        # combinations once there are several parents.
+        mixed = keys[rng.integers(0, len(keys), (n, n_parents)),
+                     np.arange(n_parents)]
+        # Values no key takes, below, between and above the key values.
+        outside = rng.choice([-3.0, 0.75, 99.0], (n, n_parents))
+        pick = rng.integers(0, 3, (n, 1))
+        values = np.where(pick == 0, present,
+                          np.where(pick == 1, mixed, outside))
+        values[::7, -1] = outside[::7, -1]
+        queries = {p: values[:, i] for i, p in enumerate(cpt.parents)}
+        rows = cpt._rows(queries, n)
+        assert np.array_equal(rows, self.memo_rows(cpt, queries, n))
+        fallback = len(cpt.table)
+        assert (rows[pick[:, 0] == 0][: n // 10] != fallback).any()
+        assert (rows == fallback).any()
+
+    def test_radix_product_beyond_int64(self):
+        """Forty parents of four values: the product of the value counts
+        (4**40) overflows int64.  Wrapped mixed-radix codes would drop
+        the first parent (its weight, 4**39, is a multiple of 2**64),
+        so a key with that value changed would pass for the key."""
+        cpt, keys = self.make_cpt(40, 60, 4, seed=2)
+        counts = [np.unique(column).size for column in keys.T]
+        assert np.prod(np.array(counts, dtype=float)) > 2.0 ** 63
+        rng = RNG(3)
+        n = 300
+        values = keys[rng.integers(0, len(keys), n)]
+        changed = values.copy()
+        changed[:, 0] = (changed[:, 0] + 1.5) % 6.0
+        present = {tuple(key) for key in keys}
+        assert not any(tuple(row) in present for row in changed)
+        values[::2] = changed[::2]
+        queries = {p: values[:, i] for i, p in enumerate(cpt.parents)}
+        rows = cpt._rows(queries, n)
+        assert np.array_equal(rows, self.memo_rows(cpt, queries, n))
+        assert (rows[::2] == len(cpt.table)).all()
+        assert (rows[1::2] != len(cpt.table)).all()
+
+
 class TestAbductRows:
     def test_replay_recovers_every_row(self):
         scm = chain_scm()

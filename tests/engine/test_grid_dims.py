@@ -51,7 +51,7 @@ class TestFingerprints:
               imputer_params={"k": 3})
 
     def test_spec_version_5_in_params(self):
-        assert self.JOB.params()["spec_version"] == 8
+        assert self.JOB.params()["spec_version"] == 9
 
     def test_new_axes_feed_the_hash(self):
         for change in ({"imputer": "mean", "imputer_params": {}},

@@ -16,7 +16,10 @@ seeded generators (tie-free continuous draws), matching the rest of
 the suite's style.
 """
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from repro.errors import impute_knn
 from repro.metrics import pairwise
 
 RNG = np.random.default_rng
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def dense_sq_reference(A, B):
@@ -240,6 +244,123 @@ class TestDistinctRows:
         counters = rec.snapshot()["counters"]
         assert counters["pairwise.blocks"] == 2
         assert counters["pairwise.candidates"] == 10 * 12
+
+
+class TestDistinctReferenceRows:
+    """The screen and the re-rank run over distinct reference rows, and
+    a query whose nearest distinct rows include a shared one gets their
+    members; the result must be the full stable sort's, ties to the
+    lowest index, however many rows repeat."""
+
+    @given(st.integers(1, 30), st.integers(1, 12), st.integers(1, 60),
+           st.integers(1, 5), blocks,
+           st.sampled_from(["below", "distinct", "len", "above"]),
+           st.booleans(), seeds)
+    @settings(max_examples=120, deadline=None)
+    def test_repeated_reference_rows_match_reference(
+            self, n, pool, m, d, block, k_at, self_query, seed):
+        # Integer coordinates from a small pool: reference rows repeat
+        # and distances tie, between repeats and between distinct rows.
+        rng = RNG(seed)
+        B = rng.integers(0, 3, (pool, d)).astype(float)[
+            rng.integers(0, pool, m)]
+        n_distinct = pairwise.distinct_rows(B)[0].size
+        k = {"below": int(rng.integers(1, n_distinct + 1)),
+             "distinct": n_distinct + int(rng.integers(0, 3)),
+             "len": m, "above": m + 5}[k_at]
+        if self_query:
+            A = B
+            exclude = np.where(rng.random(m) < 0.7, np.arange(m), -1)
+        else:
+            A, exclude = rng.integers(0, 4, (n, d)).astype(float), None
+        idx, d2 = pairwise.topk(A, B, k, block_size=block,
+                                exclude=exclude)
+        ref_idx, ref_d2 = topk_reference(A, B, k, exclude=exclude)
+        assert np.array_equal(idx, ref_idx)
+        assert np.allclose(d2, ref_d2, atol=1e-9)
+
+    def test_shared_rows_expand_in_index_order(self):
+        """Two distinct rows at one distance interleave their members
+        by index, and an excluded member leaves its twins in play."""
+        B = np.array([[1.0], [-1.0], [-1.0], [1.0], [0.5], [1.0]])
+        idx, d2 = pairwise.topk(np.zeros((1, 1)), B, 4)
+        assert idx.tolist() == [[4, 0, 1, 2]]
+        assert d2.tolist() == [[0.25, 1.0, 1.0, 1.0]]
+        idx, d2 = pairwise.topk(B, B, 2, exclude=np.arange(6))
+        assert idx[0].tolist() == [3, 5]
+        assert idx[4].tolist() == [0, 3]
+
+    def test_nan_distances_sort_last(self):
+        """A NaN coordinate gives NaN distances, which the stable sort
+        puts last; repeated rows around them must not break that."""
+        B = np.array([[0.0, 1.0], [0.0, 1.0], [np.nan, 2.0], [3.0, 1.0]])
+        for A in (np.zeros((1, 2)), np.array([[np.nan, 0.0]])):
+            for k in (1, 2, 4):
+                idx, d2 = pairwise.topk(A, B, k)
+                ref_idx, ref_d2 = topk_reference(A, B, k)
+                assert np.array_equal(idx, ref_idx)
+                assert np.allclose(d2, ref_d2, equal_nan=True)
+
+    def test_state_is_the_points_alone(self):
+        """A prepared reference keeps only ``B`` in its state and
+        rebuilds the rest, also from the older field set."""
+        from repro.registry import extract_state, restore_instance
+
+        B = RNG(0).integers(0, 3, (40, 3)).astype(float)
+        prepared = pairwise.prepare_reference(B)
+        assert set(extract_state(prepared)) == {"B"}
+        mu = B.mean(axis=0)
+        BT_32 = np.ascontiguousarray((B - mu).T, dtype=np.float32)
+        older = {"B": B, "mu": mu, "BT_32": BT_32,
+                 "b_sq_32": np.einsum("ij,ij->i", BT_32.T, BT_32.T)}
+        for state in (extract_state(prepared), older):
+            restored = restore_instance(pairwise.PreparedReference, state)
+            for got, want in zip(pairwise.topk(B, restored, 7),
+                                 pairwise.topk(B, prepared, 7)):
+                assert np.array_equal(got, want)
+
+
+class TestDispatchInvariance:
+    """numpy picks its SIMD kernels by host (``argpartition`` among
+    them), and a cached cell must not depend on the host that computed
+    it: with the host's dispatch targets disabled, a tie-heavy top-k
+    must come out the same."""
+
+    SCRIPT = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from repro.metrics import pairwise\n"
+        "rng = np.random.default_rng(0)\n"
+        "pool = rng.integers(0, 10, (1200, 5)).astype(float)\n"
+        "B = pool[rng.integers(0, 1200, 14000)]\n"
+        "A = pool[rng.integers(0, 1200, 1000)]"
+        " + rng.integers(-1, 2, (1000, 5))\n"
+        "idx, d2 = pairwise.topk(A, B, 33)\n"
+        "np.save(sys.argv[1], idx)\n"
+    )
+
+    def test_topk_same_at_baseline_dispatch(self, tmp_path):
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy < 2
+            from numpy.core import _multiarray_umath as umath
+        active = [target for target in umath.__cpu_dispatch__
+                  if umath.__cpu_features__.get(target)]
+        if not active:
+            pytest.skip("numpy dispatches no target beyond its baseline "
+                        "on this host, so there is nothing to disable")
+        runs = {}
+        for name, disabled in (("default", ""),
+                               ("baseline", " ".join(active))):
+            out = tmp_path / f"{name}.npy"
+            proc = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, str(out)],
+                capture_output=True, text=True, timeout=120,
+                env={"PYTHONPATH": REPO_SRC, "PATH": "/usr/bin:/bin",
+                     "NPY_DISABLE_CPU_FEATURES": disabled})
+            assert proc.returncode == 0, proc.stderr
+            runs[name] = np.load(out)
+        assert np.array_equal(runs["default"], runs["baseline"])
 
 
 class TestMaskedBlocks:

@@ -187,6 +187,23 @@ class TestSituationTestingParity:
         with pytest.raises(ValueError, match="block_size"):
             situation_testing(X, s, y_hat, k=4, block_size=0)
 
+    @pytest.mark.parametrize("block_size", [1, 97, None])
+    def test_matches_loop_on_tied_data(self, block_size):
+        """Rows drawn from a small pool of integer rows: repeats and
+        equal distances everywhere.  Features in {0, 1, 2} scale to
+        {0, 0.5, 1}, so both paths compute the distances exactly and
+        ties go to the lowest index in each pool."""
+        rng = RNG(7)
+        pool = rng.integers(0, 3, (40, 4)).astype(float)
+        X = pool[rng.integers(0, 40, 600)]
+        s = (rng.random(600) < 0.5).astype(int)
+        y_hat = (rng.random(600) < 0.4 + 0.3 * s).astype(float)
+        vec = situation_testing(X, s, y_hat, k=9, block_size=block_size)
+        loop = situation_testing_loop(X, s, y_hat, k=9)
+        assert vec.mean_gap == pytest.approx(loop.mean_gap, abs=1e-12)
+        assert vec.flagged_fraction == loop.flagged_fraction
+        assert vec.n_audited == loop.n_audited
+
 
 class TestDistanceParity:
     def test_awareness_matches_dense_path(self):
@@ -261,6 +278,25 @@ class TestKnnModelParity:
         ref = knn_predict_proba_loop(X, y, np.ones(len(y)), queries, 7)
         np.testing.assert_allclose(model.predict_proba(queries), ref)
 
+    @pytest.mark.parametrize("k", [1, 33, 80])
+    @pytest.mark.parametrize("block_size", [1, 64, None])
+    def test_repeated_training_rows_match_loop(self, k, block_size):
+        """Training rows drawn from 60 distinct integer rows: the
+        nearest distinct rows hold many members each, at tied
+        distances, and the vote must be the loop's over the lowest
+        indices."""
+        rng = RNG(5)
+        pool = rng.integers(0, 4, (60, 3)).astype(float)
+        X = pool[rng.integers(0, 60, 700)]
+        y = (rng.random(700) < 0.5).astype(int)
+        w = rng.random(700) + 0.1
+        model = KNearestNeighbors(k=k, block_size=block_size).fit(
+            X, y, sample_weight=w)
+        queries = rng.integers(0, 4, (150, 3)).astype(float)
+        ref = knn_predict_proba_loop(X, y, w, queries, k)
+        np.testing.assert_allclose(model.predict_proba(queries), ref,
+                                   rtol=0, atol=1e-12)
+
 
 class TestImputeKnnParity:
     """k-NN donor imputation rides the masked kernel; donors must
@@ -300,3 +336,23 @@ class TestImputeKnnParity:
         for row, source in enumerate(pick):
             np.testing.assert_array_equal(out[row],
                                           out[first.setdefault(source, row)])
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_tied_donors_match_loop(self, k):
+        """Donors from a pool of repeated 0/1 rows, so distances tie
+        across many rows.  Every column observes as many 0s as 1s, so
+        it standardises to exactly ±1 and both paths compute the same
+        distances; the first ``k`` eligible donors in (distance,
+        index) order must then be the loop's.  The last column is
+        observed in two rows only: fewer than ``k`` donors for ``k``
+        above 2."""
+        rng = RNG(11)
+        n, d = 120, 5
+        X = np.full((n, d), np.nan)
+        for j in range(d):
+            seen = rng.choice(n, 2 if j == d - 1 else 2 * int(
+                rng.integers(20, 50)), replace=False)
+            X[seen, j] = rng.permutation(np.arange(seen.size) % 2)
+        np.testing.assert_array_equal(impute_knn(X, k=k),
+                                      impute_knn_loop(X, k=k))
+
