@@ -35,7 +35,7 @@ seconds do), and at sizes where the loop was skipped on both sides
 ``baseline / slack`` — so the large-n paths are guarded even without
 a loop to ratio against.  Checks are gated on the knobs the numbers
 depend on (``cf_*`` needs matching particle counts, ``st_*`` matching
-``k``/``block_size``) and skipped with a printed note otherwise — the
+``k``) and skipped with a printed note otherwise — the
 CI smoke runs reduced particles, so only its situation-testing
 numbers are compared.  A violation exits non-zero so CI fails.
 """
@@ -80,8 +80,8 @@ def build_audit(size: int, seed: int = 0):
     return ds, scm, cols, predict, fit_s
 
 
-def traced_phases(ds, scm, cols, predict, n_particles: int, k: int,
-                  block_size: int | None) -> tuple[dict, dict]:
+def traced_phases(ds, scm, cols, predict, n_particles: int,
+                  k: int) -> tuple[dict, dict]:
     """Re-run both audits under a recorder; per-phase seconds and the
     merged kernel counters (not comparable to the untraced headline
     timings — this pass pays the instrumentation)."""
@@ -95,8 +95,7 @@ def traced_phases(ds, scm, cols, predict, n_particles: int, k: int,
                 scm, cols, ds.sensitive, ds.label, predict, rng(1),
                 n_particles=n_particles, max_rows=None)
         with obs.span("situation_testing"):
-            situation_testing(ds.X, ds.s, predict(cols), k=k,
-                              block_size=block_size)
+            situation_testing(ds.X, ds.s, predict(cols), k=k)
     snapshot = rec.snapshot()
     phases = {s["name"]: round(s["dur"], 4)
               for s in snapshot["spans"] if s["depth"] == 0}
@@ -104,8 +103,7 @@ def traced_phases(ds, scm, cols, predict, n_particles: int, k: int,
 
 
 def bench_size(size: int, n_particles: int, k: int,
-               run_loop: bool, block_size: int | None = None,
-               collect_phases: bool = True) -> dict:
+               run_loop: bool, collect_phases: bool = True) -> dict:
     from repro.metrics import counterfactual_fairness, situation_testing
     from repro.metrics.reference import (counterfactual_fairness_loop,
                                          situation_testing_loop)
@@ -122,7 +120,7 @@ def bench_size(size: int, n_particles: int, k: int,
 
     y_hat = predict(cols)
     st_vec_s, st_vec = timed(lambda: situation_testing(
-        ds.X, ds.s, y_hat, k=k, block_size=block_size))
+        ds.X, ds.s, y_hat, k=k))
     entry["st_vectorized_s"] = round(st_vec_s, 4)
     entry["st_mean_gap"] = round(st_vec.mean_gap, 6)
 
@@ -147,7 +145,7 @@ def bench_size(size: int, n_particles: int, k: int,
 
     if collect_phases:
         entry["phases"], entry["counters"] = traced_phases(
-            ds, scm, cols, predict, n_particles, k, block_size)
+            ds, scm, cols, predict, n_particles, k)
     return entry
 
 
@@ -160,8 +158,7 @@ def check_regression(payload: dict, baseline_path: pathlib.Path,
     skipped loudly instead of producing a meaningless 50%-slack pass:
 
     * counterfactual-audit checks require matching ``n_particles``;
-    * situation-testing checks require matching ``k`` and
-      ``block_size``.
+    * situation-testing checks require matching ``k``.
 
     Where both runs timed the loop reference, the speedup *ratio*
     must stay within ``slack`` of the baseline's (ratios absorb
@@ -173,14 +170,12 @@ def check_regression(payload: dict, baseline_path: pathlib.Path,
     baseline = baseline_payload["results"]
     note = ("configs differ "
             f"(run {payload.get('n_particles')} particles / "
-            f"k={payload.get('k')} / "
-            f"block_size={payload.get('block_size')}, baseline "
+            f"k={payload.get('k')}, baseline "
             f"{baseline_payload.get('n_particles')} / "
-            f"k={baseline_payload.get('k')} / "
-            f"block_size={baseline_payload.get('block_size')})")
+            f"k={baseline_payload.get('k')})")
     groups = [prefix for prefix, knobs in
               (("cf", ("n_particles",)),
-               ("st", ("k", "block_size")))
+               ("st", ("k",)))
               if comparable(payload, baseline_payload, knobs,
                             f"note: {prefix}_* checks skipped — "
                             f"run/baseline {note}")]
@@ -221,11 +216,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--loop-max", type=int, default=5000,
                         help="largest size at which the loop reference "
                              "is also timed")
-    parser.add_argument("--block-size", type=int, default=None,
-                        metavar="N",
-                        help="pairwise-kernel query rows per block for "
-                             "situation testing (default: kernel "
-                             "default)")
     parser.add_argument("--no-phases", action="store_true",
                         help="skip the traced pass that embeds "
                              "per-phase durations and kernel counters")
@@ -247,7 +237,6 @@ def main(argv: list[str] | None = None) -> None:
               flush=True)
         results[str(size)] = bench_size(size, args.particles, args.k,
                                         run_loop,
-                                        block_size=args.block_size,
                                         collect_phases=not args.no_phases)
         entry = results[str(size)]
         line = (f"  cf audit {entry['cf_vectorized_s']:.3f}s"
@@ -269,7 +258,6 @@ def main(argv: list[str] | None = None) -> None:
         "dataset": "compas (synthetic generator, 4-bin discretized)",
         "n_particles": args.particles,
         "k": args.k,
-        "block_size": args.block_size,
         "machine": machine_block(),
         "results": results,
     }

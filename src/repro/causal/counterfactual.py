@@ -569,7 +569,6 @@ class CounterfactualSCM:
                     if k in self.graph}
         if len(observed) == len(self.graph.nodes):
             return self.abduct(observed, n_particles, rng)
-        kept: list[dict[str, float]] = []
         accepted: dict[str, list[np.ndarray]] = {
             node: [] for node in self._order}
         total = 0
@@ -591,8 +590,8 @@ class CounterfactualSCM:
                 }
         raise RuntimeError(
             f"abduct_partial found only {total}/{n_particles} consistent "
-            f"samples for evidence {observed}; kept={len(kept)}"
-        )
+            f"samples for evidence {observed} in {max_tries} batches of "
+            f"{batch}")
 
     def counterfactual(self, evidence: Mapping[str, float],
                        interventions: Mapping[str, float],

@@ -52,8 +52,7 @@ def impute_constant(values: np.ndarray, fill_value: float) -> np.ndarray:
     return values
 
 
-def impute_knn(X: np.ndarray, k: int = 5,
-               block_size: int | None = None) -> np.ndarray:
+def impute_knn(X: np.ndarray, k: int = 5) -> np.ndarray:
     """k-nearest-neighbour imputation over a feature matrix.
 
     For each missing cell, the imputed value is the mean of that column
@@ -61,13 +60,13 @@ def impute_knn(X: np.ndarray, k: int = 5,
     use only features present in *both* rows, rescaled per column).
     Donor distances come from the shared masked block-matmul kernel
     (:func:`repro.metrics.pairwise.masked_sq_blocks`): rows needing
-    repair are processed ``block_size`` at a time against the whole
+    repair are processed a kernel block at a time against the whole
     matrix, instead of one Python-level row at a time, and each
     distinct row (the same observed values and the same holes) is
     searched and repaired once, its repair copied to its duplicates.
-    That is only a change of tiling, so the kernel's caveat is
-    unchanged: BLAS may sum a block differently under another tiling,
-    which could break an exact distance tie differently.  Row pairs with
+    That is only a change of tiling, so the kernel's caveat holds:
+    BLAS may sum a block differently under another tiling, which could
+    break an exact distance tie differently.  Row pairs with
     fully disjoint observation patterns are *incomparable* — they get
     an explicit infinite distance
     (:func:`repro.metrics.pairwise.masked_mean_distances`) and are
@@ -80,9 +79,6 @@ def impute_knn(X: np.ndarray, k: int = 5,
         2-D matrix with NaNs marking missing entries.
     k:
         Neighbourhood size.
-    block_size:
-        Rows-needing-repair per kernel block (``None`` = the kernel
-        default).
 
     Raises
     ------
@@ -121,7 +117,7 @@ def impute_knn(X: np.ndarray, k: int = 5,
     distinct = needs[first]
     unobserved = np.ascontiguousarray(missing.T)
     for start, stop, d2, counts in pairwise.masked_sq_blocks(
-            Z, observed, distinct, block_size=block_size):
+            Z, observed, distinct):
         rows = distinct[start:stop]
         dist = pairwise.masked_mean_distances(d2, counts)
         dist[np.arange(rows.size), rows] = np.inf  # never one's own row

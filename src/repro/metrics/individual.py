@@ -236,7 +236,6 @@ class SituationTestingResult:
 def situation_testing(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
                       k: int = 8, threshold: float = 0.2,
                       audit_group: int = 0,
-                      block_size: int | None = None,
                       ) -> SituationTestingResult:
     """Zhang et al.'s situation-testing discrimination discovery.
 
@@ -246,10 +245,14 @@ def situation_testing(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
     means similar individuals are treated differently depending on the
     sensitive attribute — individual *direct* discrimination.
 
-    Neighbour search runs on the shared blockwise top-k kernel
+    This is the serving audit run on the population itself: the
+    reference comes from :func:`prepare_situation_reference`, and the
+    audited rows are the audited group's own pool, each leaving itself
+    out of its neighbours there (:meth:`SituationReference.audit_rows`
+    audits new individuals, who are in neither pool).  Neighbour search
+    runs on the shared blockwise top-k kernel
     (:func:`repro.metrics.pairwise.topk`), so the audit never
-    materialises a dense ``n × n`` matrix and memory stays
-    ``O(block_size · n)``.
+    materialises a dense ``n × n`` matrix.
 
     Groups smaller than ``k`` are audited against the neighbours they
     do have (``k`` is clamped per pool); an audited individual whose
@@ -272,47 +275,12 @@ def situation_testing(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
         Gap above which an individual is flagged.
     audit_group:
         Which group's members to audit (default: the unprivileged).
-    block_size:
-        Audited rows per kernel block (``None`` = kernel default).
     """
-    X = np.asarray(X, dtype=float)
-    s = np.asarray(s, dtype=int)
-    y_hat = (np.asarray(y_hat, dtype=float) > 0.5).astype(float)
-    if X.shape[0] != s.shape[0] or s.shape != y_hat.shape:
-        raise ValueError("X, s, y_hat must be aligned")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    idx_priv = np.flatnonzero(s == 1)
-    idx_unpriv = np.flatnonzero(s == 0)
-    if idx_priv.size == 0 or idx_unpriv.size == 0:
-        raise ValueError(
-            "situation testing needs both sensitive groups non-empty; "
-            f"got {idx_priv.size} privileged and {idx_unpriv.size} "
-            "unprivileged members")
-    audited = np.flatnonzero(s == audit_group)
-    if audited.size == 0:
+    if audit_group not in (0, 1):
         raise ValueError(f"audit_group={audit_group} selects no rows")
-    pools = (idx_priv, idx_unpriv)
-    # Position of each point inside each pool (-1 = not a member), for
-    # masking a point out of its own neighbourhood.
-    positions = []
-    for pool in pools:
-        pos = np.full(s.shape[0], -1)
-        pos[pool] = np.arange(pool.size)
-        positions.append(pos)
-
-    Z = _minmax_scale(X)
-    queries = Z[audited]
-    rates = []
-    for pool, pos in zip(pools, positions):
-        nearest, d2 = pairwise.topk(queries, Z[pool], k,
-                                    block_size=block_size,
-                                    exclude=pos[audited])
-        usable = np.isfinite(d2)  # drops the masked self-entry
-        counts = usable.sum(axis=1)
-        votes = (y_hat[pool[nearest]] * usable).sum(axis=1)
-        rates.append(np.where(counts > 0,
-                              votes / np.maximum(counts, 1), np.nan))
+    reference = prepare_situation_reference(X, s, y_hat, k, threshold)
+    pool = reference.priv if audit_group == 1 else reference.unpriv
+    rates = reference._rates(pool.B, own=audit_group)
     gaps = rates[0] - rates[1]
     finite = np.isfinite(gaps)
     if not finite.any():
@@ -334,16 +302,16 @@ def situation_testing(X: np.ndarray, s: np.ndarray, y_hat: np.ndarray,
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SituationReference:
-    """A frozen reference population for per-request situation testing.
+    """A frozen reference population for situation testing.
 
-    Everything :func:`situation_testing` recomputes per call — the
-    min-max scaling constants, the per-group neighbour pools as
-    :class:`~repro.metrics.pairwise.PreparedReference` (Gram vectors
-    precomputed), and the pools' decisions — is fitted once by
+    The min-max scaling constants, the per-group neighbour pools as
+    :class:`~repro.metrics.pairwise.PreparedReference` (screen operands
+    precomputed) and the pools' decisions are fitted once by
     :func:`prepare_situation_reference`.  :meth:`audit_rows` then costs
     two blockwise top-k queries per call and is row-independent, so a
     one-row request and a batch containing that row give identical
-    answers.
+    answers; :func:`situation_testing` is the same two queries with a
+    pool's own members as the audited rows.
     """
 
     lo: np.ndarray
@@ -360,27 +328,16 @@ class SituationReference:
         X = np.asarray(X, dtype=float)
         return (X - self.lo) / self.span
 
-    def audit_rows(self, X: np.ndarray,
-                   block_size: int | None = None) -> dict[str, np.ndarray]:
+    def audit_rows(self, X: np.ndarray) -> dict[str, np.ndarray]:
         """Situation-test query rows against the frozen reference.
 
-        Unlike the offline audit, query rows are *new* individuals —
-        they are not members of either pool, so no self-exclusion is
-        needed.  Returns per-row arrays: ``rate_privileged``,
-        ``rate_unprivileged``, ``gap`` (privileged minus unprivileged),
-        and boolean ``flagged`` (``|gap| > threshold``).
+        Query rows are *new* individuals, members of neither pool, so
+        none leaves itself out.  Returns per-row arrays:
+        ``rate_privileged``, ``rate_unprivileged``, ``gap`` (privileged
+        minus unprivileged), and boolean ``flagged`` (``|gap| >
+        threshold``).
         """
-        Z = self.scale(X)
-        rates = []
-        for pool, y_pool in ((self.priv, self.y_priv),
-                             (self.unpriv, self.y_unpriv)):
-            nearest, d2 = pairwise.topk(Z, pool, self.k,
-                                        block_size=block_size)
-            usable = np.isfinite(d2)
-            counts = usable.sum(axis=1)
-            votes = (y_pool[nearest] * usable).sum(axis=1)
-            rates.append(np.where(counts > 0,
-                                  votes / np.maximum(counts, 1), np.nan))
+        rates = self._rates(self.scale(X))
         gaps = rates[0] - rates[1]
         return {
             "rate_privileged": rates[0],
@@ -389,6 +346,26 @@ class SituationReference:
             "flagged": np.abs(gaps) > self.threshold,
         }
 
+    def _rates(self, Z: np.ndarray, own: int | None = None
+               ) -> list[np.ndarray]:
+        """Each scaled row's positive-decision rate among its ``k``
+        nearest privileged and its ``k`` nearest unprivileged rows
+        (``nan`` with no usable neighbour).  With ``own`` (the group,
+        1 or 0), ``Z`` is that group's pool and row ``i`` leaves out
+        member ``i``."""
+        rates = []
+        for group, pool, y_pool in ((1, self.priv, self.y_priv),
+                                    (0, self.unpriv, self.y_unpriv)):
+            nearest, d2 = pairwise.topk(
+                Z, pool, self.k,
+                exclude=np.arange(len(Z)) if group == own else None)
+            usable = np.isfinite(d2)
+            counts = usable.sum(axis=1)
+            votes = (y_pool[nearest] * usable).sum(axis=1)
+            rates.append(np.where(counts > 0,
+                                  votes / np.maximum(counts, 1), np.nan))
+        return rates
+
 
 def prepare_situation_reference(X: np.ndarray, s: np.ndarray,
                                 y_hat: np.ndarray, k: int = 8,
@@ -396,7 +373,7 @@ def prepare_situation_reference(X: np.ndarray, s: np.ndarray,
                                 ) -> SituationReference:
     """Fit a :class:`SituationReference` from a labelled population.
 
-    ``X``/``s``/``y_hat`` play the same roles as in
+    ``X``/``s``/``y_hat``/``k``/``threshold`` play the same roles as in
     :func:`situation_testing`; the min-max scaling constants are frozen
     from ``X`` so later queries land in the same coordinate system.
     """
@@ -411,7 +388,7 @@ def prepare_situation_reference(X: np.ndarray, s: np.ndarray,
     idx_unpriv = np.flatnonzero(s == 0)
     if idx_priv.size == 0 or idx_unpriv.size == 0:
         raise ValueError(
-            "situation reference needs both sensitive groups non-empty; "
+            "situation testing needs both sensitive groups non-empty; "
             f"got {idx_priv.size} privileged and {idx_unpriv.size} "
             "unprivileged members")
     lo = X.min(axis=0)

@@ -28,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import pairwise
 from .confusion import ConfusionCounts
 
 
@@ -579,6 +580,10 @@ def consistency_score(X: np.ndarray, y_hat: np.ndarray,
     nearest neighbours of i)| — the operational form of "similar
     individuals are treated similarly" (fairness through awareness with
     Euclidean similarity).  1 is perfectly consistent.
+
+    The neighbours come from the shared top-k kernel
+    (:func:`repro.metrics.pairwise.topk`), each row leaving itself out:
+    exact squared distances, ties to the lowest index.
     """
     X = np.asarray(X, dtype=float)
     y_hat = _as_binary("y_hat", y_hat)
@@ -587,24 +592,11 @@ def consistency_score(X: np.ndarray, y_hat: np.ndarray,
     n = X.shape[0]
     if n_neighbors < 1:
         raise ValueError("n_neighbors must be at least 1")
-    k = min(n_neighbors, n - 1)
-    if k == 0:
+    if n < 2:
         return 1.0
-    # Pairwise squared distances in blocks to bound memory.
-    inconsistency = 0.0
-    block = max(1, min(n, 2048))
-    sq_norms = np.einsum("ij,ij->i", X, X)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        d2 = (sq_norms[start:stop, None] + sq_norms[None, :]
-              - 2.0 * X[start:stop] @ X.T)
-        rows = np.arange(stop - start)
-        d2[rows, np.arange(start, stop)] = np.inf  # exclude self
-        neighbor_idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        neighbor_mean = y_hat[neighbor_idx].mean(axis=1)
-        inconsistency += float(
-            np.abs(y_hat[start:stop] - neighbor_mean).sum())
-    return 1.0 - inconsistency / n
+    nearest, _ = pairwise.topk(X, X, n_neighbors, exclude=np.arange(n))
+    gaps = np.abs(y_hat - y_hat[nearest].mean(axis=1))
+    return 1.0 - float(gaps.sum()) / n
 
 
 def fairness_through_unawareness(feature_names: list[str],

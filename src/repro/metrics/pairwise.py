@@ -4,17 +4,17 @@ Every individual-fairness metric in this repo ultimately needs one of
 two primitives over a point set:
 
 * the **k nearest rows** of a reference set for each query row
-  (situation testing, the k-NN classifier, and k-NN donor imputation
-  over partially observed rows), or
+  (situation testing, k-NN consistency, the k-NN classifier, and k-NN
+  donor imputation over partially observed rows), or
 * distances for an **explicit list of index pairs** (awareness and
   multifairness pair sampling).
 
 Neighbour search reduces to the Gram expansion ``‖a − b‖² = ‖a‖² +
 ‖b‖² − 2·a@bᵀ`` evaluated in row blocks, so this module is the single
 home for that kernel: reference norms are precomputed once, query rows
-are tiled in blocks of ``block_size``, and neighbour selection uses
-:func:`np.argpartition` per block — the dense ``n × n`` matrix is
-never materialised.  Pair distances come from the coordinate
+are tiled in blocks of :data:`DEFAULT_BLOCK_SIZE`, and neighbour
+selection uses :func:`np.argpartition` per block — the dense ``n × n``
+matrix is never materialised.  Pair distances come from the coordinate
 differences of the requested pairs alone.
 
 Top-k selection runs a two-stage **screen / re-rank** scheme over the
@@ -39,18 +39,21 @@ compas test split holds under a thousand distinct rows, its 14,000
 training rows about 1,200), so :func:`topk` also searches each
 distinct query row once and copies its answer to the row's
 duplicates, and :func:`repro.errors.impute_knn` does the same for its
-rows needing repair.  To a duplicate this is only a change of tiling,
-so results stay the same under the caveat below, which is unchanged.
+rows needing repair.
 
-``block_size`` is a performance keyword: each query row always sees
-every reference row whatever the tiling, so selection is
+Self-exclusion (situation testing's own-group pool, k-NN consistency)
+is not a second search mode: :func:`topk` with ``exclude`` runs the
+plain search for one neighbour more and drops each row's own index
+afterwards, so byte-equal rows share one search whatever they exclude.
+
+The block size is a constant, read at call time: each query row
+always sees every reference row whatever the tiling, so selection is
 tiling-independent wherever distances are distinct (the property
-suite in ``tests/metrics/test_pairwise_kernel.py`` locks this in).
-BLAS may still reassociate the float32 screen arithmetic differently
-under different tilings, which could in principle break *exact ties*
-differently.  Callers that take an optional ``block_size`` pass it
-through :func:`resolve_block_size`; omitted, it is
-:data:`DEFAULT_BLOCK_SIZE`.
+suite in ``tests/metrics/test_pairwise_kernel.py`` patches
+:data:`DEFAULT_BLOCK_SIZE` to lock this in).  BLAS may still
+reassociate the float32 screen arithmetic, or the masked Gram of
+:func:`masked_sq_blocks`, differently under different tilings, which
+could in principle break *exact ties* differently.
 
 Blocks run one after another in the calling thread; parallelism
 inside a block is BLAS's own (the sweep executor sizes it to the
@@ -68,7 +71,6 @@ from .. import obs
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "resolve_block_size",
     "minmax_scale",
     "pair_distances",
     "PreparedReference",
@@ -81,8 +83,8 @@ __all__ = [
 
 #: Query rows per Gram block.  Big enough that the BLAS calls and the
 #: per-block ``argpartition`` sweeps amortise their setup, small enough
-#: that one ``block_size × n`` block stays cache-friendly on the large
-#: audits (1024 × 20k float32 ≈ 80 MB of streamed, not resident, data).
+#: that one block stays cache-friendly on the large audits
+#: (1024 × 20k float32 ≈ 80 MB of streamed, not resident, data).
 DEFAULT_BLOCK_SIZE = 1024
 
 #: Extra float32-screen candidates kept beyond ``k`` before the exact
@@ -90,18 +92,6 @@ DEFAULT_BLOCK_SIZE = 1024
 #: many reference points within float32 resolution of the k-th
 #: distance — pathological even for discretised data.
 _SCREEN_MARGIN = 8
-
-
-def resolve_block_size(block_size: int | None) -> int:
-    """Validate an optional block size (``None`` is
-    :data:`DEFAULT_BLOCK_SIZE`)."""
-    if block_size is None:
-        return DEFAULT_BLOCK_SIZE
-    block_size = int(block_size)
-    if block_size < 1:
-        raise ValueError(f"block_size must be at least 1, "
-                         f"got {block_size}")
-    return block_size
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +235,7 @@ def prepare_reference(B: np.ndarray) -> PreparedReference:
 
 
 def _expand(ref: PreparedReference, sizes: np.ndarray, gs: np.ndarray,
-            d2s: np.ndarray, kk: int, exclude: np.ndarray | None,
-            own: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+            d2s: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``kk`` nearest reference *indices* of query rows whose
     nearest distinct rows include a shared one.
 
@@ -254,27 +243,20 @@ def _expand(ref: PreparedReference, sizes: np.ndarray, gs: np.ndarray,
     ``(distance, index)`` order.  Members of distinct rows nearer than
     the ``kk``-th member all come first; at its distance, members
     compete by index, so every candidate there is expanded.  No
-    distinct row gives more than ``kk`` members, plus one when a row's
-    excluded member (``exclude``, in distinct row ``own``) is among
-    them.
+    distinct row gives more than ``kk`` members.
     """
-    eff = sizes[gs]
-    if own is not None:
-        eff -= gs == own[:, None]
-    reached = eff.cumsum(axis=1) >= kk
+    reached = sizes[gs].cumsum(axis=1) >= kk
     bound = np.where(reached, d2s, np.inf).min(axis=1, keepdims=True)
     # A NaN distance (from a NaN coordinate) sorts last and makes the
     # bound NaN: such a row keeps every candidate.
     rr, cc = (~(d2s > bound)).nonzero()
     g = gs[rr, cc]
-    count = np.minimum(sizes[g], kk + 1)
+    count = np.minimum(sizes[g], kk)
     end = count.cumsum()
     member = ref.members[np.arange(end[-1])
                          + (ref.offsets[g] - end + count).repeat(count)]
     row = rr.repeat(count)
     dist = d2s[rr, cc].repeat(count)
-    if exclude is not None:
-        dist[member == exclude[row]] = np.inf
     order = np.lexsort((member, dist, row))
     per_row = np.bincount(row, minlength=gs.shape[0])
     pick = order[(per_row.cumsum() - per_row)[:, None] + np.arange(kk)]
@@ -282,7 +264,6 @@ def _expand(ref: PreparedReference, sizes: np.ndarray, gs: np.ndarray,
 
 
 def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
-         block_size: int | None = None,
          exclude: np.ndarray | None = None,
          ) -> tuple[np.ndarray, np.ndarray]:
     """k nearest rows of ``B`` for every row of ``A``, blockwise.
@@ -292,8 +273,8 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
     ``kk`` nearest reference rows in ascending ``(distance, index)``
     order — ties go to the lowest index — and their exact float64
     squared distances.  The dense ``len(A) × len(B)`` matrix is only
-    ever held one float32 screen block at a time.  Each distinct query
-    row (with its ``exclude`` entry, when given; see
+    ever held one float32 screen block of :data:`DEFAULT_BLOCK_SIZE`
+    query rows at a time.  Each distinct query row (see
     :func:`distinct_rows`) is searched once and its answer copied to
     its duplicates.  The screen and the re-rank run over the distinct
     reference rows; a query row whose ``kk`` nearest distinct rows
@@ -309,14 +290,13 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
         :func:`prepare_reference`).
     k:
         Neighbours per query row (clipped to ``len(B)``).
-    block_size:
-        Query rows per screen block (``None`` = the kernel default).
     exclude:
-        Optional per-query index into ``B`` to mask out (``-1`` =
-        nothing), for self-exclusion when the query point is a member
-        of the reference set.  A masked entry can still be *returned*
-        when ``kk`` spans the whole reference set — it carries
-        ``d2 = inf``, so callers filter with ``np.isfinite``.
+        Optional index into ``B`` per query row, left out of that
+        row's neighbours (self-exclusion, when the query rows are
+        members of the reference set).  The rows are searched for one
+        neighbour more, exactly as without ``exclude``, and each then
+        drops its own index, or its farthest neighbour when its own is
+        not among them; so ``kk = min(k, len(B) − 1)``.
     """
     A = np.asarray(A, dtype=float)
     ref = (B if isinstance(B, PreparedReference)
@@ -328,35 +308,43 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
             f"{A.shape} and {B.shape}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    block = resolve_block_size(block_size)
     m = B.shape[0]
-    kk = min(k, m)
-    n_q = A.shape[0]
-    if m == 0 or n_q == 0:
-        return (np.empty((n_q, kk), dtype=np.intp),
-                np.empty((n_q, kk)))
-    own = None
+    n_rows = A.shape[0]
     if exclude is not None:
         exclude = np.asarray(exclude)
-        if exclude.shape != (n_q,):
+        if (exclude.shape != (n_rows,)
+                or not ((exclude >= 0) & (exclude < m)).all()):
             raise ValueError(
-                f"exclude must have one entry per query row, got shape "
-                f"{exclude.shape} for {n_q} rows")
-    first, inverse = distinct_rows(
-        A if exclude is None else np.column_stack([A, exclude]))
-    A = A[first]
+                f"exclude must hold one index into B ({m} rows) per "
+                f"query row ({n_rows}), got shape {exclude.shape}")
+        k += 1
+    kk = min(k, m)
+    if m == 0 or n_rows == 0:
+        idx, d2 = (np.empty((n_rows, kk), dtype=np.intp),
+                   np.empty((n_rows, kk)))
+    else:
+        first, inverse = distinct_rows(A)
+        idx, d2 = _search(A[first], ref, kk)
+        idx, d2 = idx[inverse], d2[inverse]
+    if exclude is None or kk == 0:
+        return idx, d2
+    # Each row's own index, or else its farthest neighbour, goes: the
+    # kk - 1 nearest of the other reference rows remain, in order.
+    drop = idx == exclude[:, None]
+    drop[~drop.any(axis=1), -1] = True
+    keep = ~drop
+    return (idx[keep].reshape(n_rows, kk - 1),
+            d2[keep].reshape(n_rows, kk - 1))
+
+
+def _search(A: np.ndarray, ref: PreparedReference, kk: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``kk`` nearest reference rows of distinct query rows ``A``,
+    block by block (both sides non-empty; see :func:`topk`)."""
+    B = ref.B
+    n_q = A.shape[0]
     sizes = ref.offsets[1:] - ref.offsets[:-1]
     shared = sizes > 1
-    if exclude is not None:
-        exclude = exclude[first]
-        # The distinct row holding each excluded index: a singleton is
-        # masked out of the screen, a shared row keeps its twins.
-        group = np.empty(m, dtype=np.intp)
-        group[ref.members] = np.repeat(np.arange(sizes.size), sizes)
-        own = np.where(exclude >= 0, group[exclude], -1)
-        lone = np.where(shared[own], -1, own)
-    n_q = first.size
-
     # float32 screen operands on centred coordinates (see
     # PreparedReference); ‖a‖² is a per-row constant under
     # argpartition, so the screen key is just ‖b‖² − 2·a@bᵀ.
@@ -366,15 +354,12 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
 
     idx = np.empty((n_q, kk), dtype=np.intp)
     d2 = np.empty((n_q, kk))
+    block = DEFAULT_BLOCK_SIZE
     for start in range(0, n_q, block):
         stop = min(start + block, n_q)
         rows = slice(start, stop)
         G = A2_32[rows] @ ref.BT_32
         G += ref.b_sq_32
-        if exclude is not None:
-            masked = lone[rows]
-            hit = masked >= 0
-            G[np.flatnonzero(hit), masked[hit]] = np.inf
         if n_cand < n_d:
             cand = np.argpartition(G, n_cand - 1, axis=1)[:, :n_cand]
         else:
@@ -383,8 +368,6 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
         # coordinate differences directly (no Gram cancellation).
         diff = A[rows][:, None, :] - B[ref.first[cand]]
         exact = np.einsum("rcd,rcd->rc", diff, diff)
-        if exclude is not None:
-            exact[cand == masked[:, None]] = np.inf
         gs, d2s = _stable_order(cand, exact)
         if n_cand < kk:  # fewer distinct rows than kk: all expand
             wide = np.arange(stop - start)
@@ -394,20 +377,17 @@ def topk(A: np.ndarray, B: np.ndarray | PreparedReference, k: int, *,
             wide = np.logical_or.reduce(shared[top], axis=1).nonzero()[0]
         if wide.size:
             idx[start + wide], d2[start + wide] = _expand(
-                ref, sizes, gs[wide], d2s[wide], kk,
-                None if exclude is None else exclude[rows][wide],
-                None if own is None else own[rows][wide])
+                ref, sizes, gs[wide], d2s[wide], kk)
         obs.add("pairwise.blocks")
     obs.add("pairwise.candidates", n_q * n_cand)
-    return idx[inverse], d2[inverse]
+    return idx, d2
 
 
 # ----------------------------------------------------------------------
 # Masked distances (k-NN imputation)
 # ----------------------------------------------------------------------
 def masked_sq_blocks(Z: np.ndarray, observed: np.ndarray,
-                     rows: np.ndarray, *,
-                     block_size: int | None = None,
+                     rows: np.ndarray,
                      ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Blockwise masked squared distances and overlap counts.
 
@@ -419,8 +399,9 @@ def masked_sq_blocks(Z: np.ndarray, observed: np.ndarray,
         Σ_d M_id M_jd (Z_id − Z_jd)² = (Z̃²)_i·M_j − 2·Z̃_i·Z̃_j
                                         + M_i·(Z̃²)_j
 
-    Yields ``(start, stop, d2, counts)`` over blocks of ``rows``
-    (query-row indices into ``Z``): the masked squared-difference sums
+    Yields ``(start, stop, d2, counts)`` over blocks of
+    :data:`DEFAULT_BLOCK_SIZE` ``rows`` (query-row indices into
+    ``Z``): the masked squared-difference sums
     (clipped at zero) against **every** row of ``Z``, and the shared
     observed-feature counts — both exact in float64.  Consumers must
     treat zero overlap as *incomparable*, not divide by it —
@@ -428,7 +409,7 @@ def masked_sq_blocks(Z: np.ndarray, observed: np.ndarray,
     """
     Z = np.asarray(Z, dtype=float)
     rows = np.asarray(rows)
-    block = resolve_block_size(block_size)
+    block = DEFAULT_BLOCK_SIZE
     M = np.asarray(observed, dtype=float)
     if M.shape != Z.shape:
         raise ValueError(

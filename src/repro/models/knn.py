@@ -22,19 +22,12 @@ class KNearestNeighbors(Classifier):
     ----------
     k:
         Number of neighbours (paper default: 33).
-    block_size:
-        Query rows per kernel block (``None`` = the kernel's
-        :data:`~repro.metrics.pairwise.DEFAULT_BLOCK_SIZE`).
     """
 
-    def __init__(self, k: int = 33, block_size: int | None = None):
+    def __init__(self, k: int = 33):
         if k < 1:
             raise ValueError("k must be at least 1")
-        if block_size is not None and block_size < 1:
-            raise ValueError(
-                f"block_size must be at least 1, got {block_size}")
         self.k = k
-        self.block_size = block_size
         self.X_: np.ndarray | None = None
         self.y_: np.ndarray | None = None
         self.w_: np.ndarray | None = None
@@ -55,8 +48,7 @@ class KNearestNeighbors(Classifier):
         if self.X_ is None:
             raise RuntimeError("model not fitted")
         X, _ = check_Xy(X)
-        neighbours, _ = pairwise.topk(X, self.ref_, self.k,
-                                      block_size=self.block_size)
+        neighbours, _ = pairwise.topk(X, self.ref_, self.k)
         votes = self.w_[neighbours]
         positive = votes * (self.y_[neighbours] == 1)
         return positive.sum(axis=1) / votes.sum(axis=1)

@@ -209,6 +209,15 @@ class TestCounterfactualSCM:
         replay = scm.evaluate(noise)
         assert np.all(replay["Z"] == 1.0)
 
+    def test_abduct_partial_impossible_evidence_raises(self):
+        """No sample ever shows S=0.5; the error says how many of the
+        requested samples were found and in how many batches."""
+        scm = chain_scm()
+        with pytest.raises(RuntimeError,
+                           match=r"found only 0/10 .* in 3 batches of 256"):
+            scm.abduct_partial({"S": 0.5, "Y": 1.0}, 10, RNG(7),
+                               max_tries=3)
+
 
 class TestFitFromData:
     def test_fit_recovers_marginals(self):

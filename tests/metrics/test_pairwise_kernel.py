@@ -5,11 +5,13 @@ sizes, and data:
 
 * explicit pair distances equal the one-shot dense reference;
 * blockwise top-k equals a full-sort float64 reference on tie-free
-  data, for every tiling — ``block_size`` is a pure performance knob;
-* top-k is equivariant under query-row permutation;
+  data, for every tiling (``DEFAULT_BLOCK_SIZE`` is patched, since it
+  is read at call time);
+* top-k is equivariant under query-row permutation, and self-exclusion
+  leaves out each row's own index and nothing else;
 * masked (partially observed) distances equal a per-row loop, and
   pairs with no shared observed feature are incomparable (``inf``);
-* empty inputs and a block size below 1 fail by name.
+* empty inputs and a malformed ``exclude`` fail by name.
 
 Hypothesis drives shapes/blocks/seeds; the data itself comes from
 seeded generators (tie-free continuous draws), matching the rest of
@@ -20,6 +22,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,14 +45,21 @@ def dense_sq_reference(A, B):
 
 
 def topk_reference(A, B, k, exclude=None):
-    """Full stable sort per query row: ascending (distance, index)."""
+    """Full stable sort per query row: ascending (distance, index).
+    With ``exclude``, each row's own index sorts last and the first
+    ``min(k, len(B) − 1)`` columns are kept."""
     d2 = dense_sq_reference(A, B)
-    if exclude is not None:
-        rows = np.flatnonzero(np.asarray(exclude) >= 0)
-        d2[rows, np.asarray(exclude)[rows]] = np.inf
     kk = min(k, B.shape[0])
+    if exclude is not None:
+        d2[np.arange(A.shape[0]), exclude] = np.inf
+        kk = min(k, B.shape[0] - 1)
     order = np.argsort(d2, axis=1, kind="stable")[:, :kk]
     return order, np.take_along_axis(d2, order, axis=1)
+
+
+def blocks_of(rows):
+    """Tile the kernel's query rows ``rows`` at a time."""
+    return mock.patch.object(pairwise, "DEFAULT_BLOCK_SIZE", rows)
 
 
 shapes = st.tuples(st.integers(1, 28), st.integers(1, 24),
@@ -80,7 +90,8 @@ class TestTopK:
         n, m, d = shape
         rng = RNG(seed)
         A, B = rng.normal(size=(n, d)), rng.normal(size=(m, d))
-        idx, d2 = pairwise.topk(A, B, k, block_size=block)
+        with blocks_of(block):
+            idx, d2 = pairwise.topk(A, B, k)
         ref_idx, ref_d2 = topk_reference(A, B, k)
         assert np.array_equal(idx, ref_idx)
         assert np.allclose(d2, ref_d2, atol=1e-9)
@@ -92,9 +103,10 @@ class TestTopK:
         one-row blocks and blocks around the query-count boundary."""
         rng = RNG(seed)
         A, B = rng.normal(size=(n, 3)), rng.normal(size=(n + 3, 3))
-        baseline, _ = pairwise.topk(A, B, k, block_size=10_000)
+        baseline, _ = pairwise.topk(A, B, k)
         for block in (1, n - 1, n, n + 7):
-            idx, _ = pairwise.topk(A, B, k, block_size=block)
+            with blocks_of(block):
+                idx, _ = pairwise.topk(A, B, k)
             assert np.array_equal(idx, baseline)
 
     @given(st.integers(3, 25), seeds)
@@ -103,8 +115,9 @@ class TestTopK:
         rng = RNG(seed)
         A, B = rng.normal(size=(n, 3)), rng.normal(size=(20, 3))
         perm = rng.permutation(n)
-        idx, d2 = pairwise.topk(A, B, 4, block_size=5)
-        pidx, pd2 = pairwise.topk(A[perm], B, 4, block_size=5)
+        with blocks_of(5):
+            idx, d2 = pairwise.topk(A, B, 4)
+            pidx, pd2 = pairwise.topk(A[perm], B, 4)
         assert np.array_equal(pidx, idx[perm])
         assert np.allclose(pd2, d2[perm], atol=1e-12)
 
@@ -113,16 +126,16 @@ class TestTopK:
     def test_self_exclusion(self, n, block, seed):
         """Querying a set against itself with self-exclusion must
         never return the query row, and must match the reference with
-        the same mask."""
+        the row left out."""
         Z = RNG(seed).normal(size=(n, 3))
         exclude = np.arange(n)
-        idx, d2 = pairwise.topk(Z, Z, 3, block_size=block,
-                                exclude=exclude)
-        usable = np.isfinite(d2)
-        assert (idx[usable] != np.broadcast_to(
-            exclude[:, None], idx.shape)[usable]).all()
+        with blocks_of(block):
+            idx, d2 = pairwise.topk(Z, Z, 3, exclude=exclude)
+        assert idx.shape == d2.shape == (n, min(3, n - 1))
+        assert (idx != exclude[:, None]).all()
         ref_idx, ref_d2 = topk_reference(Z, Z, 3, exclude=exclude)
         assert np.array_equal(idx, ref_idx)
+        assert np.allclose(d2, ref_d2, atol=1e-9)
 
     @given(st.sampled_from([1e3, 1e4, 1e6]), seeds)
     @settings(max_examples=25, deadline=None)
@@ -135,7 +148,8 @@ class TestTopK:
         rng = RNG(seed)
         A = rng.normal(size=(40, 4)) + offset
         B = rng.normal(size=(60, 4)) + offset
-        idx, d2 = pairwise.topk(A, B, 5, block_size=16)
+        with blocks_of(16):
+            idx, d2 = pairwise.topk(A, B, 5)
         ref_idx, ref_d2 = topk_reference(A, B, 5)
         assert np.array_equal(idx, ref_idx)
         assert np.allclose(d2, ref_d2, atol=1e-6)
@@ -148,9 +162,10 @@ class TestTopK:
         rng = RNG(seed)
         A, B = rng.normal(size=(n, 3)), rng.normal(size=(n + 4, 3))
         prepared = pairwise.prepare_reference(B)
-        direct = pairwise.topk(A, B, 4, block_size=block)
-        reused = pairwise.topk(A, prepared, 4, block_size=block)
-        again = pairwise.topk(A, prepared, 4, block_size=block)
+        with blocks_of(block):
+            direct = pairwise.topk(A, B, 4)
+            reused = pairwise.topk(A, prepared, 4)
+            again = pairwise.topk(A, prepared, 4)
         assert np.array_equal(direct[0], reused[0])
         assert np.array_equal(reused[0], again[0])
         assert np.allclose(direct[1], reused[1], atol=1e-12)
@@ -167,17 +182,21 @@ class TestTopK:
         assert idx.shape == (4, 0)
         idx, d2 = pairwise.topk(np.empty((0, 2)), A, 3)
         assert idx.shape == (0, 3)
+        idx, d2 = pairwise.topk(np.empty((0, 2)), A, 3,
+                                exclude=np.empty(0, dtype=int))
+        assert idx.shape == d2.shape == (0, 3)
+        idx, d2 = pairwise.topk(A[:1], A[:1], 3, exclude=[0])
+        assert idx.shape == d2.shape == (1, 0)
 
     def test_invalid_inputs_rejected(self):
         A = RNG(0).normal(size=(4, 2))
         with pytest.raises(ValueError, match="k must be"):
             pairwise.topk(A, A, 0)
-        with pytest.raises(ValueError, match="block_size"):
-            pairwise.topk(A, A, 2, block_size=0)
         with pytest.raises(ValueError, match="matching feature"):
             pairwise.topk(A, RNG(1).normal(size=(4, 3)), 2)
-        with pytest.raises(ValueError, match="exclude"):
-            pairwise.topk(A, A, 2, exclude=np.arange(3))
+        for exclude in (np.arange(3), [0, 1, 2, -1], [0, 1, 2, 4]):
+            with pytest.raises(ValueError, match="exclude"):
+                pairwise.topk(A, A, 2, exclude=exclude)
 
 
 class TestDistinctRows:
@@ -193,7 +212,8 @@ class TestDistinctRows:
         rng = RNG(seed)
         A = rng.integers(0, 3, (n, d)).astype(float)
         B = rng.integers(0, 3, (m, d)).astype(float)
-        idx, d2 = pairwise.topk(A, B, 5, block_size=block)
+        with blocks_of(block):
+            idx, d2 = pairwise.topk(A, B, 5)
         first, inverse = pairwise.distinct_rows(A)
         assert np.array_equal(idx, idx[first][inverse])
         assert np.array_equal(d2, d2[first][inverse])
@@ -202,13 +222,13 @@ class TestDistinctRows:
     @settings(max_examples=40, deadline=None)
     def test_repeated_rows_match_reference(self, n, block, seed):
         """Repeated rows, queried against themselves with and without
-        self-exclusion: the ``exclude`` entry is part of a row's key,
-        so no row gets its duplicate's mask."""
+        self-exclusion: byte-equal rows share one search, and each
+        then drops its own index, not its duplicate's."""
         rng = RNG(seed)
         Z = rng.normal(size=(n, 3))[rng.integers(0, n, 2 * n)]
         for exclude in (None, np.arange(2 * n)):
-            idx, d2 = pairwise.topk(Z, Z, 3, block_size=block,
-                                    exclude=exclude)
+            with blocks_of(block):
+                idx, d2 = pairwise.topk(Z, Z, 3, exclude=exclude)
             ref_idx, ref_d2 = topk_reference(Z, Z, 3, exclude=exclude)
             assert np.array_equal(idx, ref_idx)
             assert np.allclose(d2, ref_d2, atol=1e-9)
@@ -239,8 +259,8 @@ class TestDistinctRows:
 
     def test_blocks_count_distinct_rows(self):
         A = RNG(0).normal(size=(10, 3))[np.arange(300) % 10]
-        with obs.recording() as rec:
-            pairwise.topk(A, RNG(1).normal(size=(50, 3)), 4, block_size=8)
+        with obs.recording() as rec, blocks_of(8):
+            pairwise.topk(A, RNG(1).normal(size=(50, 3)), 4)
         counters = rec.snapshot()["counters"]
         assert counters["pairwise.blocks"] == 2
         assert counters["pairwise.candidates"] == 10 * 12
@@ -269,12 +289,11 @@ class TestDistinctReferenceRows:
              "distinct": n_distinct + int(rng.integers(0, 3)),
              "len": m, "above": m + 5}[k_at]
         if self_query:
-            A = B
-            exclude = np.where(rng.random(m) < 0.7, np.arange(m), -1)
+            A, exclude = B, np.arange(m)
         else:
             A, exclude = rng.integers(0, 4, (n, d)).astype(float), None
-        idx, d2 = pairwise.topk(A, B, k, block_size=block,
-                                exclude=exclude)
+        with blocks_of(block):
+            idx, d2 = pairwise.topk(A, B, k, exclude=exclude)
         ref_idx, ref_d2 = topk_reference(A, B, k, exclude=exclude)
         assert np.array_equal(idx, ref_idx)
         assert np.allclose(d2, ref_d2, atol=1e-9)
@@ -374,10 +393,11 @@ class TestMaskedBlocks:
         rows = np.flatnonzero(rng.random(n) < 0.6)
         got_d2 = np.empty((rows.size, n))
         got_counts = np.empty((rows.size, n))
-        for start, stop, d2, counts in pairwise.masked_sq_blocks(
-                Z, observed, rows, block_size=block):
-            got_d2[start:stop] = d2
-            got_counts[start:stop] = counts
+        with blocks_of(block):
+            for start, stop, d2, counts in pairwise.masked_sq_blocks(
+                    Z, observed, rows):
+                got_d2[start:stop] = d2
+                got_counts[start:stop] = counts
         for local, i in enumerate(rows):
             shared = observed[i] & observed
             diff = np.where(shared, np.nan_to_num(Z) - np.nan_to_num(Z[i]),
@@ -406,10 +426,6 @@ class TestScalingAndDefaults:
     def test_single_row_is_all_constant(self):
         Z = pairwise.minmax_scale(np.array([[2.0, -1.0, 7.0]]))
         assert np.array_equal(Z, np.zeros((1, 3)))
-
-    def test_invalid_block_size_rejected(self):
-        with pytest.raises(ValueError, match="block_size"):
-            pairwise.resolve_block_size(0)
 
 
 class TestEmptyInputs:

@@ -4,12 +4,17 @@ reference.
 The vectorized paths reorder RNG draws (one batch per node instead of
 one batch per row), so the audits are compared exactly where the
 result is RNG-independent (deterministic predictors, tie-free
-neighbourhoods) and to statistical tolerance where it is not.  Every consumer of the shared pairwise kernel — situation
-testing, awareness, multifairness, the k-NN classifier, and k-NN
+neighbourhoods) and to statistical tolerance where it is not.  Every
+consumer of the shared pairwise kernel — situation testing, k-NN
+consistency, awareness, multifairness, the k-NN classifier, and k-NN
 donor imputation — is checked here against its retained loop
-reference, across odd kernel block boundaries; the k-NN classifier and
-imputer also on repeated rows, which the kernel searches once.
+reference (consistency against a stable-argsort loop written here),
+across odd kernel block boundaries (``DEFAULT_BLOCK_SIZE`` patched);
+the k-NN metrics, classifier and imputer also on repeated rows, which
+the kernel searches once.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +24,8 @@ from repro.causal import CausalGraph, CounterfactualSCM, DiscreteCPT
 from repro.errors.imputers import impute_knn
 from repro.metrics import (counterfactual_fairness,
                            fairness_through_awareness, metric_multifairness,
-                           situation_testing)
+                           pairwise, situation_testing)
+from repro.metrics.notions import consistency_score
 from repro.metrics.reference import (counterfactual_fairness_loop,
                                      fairness_through_awareness_dense,
                                      impute_knn_loop,
@@ -30,6 +36,13 @@ from repro.models.knn import KNearestNeighbors
 
 RNG = np.random.default_rng
 DOM = np.array([0.0, 1.0])
+
+
+def blocks_of(rows):
+    """Tile the kernel's query rows ``rows`` at a time (``None``: the
+    default tiling)."""
+    return mock.patch.object(pairwise, "DEFAULT_BLOCK_SIZE",
+                             rows or pairwise.DEFAULT_BLOCK_SIZE)
 
 
 def small_scm():
@@ -156,8 +169,10 @@ class TestSituationTestingParity:
 
     def test_block_size_does_not_change_result(self):
         X, s, y_hat = self.make_data(seed=2, n=150)
-        whole = situation_testing(X, s, y_hat, k=6, block_size=10_000)
-        tiny = situation_testing(X, s, y_hat, k=6, block_size=13)
+        with blocks_of(10_000):
+            whole = situation_testing(X, s, y_hat, k=6)
+        with blocks_of(13):
+            tiny = situation_testing(X, s, y_hat, k=6)
         assert whole.mean_gap == pytest.approx(tiny.mean_gap, abs=1e-12)
         assert whole.flagged_fraction == tiny.flagged_fraction
 
@@ -169,7 +184,8 @@ class TestSituationTestingParity:
         the tiling — including one-row blocks and blocks around the
         query-count boundary."""
         X, s, y_hat = self.make_data(seed=5, n=420)
-        vec = situation_testing(X, s, y_hat, k=7, block_size=block_size)
+        with blocks_of(block_size):
+            vec = situation_testing(X, s, y_hat, k=7)
         loop = situation_testing_loop(X, s, y_hat, k=7)
         assert vec.mean_gap == pytest.approx(loop.mean_gap, abs=1e-9)
         assert vec.flagged_fraction == loop.flagged_fraction
@@ -177,15 +193,11 @@ class TestSituationTestingParity:
 
     def test_matches_loop_at_larger_n(self):
         X, s, y_hat = self.make_data(seed=6, n=1500)
-        vec = situation_testing(X, s, y_hat, k=11, block_size=256)
+        with blocks_of(256):
+            vec = situation_testing(X, s, y_hat, k=11)
         loop = situation_testing_loop(X, s, y_hat, k=11)
         assert vec.mean_gap == pytest.approx(loop.mean_gap, abs=1e-9)
         assert vec.flagged_fraction == loop.flagged_fraction
-
-    def test_invalid_block_size_rejected(self):
-        X, s, y_hat = self.make_data(seed=3, n=60)
-        with pytest.raises(ValueError, match="block_size"):
-            situation_testing(X, s, y_hat, k=4, block_size=0)
 
     @pytest.mark.parametrize("block_size", [1, 97, None])
     def test_matches_loop_on_tied_data(self, block_size):
@@ -198,11 +210,88 @@ class TestSituationTestingParity:
         X = pool[rng.integers(0, 40, 600)]
         s = (rng.random(600) < 0.5).astype(int)
         y_hat = (rng.random(600) < 0.4 + 0.3 * s).astype(float)
-        vec = situation_testing(X, s, y_hat, k=9, block_size=block_size)
+        with blocks_of(block_size):
+            vec = situation_testing(X, s, y_hat, k=9)
         loop = situation_testing_loop(X, s, y_hat, k=9)
         assert vec.mean_gap == pytest.approx(loop.mean_gap, abs=1e-12)
         assert vec.flagged_fraction == loop.flagged_fraction
         assert vec.n_audited == loop.n_audited
+
+    def test_repeated_rows_search_once_per_distinct_row(self):
+        """6,000 rows drawn from 300 integer rows (168 distinct): every
+        audited row is a member of its own pool and leaves only itself
+        out, so byte-equal rows share one search in each pool.  The
+        pinned result is the one a search per audited row gives."""
+        rng = RNG(0)
+        pool = rng.integers(0, 3, (300, 5)).astype(float)
+        X = pool[rng.integers(0, 300, 6000)]
+        s = (rng.random(6000) < 0.5).astype(int)
+        y_hat = (rng.random(6000) < 0.5).astype(float)
+        with obs.recording() as rec:
+            res = situation_testing(X, s, y_hat, k=8)
+        assert res.n_audited == 3055
+        assert res.flagged_fraction == 1408 / 3055
+        assert res.mean_gap == pytest.approx(0.028805237315875615,
+                                             abs=1e-15)
+        n_distinct = pairwise.distinct_rows(X[s == 0])[0].size
+        own_cand, other_cand = 9 + 9, 8 + 8  # kk + max(8, kk) per pool
+        assert rec.snapshot()["counters"]["pairwise.candidates"] <= (
+            n_distinct * (own_cand + other_cand))
+
+
+class TestConsistencyParity:
+    """k-NN consistency rides the shared kernel with self-exclusion:
+    exact squared distances from coordinate differences, ties to the
+    lowest index, as a stable ``argsort`` loop has it."""
+
+    @staticmethod
+    def loop(X, y_hat, k=5):
+        X = np.asarray(X, dtype=float)
+        gaps = []
+        for i in range(len(X)):
+            d2 = ((X - X[i]) ** 2).sum(axis=1)
+            d2[i] = np.inf
+            nearest = np.argsort(d2, kind="stable")[:min(k, len(X) - 1)]
+            gaps.append(abs(y_hat[i] - y_hat[nearest].mean()))
+        return 1.0 - sum(gaps) / len(X)
+
+    def test_matches_stable_loop_on_discretised_german(self):
+        """``examples/notion_tour.py``'s test split: discretised
+        features, so most rows repeat and distances tie."""
+        from repro.datasets import (discretize_dataset, load_german,
+                                    train_test_split)
+        from repro.models import LogisticRegression
+
+        dataset = discretize_dataset(load_german(n=1000, seed=0),
+                                     n_bins=3)
+        split = train_test_split(dataset, seed=0)
+        model = LogisticRegression().fit(
+            split.train.features_with_sensitive(), split.train.y)
+        y_hat = model.predict(split.test.features_with_sensitive())
+        got = consistency_score(split.test.X, y_hat)
+        assert got == pytest.approx(self.loop(split.test.X, y_hat),
+                                    abs=1e-12)
+        assert round(got, 3) == 0.972
+
+    @pytest.mark.parametrize("block_size", [1, 7, None])
+    def test_tied_rows_match_loop(self, block_size):
+        rng = RNG(8)
+        X = rng.integers(0, 3, (40, 3)).astype(float)[
+            rng.integers(0, 40, 300)]
+        y_hat = (rng.random(300) < 0.5).astype(int)
+        for k in (1, 5, 40):
+            with blocks_of(block_size):
+                got = consistency_score(X, y_hat, n_neighbors=k)
+            assert got == pytest.approx(self.loop(X, y_hat, k), abs=1e-12)
+
+    def test_translation_invariant(self):
+        """Squared distances do not change under a common offset; the
+        kernel's centred screen and exact re-rank keep the neighbours."""
+        rng = RNG(0)
+        X = rng.normal(size=(500, 4))
+        y_hat = (rng.random(500) < 0.5).astype(int)
+        assert consistency_score(X + 1e8, y_hat) == consistency_score(
+            X, y_hat)
 
 
 class TestDistanceParity:
@@ -236,10 +325,11 @@ class TestKnnModelParity:
     @pytest.mark.parametrize("block_size", [1, 63, 64, 71, None])
     def test_matches_loop_across_block_boundaries(self, block_size):
         X, y = self.make_data()
-        model = KNearestNeighbors(k=7, block_size=block_size).fit(X, y)
+        model = KNearestNeighbors(k=7).fit(X, y)
         queries = X[:64]
         ref = knn_predict_proba_loop(X, y, np.ones(len(y)), queries, 7)
-        np.testing.assert_allclose(model.predict_proba(queries), ref)
+        with blocks_of(block_size):
+            np.testing.assert_allclose(model.predict_proba(queries), ref)
 
     def test_weighted_votes_match_loop(self):
         X, y = self.make_data(seed=1)
@@ -273,10 +363,11 @@ class TestKnnModelParity:
         copied to its repeats; the repeats must still get the loop's
         answer."""
         X, y = self.make_data()
-        model = KNearestNeighbors(k=7, block_size=block_size).fit(X, y)
+        model = KNearestNeighbors(k=7).fit(X, y)
         queries = X[RNG(4).integers(0, 30, 200)]
         ref = knn_predict_proba_loop(X, y, np.ones(len(y)), queries, 7)
-        np.testing.assert_allclose(model.predict_proba(queries), ref)
+        with blocks_of(block_size):
+            np.testing.assert_allclose(model.predict_proba(queries), ref)
 
     @pytest.mark.parametrize("k", [1, 33, 80])
     @pytest.mark.parametrize("block_size", [1, 64, None])
@@ -290,12 +381,12 @@ class TestKnnModelParity:
         X = pool[rng.integers(0, 60, 700)]
         y = (rng.random(700) < 0.5).astype(int)
         w = rng.random(700) + 0.1
-        model = KNearestNeighbors(k=k, block_size=block_size).fit(
-            X, y, sample_weight=w)
+        model = KNearestNeighbors(k=k).fit(X, y, sample_weight=w)
         queries = rng.integers(0, 4, (150, 3)).astype(float)
         ref = knn_predict_proba_loop(X, y, w, queries, k)
-        np.testing.assert_allclose(model.predict_proba(queries), ref,
-                                   rtol=0, atol=1e-12)
+        with blocks_of(block_size):
+            got = model.predict_proba(queries)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 class TestImputeKnnParity:
@@ -313,7 +404,8 @@ class TestImputeKnnParity:
     @pytest.mark.parametrize("block_size", [1, 69, 70, 77, None])
     def test_matches_loop_across_block_boundaries(self, block_size):
         X = self.make_data()
-        out = impute_knn(X, k=3, block_size=block_size)
+        with blocks_of(block_size):
+            out = impute_knn(X, k=3)
         ref = impute_knn_loop(X, k=3)
         np.testing.assert_allclose(out, ref, atol=1e-9)
 
@@ -330,7 +422,8 @@ class TestImputeKnnParity:
         base = self.make_data(n=40, hole_rate=0.3)
         pick = RNG(5).integers(0, 40, 150)
         X = base[pick]
-        out = impute_knn(X, k=3, block_size=block_size)
+        with blocks_of(block_size):
+            out = impute_knn(X, k=3)
         np.testing.assert_allclose(out, impute_knn_loop(X, k=3), atol=1e-9)
         first = {}
         for row, source in enumerate(pick):

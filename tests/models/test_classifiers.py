@@ -1,9 +1,12 @@
 """Behavioural tests shared across all model families, plus
 model-specific checks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.metrics import pairwise
 from repro.models import (DecisionTree, GaussianNB, KernelSVM,
                           KNearestNeighbors, LinearSVM, LogisticRegression,
                           MLPClassifier, RandomForest, RBFSampler)
@@ -158,9 +161,12 @@ class TestKNN:
 
     def test_blocking_consistent(self):
         X, y = linearly_separable(200)
-        a = KNearestNeighbors(k=5, block_size=7).fit(X, y).predict_proba(X)
-        b = KNearestNeighbors(k=5, block_size=512).fit(X, y).predict_proba(X)
-        np.testing.assert_allclose(a, b)
+        model = KNearestNeighbors(k=5).fit(X, y)
+        probas = []
+        for rows in (7, 512):
+            with mock.patch.object(pairwise, "DEFAULT_BLOCK_SIZE", rows):
+                probas.append(model.predict_proba(X))
+        np.testing.assert_allclose(*probas)
 
     def test_matches_loop_reference(self):
         from repro.metrics.reference import knn_predict_proba_loop
@@ -174,9 +180,12 @@ class TestKNN:
         with pytest.raises(ValueError):
             KNearestNeighbors(k=0)
 
-    def test_invalid_block_size(self):
+    def test_block_size_is_not_a_parameter(self):
+        """The kernel's block size is a constant, not a model knob."""
+        from repro.registry import MODELS
+
         with pytest.raises(ValueError, match="block_size"):
-            KNearestNeighbors(k=3, block_size=0)
+            MODELS.build("knn(block_size=64)")
 
 
 class TestTreeAndForest:
